@@ -53,6 +53,7 @@ from .order_sums import (
     ratio_bounds_for_index,
     relative_order,
     relative_order_by_cyclic_intersection,
+    relative_orders,
 )
 from .classify import derived_subgroup, is_nilpotent, is_solvable
 from .verify import (

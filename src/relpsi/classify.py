@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .group_core import FiniteGroup
+import numpy as np
+
+from .group_core import FiniteGroup, row_blocks
 from .numtheory import factorize
 from .subgroup_lattice import Subgroup, generate
 
@@ -15,24 +17,23 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """Closure of all commutators a b a^-1 b^-1."""
     if G.order > _CLASSIFY_CAP:
         raise ValueError(f"classification budget exceeded at order {G.order}")
-    return _derived_of_members(G, list(G.elements()))
+    return _derived_of_members(G, np.arange(G.order))
 
 
-def _derived_of_members(G: FiniteGroup, members) -> Subgroup:
-    commutators = set()
-    inv = {a: G.inverse(a) for a in members}
-    for a in members:
-        for b in members:
-            c = G.multiply(G.multiply(a, b), G.multiply(inv[a], inv[b]))
-            commutators.add(c)
-    return generate(G, commutators)
+def _derived_of_members(G: FiniteGroup, members: np.ndarray) -> Subgroup:
+    inv = G.inverses()
+    commutators = np.zeros(G.order, dtype=bool)
+    for rows in row_blocks(members, len(members)):
+        ab = G.multiply_array(rows, members)
+        commutators[G.multiply_array(ab, G.multiply_array(inv[rows], inv[members]))] = True
+    return generate(G, np.flatnonzero(commutators).tolist())
 
 
 def is_solvable(G: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup."""
     if G.order > _CLASSIFY_CAP:
         raise ValueError(f"classification budget exceeded at order {G.order}")
-    members = list(G.elements())
+    members = np.arange(G.order)
     # the series strictly decreases, so log2(n) steps suffice
     for _ in range(G.order.bit_length() + 1):
         if len(members) == 1:
@@ -40,7 +41,7 @@ def is_solvable(G: FiniteGroup) -> bool:
         nxt = _derived_of_members(G, members)
         if nxt.order == len(members):
             return False
-        members = list(nxt.elements())
+        members = np.array(nxt.elements())
     raise AssertionError("derived series failed to stabilize")
 
 
@@ -50,21 +51,16 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     if G.order > _CLASSIFY_CAP:
         raise ValueError(f"classification budget exceeded at order {G.order}")
     n = G.order
-    orders = {x: G.element_order(x) for x in G.elements()}
+    orders = G.element_orders()
     for p, a in factorize(n):
         p_part = p ** a
-        p_elements = [x for x, o in orders.items() if _is_power_of(o, p)]
+        # element orders divide n, so p-power orders are those dividing p^a
+        p_elements = np.flatnonzero(p_part % orders == 0)
         if len(p_elements) != p_part:
             return False
-        members = set(p_elements)
-        for x in p_elements:
-            for y in p_elements:
-                if G.multiply(x, y) not in members:
-                    return False
+        inside = np.zeros(n, dtype=bool)
+        inside[p_elements] = True
+        for rows in row_blocks(p_elements, len(p_elements)):
+            if not inside[G.multiply_array(rows, p_elements)].all():
+                return False
     return True
-
-
-def _is_power_of(o: int, p: int) -> bool:
-    while o % p == 0:
-        o //= p
-    return o == 1

@@ -27,6 +27,7 @@ from .order_sums import (
     psi_relative_frobenius_formula,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
+    relative_orders,
 )
 
 SCHEMA_VERSION = "1"
@@ -154,7 +155,7 @@ def cmd_frobenius(args) -> int:
     code = EXIT_OK
     if args.brute_force:
         G, H = verify.build_counterexample(spec)
-        brute = psi_relative(G, H, threads=args.threads)
+        brute = psi_relative(G, H)
         verdict = "OK" if brute == psi_h else "MISMATCH"
         print(f"psi_H (brute force)  = {brute} {verdict}")
         result["brute_force"] = str(brute)
@@ -173,7 +174,7 @@ def cmd_frobenius(args) -> int:
 def cmd_scan(args) -> int:
     started = time.monotonic()
     catalog = verify.default_catalog(args.max_order, include_frobenius=args.include_frobenius)
-    report = verify.scan_catalog(catalog, threads=args.threads)
+    report = verify.scan_catalog(catalog)
     for res in report.results:
         mark = " VIOLATES" if res.violations else ""
         flags = "".join(
@@ -204,7 +205,8 @@ def cmd_check_bounds(args) -> int:
     rows = []
     for H in all_subgroups(G):
         m, q = H.order, H.index
-        value = psi_relative(G, H, threads=args.threads)
+        rel = relative_orders(G, H)
+        value = int(rel.sum())
         bound = psi_relative_upper_bound(m, q)
         checks = {"quadratic_bound": value <= bound}
         if q >= 2:
@@ -212,8 +214,7 @@ def cmd_check_bounds(args) -> int:
             ratio = Fraction(value, order_sums.cyclic_reference(G.order, m))
             checks["product_bound"] = ratio < bounds.product
             checks["spread_bound"] = ratio < bounds.spread
-        max_rel = max(order_sums.relative_order(G, H, x) for x in G.elements())
-        checks["relative_order_le_index"] = max_rel <= q
+        checks["relative_order_le_index"] = int(rel.max()) <= q
         ok = all(checks.values())
         if not ok:
             failures.append((m, checks))
@@ -234,7 +235,7 @@ def cmd_ratios(args) -> int:
     except (ValueError, CayleyTableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    records = verify.subgroup_ratio_scan(G, threads=args.threads)
+    records = verify.subgroup_ratio_scan(G)
     for rec in records:
         mark = " VIOLATES" if rec.is_violation else ""
         print(f"subgroup order {rec.subgroup_order:>4}: psi_H={rec.psi_h}  "
@@ -259,7 +260,7 @@ def cmd_bijection(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     H = generate(G, gens)
-    result = verify.bijection_exists(G, H, threads=args.threads)
+    result = verify.bijection_exists(G, H)
     if result.exists:
         print("BIJECTION EXISTS")
         doc = {"exists": True, "witness": list(result.witness)}
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json")
     p.set_defaults(func=cmd_frobenius)
 
@@ -307,27 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=64)
     p.add_argument("--include-frobenius", action="store_true",
                    help="add the affine Frobenius field groups to the catalog")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-bounds", help="verify order-sum bounds on an ingested group")
     p.add_argument("group_file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json")
     p.set_defaults(func=cmd_check_bounds)
 
     p = sub.add_parser("ratios", help="per-subgroup ratio table for an ingested group")
     p.add_argument("group_file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json")
     p.set_defaults(func=cmd_ratios)
 
     p = sub.add_parser("bijection", help="order-divisibility bijection decision")
     p.add_argument("group_file")
     p.add_argument("--subgroup", required=True, help="comma-separated generator encodings")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json")
     p.set_defaults(func=cmd_bijection)
 

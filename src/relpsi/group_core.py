@@ -1,17 +1,18 @@
 """Finite groups on integer encodings.
 
 Every group fixes a deterministic bijection between its elements and
-[0, order), with the identity at encoding 0. The interface is call-based
-(multiply/inverse on encodings) so medium-sized groups never materialize an
-order x order table; tables exist only for ingested Cayley tables and
-quotients.
+[0, order), with the identity at encoding 0. Each class defines scalar
+`multiply`/`inverse` and an array product on int64 arrays. A group of order
+at most TABLE_CAP builds one compact Cayley table on first use, from the
+array product, and caches it; `multiply_array` then reads that table, and
+the subgroup, classification and order-sum loops run on it. Above the cap
+`multiply_array` computes products arithmetically, so no table is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import numpy as np
 
@@ -38,16 +39,27 @@ __all__ = [
     "element_order",
 ]
 
-_ASSOC_FULL_CAP = 512
+TABLE_CAP = 4096
 _ORDER_CAP = 1 << 16
+# entries per temporary array when a loop covers all pairs of two element sets
+_BLOCK = 1 << 20
 
 
 class CayleyTableError(ValueError):
     """Raised when ingested Cayley-table data fails validation."""
 
 
+def row_blocks(rows: np.ndarray, width: int):
+    """Split ``rows`` into column vectors of at most about _BLOCK / width
+    entries, so a product against ``width`` columns stays small."""
+    step = max(1, _BLOCK // max(width, 1))
+    for lo in range(0, len(rows), step):
+        yield rows[lo:lo + step, None]
+
+
 class FiniteGroup:
-    """Abstract finite group; concrete classes define multiply/inverse."""
+    """Abstract finite group; concrete classes define multiply/inverse and,
+    for speed, the array product `_product_array`."""
 
     order: int
     name: str = "G"
@@ -58,6 +70,69 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         raise NotImplementedError
+
+    def _product_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # scalar fallback for groups that define only multiply
+        x, y = np.broadcast_arrays(x, y)
+        flat = map(self.multiply, x.ravel().tolist(), y.ravel().tolist())
+        return np.fromiter(flat, dtype=np.int64, count=x.size).reshape(x.shape)
+
+    @property
+    def tabulated(self) -> bool:
+        """True when products are read from the cached Cayley table."""
+        return self.order <= TABLE_CAP or getattr(self, "_table_cache", None) is not None
+
+    def multiply_array(self, x, y) -> np.ndarray:
+        """Elementwise products of two broadcastable int64 encoding arrays."""
+        if self.tabulated:
+            return self._table()[x, y].astype(np.int64)
+        return self._product_array(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+
+    def _table(self) -> np.ndarray:
+        """The cached Cayley table in the smallest unsigned dtype that holds
+        an encoding; built in row blocks from the array product."""
+        table = getattr(self, "_table_cache", None)
+        if table is None:
+            n = self.order
+            if n > TABLE_CAP:
+                raise ValueError(f"refusing to materialize {n}x{n} table (cap {TABLE_CAP})")
+            table = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+            cols = np.arange(n, dtype=np.int64)
+            for rows in row_blocks(cols, n):
+                table[rows[:, 0]] = self._product_array(rows, cols)
+            self._table_cache = table
+        return table
+
+    def cayley_table(self) -> np.ndarray:
+        """The Cayley table as a new int64 array: entry (a, b) is a*b."""
+        return self._table().astype(np.int64)
+
+    def column(self, g: int):
+        """Right multiplication by g, indexable: col[x] = x*g. For a
+        tabulated group a cached list read from the table, since list
+        indexing is what tight Python loops want; otherwise scalar multiply."""
+        if not self.tabulated:
+            return _RightProduct(self, g)
+        cols = getattr(self, "_column_cache", None)
+        if cols is None:
+            cols = self._column_cache = {}
+        col = cols.get(g)
+        if col is None:
+            col = cols[g] = self._table()[:, g].tolist()
+        return col
+
+    def inverses(self) -> np.ndarray:
+        """Inverse of every element, as an int64 array indexed by encoding."""
+        inv = getattr(self, "_inverse_cache", None)
+        if inv is None:
+            if self.tabulated:
+                # each row holds the identity 0, the smallest encoding, once
+                inv = self._table().argmin(axis=1)
+            else:
+                inv = np.array([self.inverse(a) for a in self.elements()], dtype=np.int64)
+            inv.setflags(write=False)
+            self._inverse_cache = inv
+        return inv
 
     def elements(self) -> range:
         return range(self.order)
@@ -85,6 +160,18 @@ class FiniteGroup:
                 return d
         raise AssertionError("element order must divide group order")
 
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, as a read-only int64 array, from one
+        vectorised power pass; cached."""
+        orders = getattr(self, "_order_cache", None)
+        if orders is None:
+            identity = np.zeros(self.order, dtype=bool)
+            identity[self.identity] = True
+            orders = first_powers_in(self, identity, self.order)
+            orders.setflags(write=False)
+            self._order_cache = orders
+        return orders
+
     def _order_divisors(self) -> list[int]:
         cached = getattr(self, "_divisors", None)
         if cached is None:
@@ -95,45 +182,57 @@ class FiniteGroup:
         return cached
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(x) == self.order for x in self.elements())
+        return int(self.element_orders().max()) == self.order
 
-    def cayley_table(self) -> np.ndarray:
-        if self.order > 4096:
-            raise ValueError(f"refusing to materialize {self.order}x{self.order} table")
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            table[a] = [self.multiply(a, b) for b in range(n)]
-        return table
-
-    def validate(self, seed: int = 0, samples: int = 100_000) -> None:
-        """Check the group axioms: identity/inverse exhaustively, associativity
-        exhaustively for order <= 512 and on seeded random triples above."""
-        e = self.identity
-        for a in self.elements():
-            if self.multiply(e, a) != a or self.multiply(a, e) != a:
-                raise AssertionError(f"identity axiom fails at {a}")
-            if self.multiply(self.inverse(a), a) != e:
-                raise AssertionError(f"inverse axiom fails at {a}")
-        if self.order <= _ASSOC_FULL_CAP:
-            _check_associativity_full(self.cayley_table())
-        else:
-            rng = random.Random(seed)
-            n = self.order
-            for _ in range(samples):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if self.multiply(self.multiply(a, b), c) != self.multiply(a, self.multiply(b, c)):
-                    raise AssertionError(f"associativity fails at ({a},{b},{c})")
+    def validate(self) -> None:
+        """Check the group axioms exactly on the Cayley table (so only up to
+        TABLE_CAP), and that `inverse` agrees with it."""
+        table = self.cayley_table()
+        _validate_table(table)
+        inv = np.array([self.inverse(a) for a in self.elements()], dtype=np.int64)
+        bad = np.flatnonzero(table[inv, np.arange(self.order)] != self.identity)
+        if bad.size:
+            raise CayleyTableError(f"inverse() disagrees with the table at {int(bad[0])}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} of order {self.order}>"
 
 
-def _check_associativity_full(table: np.ndarray) -> None:
-    n = table.shape[0]
-    for a in range(n):
-        if not np.array_equal(table[table[a]], table[a][table]):
-            raise CayleyTableError(f"associativity fails for left factor {a}")
+class _RightProduct:
+    __slots__ = ("group", "g")
+
+    def __init__(self, group: FiniteGroup, g: int):
+        self.group, self.g = group, g
+
+    def __getitem__(self, x: int) -> int:
+        return self.group.multiply(x, self.g)
+
+
+def first_powers_in(G: FiniteGroup, inside: np.ndarray, limit: int) -> np.ndarray:
+    """For every element x of G, the smallest m >= 1 with x^m in the set
+    marked by the boolean mask ``inside``, as an int64 array.
+
+    Each step multiplies only the still-unresolved elements by x, so the
+    pass takes at most ``limit`` vectorised steps; an element still
+    unresolved after ``limit`` steps raises ValueError.
+    """
+    orders = np.ones(G.order, dtype=np.int64)
+    todo = np.flatnonzero(~inside)
+    power = todo
+    m = 1
+    while todo.size:
+        if m >= limit:
+            raise ValueError(
+                f"no power x^m with 1 <= m <= {limit} of element {int(todo[0])} lies in "
+                "the subgroup; its members do not form a subgroup"
+            )
+        m += 1
+        power = G.multiply_array(power, todo)
+        hit = inside[power]
+        orders[todo[hit]] = m
+        miss = ~hit
+        todo, power = todo[miss], power[miss]
+    return orders
 
 
 class CyclicGroup(FiniteGroup):
@@ -151,6 +250,9 @@ class CyclicGroup(FiniteGroup):
     def inverse(self, a):
         return -a % self.order
 
+    def _product_array(self, x, y):
+        return (x + y) % self.order
+
     def element_order(self, a):
         self.check_encoding(a)
         return self.order // math.gcd(self.order, a)
@@ -163,49 +265,70 @@ class CayleyTableGroup(FiniteGroup):
         table = np.asarray(table, dtype=np.int64)
         if validate:
             _validate_table(table)
-        self.table = table
         self.order = int(table.shape[0])
+        self.table = table.astype(np.min_scalar_type(self.order - 1))
+        self._table_cache = self.table
         self.name = name
-        inv = np.full(self.order, -1, dtype=np.int64)
-        for a in range(self.order):
-            inv[a] = int(np.nonzero(table[a] == 0)[0][0])
-        self._inv = inv
 
     def multiply(self, a, b):
         return int(self.table[a, b])
 
     def inverse(self, a):
-        return int(self._inv[a])
-
-    def cayley_table(self):
-        return self.table
+        return int(self.inverses()[a])
 
 
 def _validate_table(table: np.ndarray) -> None:
+    """Exact check of the group axioms on a table: shape, entry range,
+    Latin square, two-sided identity 0, and associativity by Light's test."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise CayleyTableError(f"table is not square: shape {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise CayleyTableError("table entries must lie in [0, n)")
     ident = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), ident):
-            raise CayleyTableError(f"row {i} is not a permutation (not a Latin square)")
-        if not np.array_equal(np.sort(table[:, i]), ident):
-            raise CayleyTableError(f"column {i} is not a permutation (not a Latin square)")
+    bad = np.flatnonzero((np.sort(table, axis=1) != ident).any(axis=1))
+    if bad.size:
+        raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
+    bad = np.flatnonzero((np.sort(table, axis=0) != ident[:, None]).any(axis=0))
+    if bad.size:
+        raise CayleyTableError(f"column {int(bad[0])} is not a permutation (not a Latin square)")
     if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
         raise CayleyTableError("element 0 is not a two-sided identity")
-    for a in range(n):
-        if not np.any(table[a] == 0):
-            raise CayleyTableError(f"element {a} has no inverse")
-    if n <= _ASSOC_FULL_CAP:
-        _check_associativity_full(table)
-    else:
-        rng = random.Random(0)
-        for _ in range(100_000):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise CayleyTableError(f"associativity fails at ({a},{b},{c})")
+    _check_associativity(table)
+
+
+def _check_associativity(table: np.ndarray) -> None:
+    """Light's associativity test over a greedy generating set.
+
+    The elements b with (a*b)*c = a*(b*c) for all a, c are closed under the
+    product, so checking b on a set S whose right-multiplication closure from
+    the identity is the whole table proves associativity. S is chosen
+    greedily, each new element outside the current closure; while every
+    check passes that closure is a group, so each new element at least
+    doubles it and S has at most log2(n) elements.
+    """
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    frontier = np.zeros(1, dtype=np.int64)
+    while True:
+        while frontier.size:
+            nxt = np.unique(table[np.ix_(frontier, gens)])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+        missing = np.flatnonzero(~reached)
+        if not missing.size:
+            return
+        b = int(missing[0])
+        right = table[b]
+        for rows in row_blocks(np.arange(n), n):
+            bad = table[table[rows[:, 0], b]] != table[rows, right]
+            if bad.any():
+                i, c = np.argwhere(bad)[0]
+                raise CayleyTableError(f"associativity fails at ({int(rows[i, 0])},{b},{int(c)})")
+        gens.append(b)
+        frontier = np.flatnonzero(reached)
 
 
 class PermutationGroup(FiniteGroup):
@@ -235,6 +358,38 @@ class PermutationGroup(FiniteGroup):
         for i, j in enumerate(pa):
             inv[j] = i
         return self._index[tuple(inv)]
+
+    def _product_array(self, x, y):
+        # a product is ranked by its images of a few base points: each base
+        # point refines the classes of perms agreeing on the points before it,
+        # and `lookup` maps (class, image) to the refined class, so no key
+        # grows past order * degree
+        perms, steps, rank = self._ranking()
+        cls = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        for point, lookup in steps:
+            cls = lookup[cls * self.degree + perms[x, perms[y, point]]]
+        return rank[cls]
+
+    def _ranking(self):
+        cached = getattr(self, "_rank_cache", None)
+        if cached is None:
+            perms = np.array(self.perms, dtype=np.int64).reshape(self.order, self.degree)
+            cls = np.zeros(self.order, dtype=np.int64)
+            count, steps = 1, []
+            for point in range(self.degree):
+                if count == self.order:
+                    break
+                key = cls * self.degree + perms[:, point]
+                classes, refined = np.unique(key, return_inverse=True)
+                if len(classes) > count:
+                    lookup = np.full(count * self.degree, -1, dtype=np.int64)
+                    lookup[key] = refined
+                    steps.append((point, lookup))
+                    cls, count = refined, len(classes)
+            rank = np.empty(self.order, dtype=np.int64)
+            rank[cls] = np.arange(self.order)
+            cached = self._rank_cache = (perms, steps, rank)
+        return cached
 
 
 def _closure(degree, generators):
@@ -295,6 +450,32 @@ class FrobeniusFieldGroup(FiniteGroup):
         b = f.neg(f.mul(g_inv_k, a))
         return b * q1 + (q1 - k) % q1
 
+    def _product_array(self, x, y):
+        q1 = self.q - 1
+        a, k = np.divmod(x, q1)
+        b, l = np.divmod(y, q1)
+        log, exp = self._log_exp()
+        gb = np.where(b == 0, 0, exp[(k + log[b]) % q1])
+        return self._field_add(a, gb) * q1 + (k + l) % q1
+
+    def _log_exp(self):
+        cached = getattr(self, "_log_exp_cache", None)
+        if cached is None:
+            f = self.field
+            cached = self._log_exp_cache = (np.array(f._log, dtype=np.int64),
+                                             np.array(f._exp, dtype=np.int64))
+        return cached
+
+    def _field_add(self, a, b):
+        p = self.field.p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        for _ in range(self.field.r):
+            out = out + (a // place + b // place) % p * place
+            place *= p
+        return out
+
     def kernel_elements(self) -> list[int]:
         """Encodings of the normal elementary-abelian part {(a, 0)}."""
         return [a * (self.q - 1) for a in range(self.q)]
@@ -336,6 +517,14 @@ class DirectProductGroup(FiniteGroup):
     def inverse(self, a):
         return self.encode(g.inverse(x) for g, x in zip(self.factors, self.decode(a)))
 
+    def _product_array(self, x, y):
+        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        place = self.order
+        for g in self.factors:
+            place //= g.order
+            out += g.multiply_array(x // place % g.order, y // place % g.order) * place
+        return out
+
 
 # ---------------------------------------------------------------------------
 # named constructors
@@ -364,8 +553,7 @@ def abelian_of_type(type_map: dict[int, list[int]]) -> FiniteGroup:
         return CyclicGroup(1)
     if len(factors) == 1:
         return factors[0]
-    g = DirectProductGroup(factors)
-    return g
+    return DirectProductGroup(factors)
 
 
 def dihedral(n: int) -> PermutationGroup:
@@ -443,7 +631,7 @@ def from_cayley_table(table, name: str = "table-group") -> CayleyTableGroup:
     arr = np.asarray(table)
     if arr.dtype.kind not in "iu":
         raise CayleyTableError("table entries must be integers")
-    return CayleyTableGroup(arr.astype(np.int64), name=name, validate=True)
+    return CayleyTableGroup(arr, name=name, validate=True)
 
 
 def element_order(group: FiniteGroup, x: int) -> int:

@@ -10,11 +10,12 @@ the affine Frobenius groups over GF(2^r) with 2^r - 1 prime.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .group_core import FiniteGroup
+import numpy as np
+
+from .group_core import FiniteGroup, first_powers_in
 from .numtheory import Factorization, factorize, is_prime, psi_cyclic
 from .subgroup_lattice import Subgroup, generate
 
@@ -22,6 +23,7 @@ __all__ = [
     "PsiReport",
     "IndexRatioBounds",
     "relative_order",
+    "relative_orders",
     "relative_order_by_cyclic_intersection",
     "psi_relative",
     "psi",
@@ -32,25 +34,41 @@ __all__ = [
     "make_psi_report",
 ]
 
-# brute-force budget: hard error above 2^24 elements, chunked summation above 10^5
+# brute-force budget: hard error above 2^24 elements
 _BRUTE_FORCE_CAP = 1 << 24
-_PARTITION_THRESHOLD = 100_000
-_CHUNK = 1 << 14
 
 
 def relative_order(G: FiniteGroup, H: Subgroup, x: int) -> int:
-    """Smallest m >= 1 with x^m in H; never exceeds the index of H."""
+    """Smallest m >= 1 with x^m in H; never exceeds the index of H, and a
+    member set for which it would raises ValueError."""
     G.check_encoding(x)
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
     if x in H:
         return 1
-    y = G.multiply(x, x)
-    m = 2
-    while y not in H:
+    y = x
+    for m in range(2, H.index + 1):
         y = G.multiply(y, x)
-        m += 1
-    return m
+        if y in H:
+            return m
+    raise ValueError(
+        f"no power x^m with 1 <= m <= {H.index} of element {x} lies in the subgroup; "
+        "its members do not form a subgroup"
+    )
+
+
+def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
+    """Relative order of every element of G over H, indexed by encoding,
+    from one vectorised pass of at most H.index steps."""
+    n = G.order
+    if n > _BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"group of order {n} exceeds the brute-force budget 2^24; "
+            "use a closed form instead"
+        )
+    if H.parent is not G:
+        raise ValueError("subgroup does not belong to this group")
+    return first_powers_in(G, H.mask(), H.index)
 
 
 def relative_order_by_cyclic_intersection(G: FiniteGroup, H: Subgroup, x: int) -> int:
@@ -61,35 +79,9 @@ def relative_order_by_cyclic_intersection(G: FiniteGroup, H: Subgroup, x: int) -
     return cyc.order // meet
 
 
-def _psi_range(G: FiniteGroup, H: Subgroup, lo: int, hi: int) -> int:
-    total = 0
-    for x in range(lo, hi):
-        total += relative_order(G, H, x)
-    return total
-
-
-def psi_relative(G: FiniteGroup, H: Subgroup, threads: int = 1) -> int:
-    """Exact sum of relative orders over all of G, by enumeration.
-
-    Above 10^5 elements the deterministic enumeration is partitioned into
-    fixed chunks reduced independently; the result does not depend on the
-    partitioning or thread count.
-    """
-    n = G.order
-    if n > _BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"group of order {n} exceeds the brute-force budget 2^24; "
-            "use a closed form instead"
-        )
-    if n <= _PARTITION_THRESHOLD and threads <= 1:
-        return _psi_range(G, H, 0, n)
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _psi_range(G, H, *b), bounds))
-    else:
-        parts = [_psi_range(G, H, lo, hi) for lo, hi in bounds]
-    return sum(parts)
+def psi_relative(G: FiniteGroup, H: Subgroup) -> int:
+    """Exact sum of relative orders over all of G, by enumeration."""
+    return int(relative_orders(G, H).sum())
 
 
 def psi(G: FiniteGroup) -> int:
@@ -97,7 +89,7 @@ def psi(G: FiniteGroup) -> int:
     n = G.order
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"group of order {n} exceeds the brute-force budget 2^24")
-    return sum(G.element_order(x) for x in G.elements())
+    return int(G.element_orders().sum())
 
 
 def cyclic_reference(n: int, m: int) -> int:
@@ -108,9 +100,9 @@ def cyclic_reference(n: int, m: int) -> int:
     return m * psi_cyclic(n // m)
 
 
-def psi_ratio(G: FiniteGroup, H: Subgroup, threads: int = 1) -> Fraction:
+def psi_ratio(G: FiniteGroup, H: Subgroup) -> Fraction:
     """psi_relative(G, H) over the cyclic reference, exactly reduced."""
-    return Fraction(psi_relative(G, H, threads=threads), cyclic_reference(G.order, H.order))
+    return Fraction(psi_relative(G, H), cyclic_reference(G.order, H.order))
 
 
 def psi_relative_frobenius_formula(p: int, r: int) -> int:
@@ -185,9 +177,9 @@ class PsiReport:
         }
 
 
-def make_psi_report(G: FiniteGroup, H: Subgroup, threads: int = 1) -> PsiReport:
+def make_psi_report(G: FiniteGroup, H: Subgroup) -> PsiReport:
     n, m = G.order, H.order
-    value = psi_relative(G, H, threads=threads)
+    value = psi_relative(G, H)
     reference = cyclic_reference(n, m)
     return PsiReport(
         group=G.name,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group_core import CayleyTableGroup, FiniteGroup
+from .group_core import CayleyTableGroup, FiniteGroup, first_powers_in, row_blocks
 
 __all__ = [
     "Subgroup",
@@ -24,13 +24,14 @@ _QUOTIENT_INDEX_CAP = 512
 class Subgroup:
     """Immutable element set inside a parent group."""
 
-    __slots__ = ("parent", "members", "_sorted", "generators")
+    __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members, generators=()):
         self.parent = parent
-        self.members = frozenset(int(m) for m in members)
-        self._sorted = tuple(sorted(self.members))
-        self.generators = tuple(sorted(set(int(g) for g in generators)))
+        self.members = frozenset(map(int, members))
+        self.generators = tuple(sorted(set(map(int, generators))))
+        self._sorted = None
+        self._mask = None
 
     @property
     def order(self) -> int:
@@ -44,7 +45,18 @@ class Subgroup:
         return x in self.members
 
     def elements(self) -> tuple[int, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.members))
         return self._sorted
+
+    def mask(self) -> np.ndarray:
+        """Read-only boolean membership array over the parent's encodings."""
+        if self._mask is None:
+            mask = np.zeros(self.parent.order, dtype=bool)
+            mask[list(self.members)] = True
+            mask.setflags(write=False)
+            self._mask = mask
+        return self._mask
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -54,14 +66,14 @@ class Subgroup:
         G = self.parent
         if G.identity not in self.members:
             raise AssertionError("subgroup misses the identity")
-        for a in self._sorted:
-            if G.inverse(a) not in self.members:
-                raise AssertionError(f"subgroup not closed under inverse at {a}")
-            for b in self._sorted:
-                if G.multiply(a, b) not in self.members:
-                    raise AssertionError(f"subgroup not closed at ({a},{b})")
         if G.order % self.order != 0:
             raise AssertionError("subgroup order does not divide group order")
+        inside, elems = self.mask(), np.array(self.elements())
+        if not inside[G.inverses()[elems]].all():
+            raise AssertionError("subgroup not closed under inverse")
+        for rows in row_blocks(elems, len(elems)):
+            if not inside[G.multiply_array(rows, elems)].all():
+                raise AssertionError("subgroup not closed under the product")
 
     def __eq__(self, other):
         return (
@@ -78,16 +90,19 @@ class Subgroup:
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of G containing ``gens`` (breadth-first closure)."""
+    """Smallest subgroup of G containing ``gens``: closure of the identity
+    under right multiplication by the generators, read from the Cayley
+    table's columns when G is tabulated."""
     gens = sorted(set(int(g) for g in gens))
     for g in gens:
         G.check_encoding(g)
+    cols = [G.column(g) for g in gens]
     members = {G.identity}
     frontier = [G.identity]
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            y = G.multiply(x, g)
+        for col in cols:
+            y = col[x]
             if y not in members:
                 members.add(y)
                 frontier.append(y)
@@ -126,13 +141,16 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     return subs
 
 
+def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):
+    """g*h*g^-1 for g in gs and h in H, in blocks of rows (one per g)."""
+    hs, inv = np.array(H.elements()), G.inverses()
+    for rows in row_blocks(gs, len(hs)):
+        yield G.multiply_array(G.multiply_array(rows, hs), inv[rows])
+
+
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    for g in G.elements():
-        g_inv = G.inverse(g)
-        for h in H.elements():
-            if G.multiply(G.multiply(g, h), g_inv) not in H:
-                return False
-    return True
+    inside = H.mask()
+    return all(inside[c].all() for c in _conjugates(G, np.arange(G.order), H))
 
 
 def quotient(G: FiniteGroup, K: Subgroup, name: str | None = None) -> CayleyTableGroup:
@@ -143,51 +161,28 @@ def quotient(G: FiniteGroup, K: Subgroup, name: str | None = None) -> CayleyTabl
     index = G.order // K.order
     if index > _QUOTIENT_INDEX_CAP:
         raise ValueError(f"quotient index {index} exceeds cap {_QUOTIENT_INDEX_CAP}")
-    coset_of = {}
-    reps = []
-    for x in G.elements():
-        if x in coset_of:
-            continue
-        coset = sorted(G.multiply(x, k) for k in K.elements())
-        rep = coset[0]
-        reps.append(rep)
-        for y in coset:
-            coset_of[y] = rep
-    reps.sort()
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    table = np.empty((index, index), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = rep_index[coset_of[G.multiply(a, b)]]
+    ks = np.array(K.elements())
+    rep = np.concatenate([G.multiply_array(rows, ks).min(axis=1)
+                          for rows in row_blocks(np.arange(G.order), len(ks))])
+    reps = np.unique(rep)
+    coset = np.searchsorted(reps, rep)
+    table = coset[G.multiply_array(reps[:, None], reps)]
     qname = name or f"{G.name}/{K.order}"
     return CayleyTableGroup(table, name=qname, validate=True)
 
 
 def is_isolated(G: FiniteGroup, H: Subgroup) -> bool:
     """True iff every element of G either lies in H or generates a cyclic
-    subgroup meeting H only in the identity."""
-    e = G.identity
-    for x in G.elements():
-        if x in H:
-            continue
-        y = x
-        while y != e:
-            if y in H:
-                return False
-            y = G.multiply(y, x)
-    return True
+    subgroup meeting H only in the identity, i.e. iff every x outside H has
+    relative order equal to its element order."""
+    inside = H.mask()
+    relative = first_powers_in(G, inside, H.index)
+    return bool((relative == G.element_orders())[~inside].all())
 
 
 def conjugates_intersect_trivially(G: FiniteGroup, H: Subgroup) -> bool:
     """Malnormality: H meets each conjugate g*H*g^-1 with g outside H only in
     the identity."""
-    e = G.identity
-    for g in G.elements():
-        if g in H:
-            continue
-        g_inv = G.inverse(g)
-        for h in H.elements():
-            c = G.multiply(G.multiply(g, h), g_inv)
-            if c != e and c in H:
-                return False
-    return True
+    inside = H.mask()
+    outside = np.flatnonzero(~inside)
+    return not any((inside[c] & (c != G.identity)).any() for c in _conjugates(G, outside, H))

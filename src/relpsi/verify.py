@@ -18,7 +18,7 @@ from .numtheory import (
     is_prime,
     psi_cyclic,
 )
-from .order_sums import cyclic_reference, psi, psi_relative, relative_order
+from .order_sums import cyclic_reference, psi, psi_relative, relative_orders
 from .matching import MaxFlow
 from .subgroup_lattice import Subgroup, all_subgroups, generate
 
@@ -72,14 +72,14 @@ class ViolationRecord:
         }
 
 
-def subgroup_ratio_scan(G: FiniteGroup, threads: int = 1) -> list[ViolationRecord]:
+def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     """One record per subgroup of G, with the exact ratio against the cyclic
     reference and a violation flag where the ratio exceeds 1."""
     nilpotent = is_nilpotent(G)
     solvable = is_solvable(G)
     records = []
     for H in all_subgroups(G):
-        value = psi_relative(G, H, threads=threads)
+        value = psi_relative(G, H)
         reference = cyclic_reference(G.order, H.order)
         records.append(
             ViolationRecord(
@@ -170,7 +170,7 @@ def _cyclic_relative_order_counts(n: int, m: int) -> Counter:
     return counts
 
 
-def bijection_exists(G: FiniteGroup, H: Subgroup, threads: int = 1) -> BijectionResult:
+def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     """Decide whether G maps bijectively onto C_n so that each element's
     relative order (over H) divides its image's relative order (over the
     order-|H| subgroup of C_n).
@@ -182,7 +182,7 @@ def bijection_exists(G: FiniteGroup, H: Subgroup, threads: int = 1) -> Bijection
     n = G.order
     if n > _BIJECTION_CAP:
         raise ValueError(f"bijection decision capped at order {_BIJECTION_CAP}")
-    left_of = [relative_order(G, H, x) for x in G.elements()]
+    left_of = relative_orders(G, H).tolist()
     left = Counter(left_of)
     right = _cyclic_relative_order_counts(n, H.order)
     left_vals = sorted(left)
@@ -290,19 +290,24 @@ class CatalogReport:
         }
 
 
-def scan_catalog(groups, include_subgroups: bool = True, threads: int = 1) -> CatalogReport:
+def scan_catalog(groups, include_subgroups: bool = True) -> CatalogReport:
     """Scan every group: classification flags, the plain order-sum comparison
     against C_n, and (optionally) the per-subgroup ratio records. Per-group
     failures are collected and the scan continues."""
     report = CatalogReport()
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
-            records = subgroup_ratio_scan(G, threads=threads) if include_subgroups else []
+            records = subgroup_ratio_scan(G) if include_subgroups else []
+            # every group has the trivial subgroup, so records carry the flags
+            if records:
+                nilpotent, solvable = records[0].nilpotent, records[0].solvable
+            else:
+                nilpotent, solvable = is_nilpotent(G), is_solvable(G)
             result = GroupScanResult(
                 group=G.name,
                 group_order=G.order,
-                nilpotent=is_nilpotent(G),
-                solvable=is_solvable(G),
+                nilpotent=nilpotent,
+                solvable=solvable,
                 cyclic=G.is_cyclic(),
                 psi_value=psi(G),
                 psi_cyclic_value=psi_cyclic(G.order),

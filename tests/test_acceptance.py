@@ -59,8 +59,7 @@ def test_criterion_02_closed_form_equals_brute_force():
         started = time.monotonic()
         G = gc.frobenius_field(2, r)
         H = complement_subgroup(G)
-        threads = 4 if G.order > 1000 else 1
-        value = psi_relative(G, H, threads=threads)
+        value = psi_relative(G, H)
         ratio = Fraction(value, cyclic_reference(G.order, H.order))
         assert ratio == frobenius_ratio_closed_form(r)
         elapsed = time.monotonic() - started

@@ -164,15 +164,6 @@ class TestJsonOutput:
 
         assert no_floats(doc)
 
-    def test_threads_flag_does_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["frobenius", "--r", "3", "--brute-force", "--json", str(a)])
-        main(["frobenius", "--r", "3", "--brute-force", "--threads", "4", "--json", str(b)])
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        da.pop("timing_ms"), db.pop("timing_ms")
-        da["command"] = db["command"] = ""
-        assert da == db
-
 
 def test_unknown_command_exits_one():
     assert main(["no-such-command"]) == 1

@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import relpsi as rp
 import relpsi.group_core as gc
 from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
@@ -179,6 +180,17 @@ class TestCayleyIngestion:
         with pytest.raises(CayleyTableError, match="entries"):
             gc.from_cayley_table([[0, 1], [1, 5]])
 
+    def test_associativity_failure_above_order_512(self):
+        # C2^11 with one intercalate swapped: still a Latin square with
+        # identity 0, but with a few non-associative triples; sampling 10^5
+        # random triples misses them, the exact test does not
+        n = 1 << 11
+        table = np.arange(n)[:, None] ^ np.arange(n)[None, :]
+        table[1, [4, 7]] = table[1, [7, 4]]
+        table[2, [4, 7]] = table[2, [7, 4]]
+        with pytest.raises(CayleyTableError, match="associativity"):
+            gc.from_cayley_table(table)
+
 
 def test_frobenius_kernel_and_complement_structure():
     G = gc.frobenius_field(2, 3)
@@ -191,10 +203,13 @@ def test_frobenius_kernel_and_complement_structure():
     assert sorted(G.element_order(x) for x in comp) == [1] + [7] * 6
 
 
-def test_large_group_spot_check_determinism():
+def test_validate_is_exact_up_to_table_cap():
+    # order 992 went through sampled associativity before; now it is exact
+    gc.frobenius_field(2, 5).validate()
     G = gc.frobenius_field(2, 7)
     assert G.order == 16256
-    G.validate(seed=0, samples=2000)
+    with pytest.raises(ValueError, match="cap"):
+        G.validate()
 
 
 def test_cayley_table_materialization_matches_multiply():
@@ -204,3 +219,38 @@ def test_cayley_table_materialization_matches_multiply():
         for b in G.elements():
             assert table[a, b] == G.multiply(a, b)
     assert table.dtype == np.int64
+
+
+DIFFERENTIAL_GROUPS = rp.default_catalog(100, include_frobenius=True) + [
+    gc.symmetric(5),
+    gc.dihedral(60),
+    gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+]
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=lambda g: g.name)
+def test_vectorised_table_matches_scalar_multiply(G):
+    expected = [[G.multiply(a, b) for b in G.elements()] for a in G.elements()]
+    table = G.cayley_table()
+    assert table.dtype == np.int64
+    assert table.tolist() == expected
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=lambda g: g.name)
+def test_element_orders_match_scalar_element_order(G):
+    assert G.element_orders().tolist() == [G.element_order(x) for x in G.elements()]
+
+
+@pytest.mark.parametrize("G", [
+    gc.frobenius_field(2, 7),
+    gc.direct_product([gc.frobenius_field(2, 5), gc.cyclic(11)]),
+    gc.direct_product([gc.cyclic(4096), gc.cyclic(2)]),
+    gc.frobenius_field(3, 4),
+    gc.symmetric(7),
+], ids=lambda g: g.name)
+def test_multiply_array_matches_scalar_multiply_above_table_cap(G):
+    assert G.order > gc.TABLE_CAP
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, G.order, size=(2, 3000))
+    expected = [G.multiply(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert G.multiply_array(x, y).tolist() == expected

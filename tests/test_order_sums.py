@@ -15,8 +15,9 @@ from relpsi.order_sums import (
     ratio_bounds_for_index,
     relative_order,
     relative_order_by_cyclic_intersection,
+    relative_orders,
 )
-from relpsi.subgroup_lattice import all_subgroups, generate
+from relpsi.subgroup_lattice import Subgroup, all_subgroups, generate
 
 
 def frobenius_complement(G):
@@ -47,6 +48,29 @@ class TestRelativeOrder:
                     assert m <= H.index
                     assert m == relative_order_by_cyclic_intersection(G, H, x)
 
+    def test_non_subgroup_fails_fast(self):
+        # {2, 4} misses the identity of C6: no power of 3 ever lands in it,
+        # so the loop must stop at the index instead of running forever
+        G = gc.cyclic(6)
+        H = Subgroup(G, {2, 4})
+        with pytest.raises(ValueError, match="do not form a subgroup"):
+            relative_order(G, H, 3)
+        with pytest.raises(ValueError, match="do not form a subgroup"):
+            relative_orders(G, H)
+
+    def test_vectorised_pass_matches_oracle(self, catalog_subgroups):
+        for G, subs in catalog_subgroups:
+            for H in subs:
+                expected = [relative_order_by_cyclic_intersection(G, H, x) for x in G.elements()]
+                assert relative_orders(G, H).tolist() == expected
+
+    def test_vectorised_pass_above_table_cap(self):
+        G = gc.direct_product([gc.frobenius_field(2, 5), gc.cyclic(7)])
+        H = generate(G, [G.encode((1, 0)), G.encode((0, 1))])
+        rel = relative_orders(G, H)
+        for x in range(0, G.order, 97):
+            assert rel[x] == relative_order(G, H, x)
+
     def test_wrong_parent_rejected(self):
         G, other = gc.cyclic(6), gc.cyclic(12)
         H = generate(other, [6])
@@ -68,12 +92,6 @@ class TestPsiRelative:
     def test_frobenius_complement_brute(self):
         G = gc.frobenius_field(2, 3)
         assert psi_relative(G, frobenius_complement(G)) == 315
-
-    def test_partitioned_sum_matches_plain(self):
-        # same exact value independent of chunking / thread count
-        G = gc.frobenius_field(2, 3)
-        H = frobenius_complement(G)
-        assert psi_relative(G, H, threads=4) == psi_relative(G, H, threads=1)
 
     def test_budget_error(self):
         class Fake(gc.FiniteGroup):
