@@ -18,6 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import group_core, order_sums, verify
 from .group_core import CayleyTableError
 from .numtheory import frobenius_ratio_closed_form, psi_cyclic
@@ -27,6 +29,7 @@ from .order_sums import (
     psi_relative_frobenius_formula,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
+    rational_json,
     relative_orders,
 )
 
@@ -36,10 +39,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_VIOLATION = 3
-
-
-def _rational(fr: Fraction) -> dict:
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
 
 
 def _emit_json(path: str, command: str, results, started: float) -> None:
@@ -63,31 +62,51 @@ def _approx(fr: Fraction) -> str:
 
 def load_cayley_file(path: str):
     """Parse and validate a Cayley-table file; raises ValueError with the
-    offending line number on malformed input."""
+    offending line number on malformed input.
+
+    The table body is parsed by one vectorised ``np.loadtxt`` call; only
+    when that fails is it scanned line by line, to name the first bad line.
+    """
+    with open(path) as fh:
+        data = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
+                if line and not line.startswith("#")]
+    head = data[0][1].split() if data else []
+    n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
+    table = None
+    if n >= 1 and len(data) == n + 1:
+        try:
+            table = np.loadtxt([line for _, line in data[1:]], dtype=np.int64,
+                               ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if table is None or table.shape != (n, n):
+        table = _scan_cayley_lines(path, data)
+    return group_core.from_cayley_table(table, name=path)
+
+
+def _scan_cayley_lines(path: str, data) -> list[list[int]]:
+    """The table rows parsed token by token with ``int``; raises ValueError
+    naming the first malformed line."""
     rows = []
     n = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer token")
-            if n is None:
-                if len(values) != 1 or values[0] < 1:
-                    raise ValueError(f"{path}:{lineno}: expected a single positive order")
-                n = values[0]
-                continue
-            if len(values) != n:
-                raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(values)}")
-            rows.append(values)
+    for lineno, line in data:
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer token")
+        if n is None:
+            if len(values) != 1 or values[0] < 1:
+                raise ValueError(f"{path}:{lineno}: expected a single positive order")
+            n = values[0]
+            continue
+        if len(values) != n:
+            raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(values)}")
+        rows.append(values)
     if n is None:
         raise ValueError(f"{path}: empty file")
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} table rows, got {len(rows)}")
-    return group_core.from_cayley_table(rows, name=path)
+    return rows
 
 
 def _parse_generators(text: str):
@@ -150,7 +169,7 @@ def cmd_frobenius(args) -> int:
         "n": n,
         "m": m,
         "psi_h": str(psi_h),
-        "ratio": _rational(ratio),
+        "ratio": rational_json(ratio),
     }
     code = EXIT_OK
     if args.brute_force:

@@ -261,10 +261,9 @@ class CyclicGroup(FiniteGroup):
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit n x n multiplication table."""
 
-    def __init__(self, table: np.ndarray, name: str = "table-group", validate: bool = True):
+    def __init__(self, table: np.ndarray, name: str = "table-group"):
         table = np.asarray(table, dtype=np.int64)
-        if validate:
-            _validate_table(table)
+        _validate_table(table)
         self.order = int(table.shape[0])
         self.table = table.astype(np.min_scalar_type(self.order - 1))
         self._table_cache = self.table
@@ -631,7 +630,7 @@ def from_cayley_table(table, name: str = "table-group") -> CayleyTableGroup:
     arr = np.asarray(table)
     if arr.dtype.kind not in "iu":
         raise CayleyTableError("table entries must be integers")
-    return CayleyTableGroup(arr, name=name, validate=True)
+    return CayleyTableGroup(arr, name=name)
 
 
 def element_order(group: FiniteGroup, x: int) -> int:

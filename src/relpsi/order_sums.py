@@ -151,6 +151,11 @@ def ratio_bounds_for_index(q: int | Factorization) -> IndexRatioBounds:
     return IndexRatioBounds(product=product, spread=spread, stated=stated)
 
 
+def rational_json(fr: Fraction) -> dict:
+    """Exact JSON form of a rational: numerator and denominator as strings."""
+    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+
+
 @dataclass(frozen=True)
 class PsiReport:
     """Exact results for one (group, subgroup) pair."""
@@ -172,7 +177,7 @@ class PsiReport:
             "subgroup_index": self.subgroup_index,
             "psi_h": str(self.psi_h),
             "cyclic_reference": str(self.cyclic_reference),
-            "ratio": {"num": str(self.ratio.numerator), "den": str(self.ratio.denominator)},
+            "ratio": rational_json(self.ratio),
             "quadratic_bound": str(self.quadratic_bound),
         }
 

@@ -3,6 +3,8 @@ and the isolated/malnormal tests used by the Frobenius construction."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .group_core import CayleyTableGroup, FiniteGroup, first_powers_in, row_blocks
@@ -22,16 +24,17 @@ _QUOTIENT_INDEX_CAP = 512
 
 
 class Subgroup:
-    """Immutable element set inside a parent group."""
+    """Immutable element set inside a parent group.
+
+    The constructor checks that ``members`` form a subgroup of ``parent``
+    and raises ValueError otherwise; closures built here skip that check.
+    """
 
     __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members, generators=()):
-        self.parent = parent
-        self.members = frozenset(map(int, members))
-        self.generators = tuple(sorted(set(map(int, generators))))
-        self._sorted = None
-        self._mask = None
+        _fill(self, parent, members, generators)
+        self.check()
 
     @property
     def order(self) -> int:
@@ -62,18 +65,22 @@ class Subgroup:
         return self.order == 1
 
     def check(self) -> None:
-        """Exhaustive closure/identity/inverse check."""
+        """Exhaustive identity/encoding/order/inverse/closure check; raises
+        ValueError on the first that fails."""
         G = self.parent
         if G.identity not in self.members:
-            raise AssertionError("subgroup misses the identity")
+            raise ValueError("subgroup misses the identity")
+        elems = self.elements()
+        if elems[0] < 0 or elems[-1] >= G.order:
+            raise ValueError(f"subgroup member outside the encodings of {G.name}")
         if G.order % self.order != 0:
-            raise AssertionError("subgroup order does not divide group order")
-        inside, elems = self.mask(), np.array(self.elements())
+            raise ValueError("subgroup order does not divide group order")
+        inside, elems = self.mask(), np.array(elems)
         if not inside[G.inverses()[elems]].all():
-            raise AssertionError("subgroup not closed under inverse")
+            raise ValueError("subgroup not closed under inverse")
         for rows in row_blocks(elems, len(elems)):
             if not inside[G.multiply_array(rows, elems)].all():
-                raise AssertionError("subgroup not closed under the product")
+                raise ValueError("subgroup not closed under the product")
 
     def __eq__(self, other):
         return (
@@ -87,6 +94,20 @@ class Subgroup:
 
     def __repr__(self):
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
+
+
+def _fill(sub: Subgroup, parent: FiniteGroup, members, generators) -> Subgroup:
+    sub.parent = parent
+    sub.members = frozenset(map(int, members))
+    sub.generators = tuple(sorted(set(map(int, generators))))
+    sub._sorted = None
+    sub._mask = None
+    return sub
+
+
+def _closed(parent: FiniteGroup, members, generators=()) -> Subgroup:
+    """A Subgroup from a member set already known to be closed; no check."""
+    return _fill(Subgroup.__new__(Subgroup), parent, members, generators)
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
@@ -106,7 +127,7 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
             if y not in members:
                 members.add(y)
                 frontier.append(y)
-    return Subgroup(G, members, generators=gens)
+    return _closed(G, members, gens)
 
 
 def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
@@ -114,29 +135,71 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
 
     Seeds with the cyclic subgroups and repeatedly joins known subgroups with
     cyclic seeds until a fixpoint; correct because every subgroup is a join of
-    cyclic ones.
+    cyclic ones. Each generator tuple is joined once.
     """
     if G.order > cap:
         raise ValueError(f"subgroup enumeration capped at order {cap}, group has {G.order}")
+    n = G.order
+    cols = G._table().T.tolist()  # cols[g][x] = x*g
+    orders = G.element_orders().tolist()
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    # the largest proper subgroup order that k divides, for each divisor k of n
+    largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
+    whole = frozenset(G.elements())
+    cyclic = [generate(G, [x]).members for x in G.elements()]
+
+    def join(base: frozenset, gens: tuple, k: int) -> frozenset:
+        """The subgroup J generated by ``gens`` and its subgroup ``base``,
+        where k divides |J|.
+
+        J is a union of right cosets B*r of B = ``base``: from r = identity,
+        each product r*t with a generator t that is not yet a member adds its
+        whole coset B*(r*t). Since r*t lies in J, a walk that meets an r*t of
+        order above |B| restarts over the larger B = <r*t>, which has fewer
+        cosets. By Lagrange |J| is a multiple of lcm(k, orders of the r*t)
+        and at least the members found, so once no proper subgroup order
+        fits both, J is G.
+        """
+        inside = set(base)
+        reps = [G.identity]
+        for r in reps:
+            for t in gens:
+                rt = cols[t][r]
+                if rt in inside:
+                    continue
+                if orders[rt] > len(base):
+                    return join(cyclic[rt], gens, math.lcm(k, orders[rt]))
+                col = cols[rt]
+                inside.update([col[a] for a in base])
+                k = math.lcm(k, orders[rt])
+                if len(inside) > largest[k]:
+                    return whole
+                reps.append(rt)
+        return frozenset(inside)
+
     seeds: dict[frozenset, tuple] = {}
-    for x in G.elements():
-        sub = generate(G, [x])
-        seeds.setdefault(sub.members, sub.generators)
+    for x, members in enumerate(cyclic):
+        seeds.setdefault(members, (x,))
     known: dict[frozenset, tuple] = dict(seeds)
     frontier = list(seeds.items())
     seed_list = list(seeds.items())
+    tried = set()
     while frontier:
         new_frontier = []
         for members, gens in frontier:
             for s_members, s_gens in seed_list:
-                if s_members <= members:
+                if s_gens[0] in members:
                     continue
-                joined = generate(G, gens + s_gens)
-                if joined.members not in known:
-                    known[joined.members] = joined.generators
-                    new_frontier.append((joined.members, joined.generators))
+                joined_gens = tuple(sorted(set(gens + s_gens)))
+                if joined_gens in tried:
+                    continue
+                tried.add(joined_gens)
+                joined = join(members, joined_gens, len(members))
+                if joined not in known:
+                    known[joined] = joined_gens
+                    new_frontier.append((joined, joined_gens))
         frontier = new_frontier
-    subs = [Subgroup(G, m, generators=g) for m, g in known.items()]
+    subs = [_closed(G, m, g) for m, g in known.items()]
     subs.sort(key=lambda s: (s.order, s.elements()))
     return subs
 
@@ -168,7 +231,7 @@ def quotient(G: FiniteGroup, K: Subgroup, name: str | None = None) -> CayleyTabl
     coset = np.searchsorted(reps, rep)
     table = coset[G.multiply_array(reps[:, None], reps)]
     qname = name or f"{G.name}/{K.order}"
-    return CayleyTableGroup(table, name=qname, validate=True)
+    return CayleyTableGroup(table, name=qname)
 
 
 def is_isolated(G: FiniteGroup, H: Subgroup) -> bool:

@@ -18,7 +18,7 @@ from .numtheory import (
     is_prime,
     psi_cyclic,
 )
-from .order_sums import cyclic_reference, psi, psi_relative, relative_orders
+from .order_sums import cyclic_reference, psi, psi_relative, rational_json, relative_orders
 from .matching import MaxFlow
 from .subgroup_lattice import Subgroup, all_subgroups, generate
 
@@ -65,7 +65,7 @@ class ViolationRecord:
             "subgroup_generators": list(self.subgroup_generators),
             "psi_h": str(self.psi_h),
             "cyclic_reference": str(self.cyclic_reference),
-            "ratio": {"num": str(self.ratio.numerator), "den": str(self.ratio.denominator)},
+            "ratio": rational_json(self.ratio),
             "is_violation": self.is_violation,
             "nilpotent": self.nilpotent,
             "solvable": self.solvable,

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
+import pytest
+
 import relpsi.group_core as gc
-from relpsi.cli import main
+from relpsi.cli import load_cayley_file, main
 
 
 def write_cayley_file(path, G, comment=None):
@@ -112,6 +115,50 @@ class TestCayleyIngestion:
         path.write_text("2\n0 1\n1 1\n")
         assert main(["check-bounds", str(path)]) == 1
         assert "Latin" in capsys.readouterr().err
+
+
+class TestCayleyLoader:
+    @pytest.mark.parametrize("body, message", [
+        ("3\n0 1 2\n1 1.0 0\n2 0 1\n", "{path}:3: non-integer token"),
+        ("3\n0 1 2\n1 +1 0\n2 0 1\n", "row 1 is not a permutation (not a Latin square)"),
+        ("3\n0 1 2\n1 1_0 0\n2 0 1\n", "table entries must lie in [0, n)"),
+        ("3\n0 1 2\n1 -1 0\n2 0 1\n", "table entries must lie in [0, n)"),
+        (f"3\n0 1 2\n1 {2 ** 64} 0\n2 0 1\n", "table entries must be integers"),
+        ("3\n0 1 2\n1 2\n2 0 1\n", "{path}:3: expected 3 entries, got 2"),
+        ("3\n0 1 2\n1 2 0\n", "{path}: expected 3 table rows, got 2"),
+        ("3\n0 1 2\n1 2 0\n2 0 1\n0 1 2\n", "{path}: expected 3 table rows, got 4"),
+        ("", "{path}: empty file"),
+    ], ids=["float", "plus-sign", "underscore", "negative", "2^64", "short-row",
+            "missing-row", "extra-row", "empty"])
+    def test_bad_input_message(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        assert main(["ratios", str(path)]) == 1
+        assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("body", [
+        "# C3\n3\n0 1 2\n# between rows\n\n1 2 0\n  # indented\n2 0 1\n",
+        "3\n0\t1\t2\n1 2\t0\n\t2 0 1\t\n",
+        "# C3\r\n3\r\n0 1 2\r\n1 2 0\r\n2 0 1\r\n",
+    ], ids=["comments", "tabs", "crlf"])
+    def test_accepted_layouts(self, tmp_path, body):
+        path = tmp_path / "c3.txt"
+        path.write_bytes(body.encode())
+        G = load_cayley_file(str(path))
+        assert G.cayley_table().tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+        lambda: gc.frobenius_field(5, 2),
+        lambda: gc.frobenius_field(2, 5),
+    ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)", "Frob(5,2)", "Frob(2,5)"])
+    def test_written_table_loads_back(self, tmp_path, make):
+        G = make()
+        loaded = load_cayley_file(write_cayley_file(tmp_path / "g.txt", G, comment=G.name))
+        assert np.array_equal(loaded.cayley_table(), G.cayley_table())
 
 
 class TestBijectionCommand:

@@ -17,7 +17,7 @@ from relpsi.order_sums import (
     relative_order_by_cyclic_intersection,
     relative_orders,
 )
-from relpsi.subgroup_lattice import Subgroup, all_subgroups, generate
+from relpsi.subgroup_lattice import Subgroup, _closed, all_subgroups, generate
 
 
 def frobenius_complement(G):
@@ -50,13 +50,20 @@ class TestRelativeOrder:
 
     def test_non_subgroup_fails_fast(self):
         # {2, 4} misses the identity of C6: no power of 3 ever lands in it,
-        # so the loop must stop at the index instead of running forever
+        # so the loop must stop at the index instead of running forever; the
+        # set is built unchecked, as the public constructor refuses it
         G = gc.cyclic(6)
-        H = Subgroup(G, {2, 4})
+        H = _closed(G, {2, 4})
         with pytest.raises(ValueError, match="do not form a subgroup"):
             relative_order(G, H, 3)
         with pytest.raises(ValueError, match="do not form a subgroup"):
             relative_orders(G, H)
+
+    def test_public_constructor_rejects_non_subgroup(self):
+        # unchecked, {2, 4} gives relative_order(C6, H, 1) == 2, a wrong number
+        G = gc.cyclic(6)
+        with pytest.raises(ValueError, match="identity"):
+            Subgroup(G, {2, 4})
 
     def test_vectorised_pass_matches_oracle(self, catalog_subgroups):
         for G, subs in catalog_subgroups:

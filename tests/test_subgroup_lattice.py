@@ -4,6 +4,7 @@ import relpsi.group_core as gc
 from relpsi.numtheory import factorize
 from relpsi.order_sums import psi, psi_relative
 from relpsi.subgroup_lattice import (
+    _LATTICE_CAP,
     Subgroup,
     all_subgroups,
     conjugates_intersect_trivially,
@@ -73,6 +74,67 @@ class TestAllSubgroups:
     def test_cap(self):
         with pytest.raises(ValueError):
             all_subgroups(gc.cyclic(300))
+
+
+def join_by_generate(G):
+    """Reference enumeration: the same seeds, frontier and first-found
+    generators as all_subgroups, with every join re-closed from the
+    identity by generate."""
+    seeds = {}
+    for x in G.elements():
+        sub = generate(G, [x])
+        seeds.setdefault(sub.members, sub.generators)
+    known = dict(seeds)
+    frontier = list(seeds.items())
+    seed_list = list(seeds.items())
+    while frontier:
+        new_frontier = []
+        for members, gens in frontier:
+            for s_members, s_gens in seed_list:
+                if s_members <= members:
+                    continue
+                joined = generate(G, gens + s_gens)
+                if joined.members not in known:
+                    known[joined.members] = joined.generators
+                    new_frontier.append((joined.members, joined.generators))
+        frontier = new_frontier
+    return sorted(known.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+
+
+def lattice(subs):
+    return [(H.members, H.generators) for H in subs]
+
+
+class TestLatticeOracles:
+    def test_catalog_matches_join_by_generate(self, catalog_subgroups):
+        for G, subs in catalog_subgroups:
+            assert lattice(subs) == join_by_generate(G), G.name
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.alternating(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+    ], ids=["S5", "A5", "D60", "Frob(2,3)xC3", "Frob(3,2)"])
+    def test_matches_join_by_generate(self, make):
+        G = make()
+        assert lattice(all_subgroups(G)) == join_by_generate(G)
+
+    @pytest.mark.parametrize("n", range(3, _LATTICE_CAP // 2 + 1))
+    def test_dihedral_count(self, n):
+        # D_n of order 2n has tau(n) + sigma(n) subgroups: a cyclic one for
+        # each divisor d of n, and n/d dihedral ones of order 2d
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert len(all_subgroups(gc.dihedral(n))) == len(divisors) + sum(divisors)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: gc.symmetric(4), 30),
+        (lambda: gc.symmetric(5), 156),
+        (lambda: gc.alternating(5), 59),
+    ], ids=["S4", "S5", "A5"])
+    def test_known_counts(self, make, count):
+        assert len(all_subgroups(make())) == count
 
 
 class TestNormality:
