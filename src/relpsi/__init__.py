@@ -11,7 +11,7 @@ from .numtheory import (
     psi_cyclic,
     psi_cyclic_lower_bound,
 )
-from .finite_field import FiniteField, FieldElement, find_irreducible
+from .finite_field import FiniteField
 from .group_core import (
     CayleyTableError,
     CayleyTableGroup,
@@ -25,7 +25,6 @@ from .group_core import (
     cyclic,
     dihedral,
     direct_product,
-    element_order,
     frobenius_field,
     from_cayley_table,
     quaternion8,
@@ -42,9 +41,7 @@ from .subgroup_lattice import (
 )
 from .order_sums import (
     IndexRatioBounds,
-    PsiReport,
     cyclic_reference,
-    make_psi_report,
     psi,
     psi_ratio,
     psi_relative,

@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import group_core, order_sums, verify
-from .group_core import CayleyTableError
 from .numtheory import frobenius_ratio_closed_form, psi_cyclic
 from .subgroup_lattice import all_subgroups, generate
 from .order_sums import (
@@ -117,22 +116,18 @@ def _parse_generators(text: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, command label, JSON results) and
+# raises ValueError or OSError on bad input, which main() reports
 # ---------------------------------------------------------------------------
 
-def cmd_psi_cyclic(args) -> int:
-    started = time.monotonic()
+def cmd_psi_cyclic(args) -> tuple[int, str, list]:
     n = args.n
-    if n < 1:
-        print(f"error: need n >= 1, got {n}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     value = psi_cyclic(n)
     results = [{"n": n, "psi_cyclic": str(value)}]
     code = EXIT_OK
     if args.brute_force:
         if n > 10 ** 6:
-            print("error: brute-force path capped at n = 10^6", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("brute-force path capped at n = 10^6")
         from math import gcd
 
         brute = sum(n // gcd(n, k) for k in range(n))
@@ -144,19 +139,12 @@ def cmd_psi_cyclic(args) -> int:
             code = EXIT_MISMATCH
     else:
         print(value)
-    if args.json:
-        _emit_json(args.json, f"psi-cyclic {n}", results, started)
-    return code
+    return code, f"psi-cyclic {n}", results
 
 
-def cmd_frobenius(args) -> int:
-    started = time.monotonic()
+def cmd_frobenius(args) -> tuple[int, str, list]:
     spec = verify.CounterexampleSpec(r=args.r, q=args.q or 0)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec.validate()
     n, m = spec.group_order, spec.subgroup_order
     ratio = frobenius_ratio_closed_form(args.r)
     psi_h = psi_relative_frobenius_formula(2, args.r) * (spec.q or 1)
@@ -184,14 +172,11 @@ def cmd_frobenius(args) -> int:
     print(f"ratio = {ratio.numerator}/{ratio.denominator} (~{_approx(ratio)})")
     if ratio > 1:
         print("ratio > 1: VIOLATES the cyclic-reference upper bound")
-    if args.json:
-        cmd = f"frobenius --r {args.r}" + (f" --q {spec.q}" if spec.q else "")
-        _emit_json(args.json, cmd, [result], started)
-    return code
+    label = f"frobenius --r {args.r}" + (f" --q {spec.q}" if spec.q else "")
+    return code, label, [result]
 
 
-def cmd_scan(args) -> int:
-    started = time.monotonic()
+def cmd_scan(args) -> tuple[int, str, list]:
     catalog = verify.default_catalog(args.max_order, include_frobenius=args.include_frobenius)
     report = verify.scan_catalog(catalog)
     for res in report.results:
@@ -208,18 +193,12 @@ def cmd_scan(args) -> int:
     for name, err in report.errors:
         print(f"{name}: error: {err}", file=sys.stderr)
     print(f"{report.total_violations} violations across {len(report.results)} groups")
-    if args.json:
-        _emit_json(args.json, f"scan --max-order {args.max_order}", [report.to_json_dict()], started)
-    return EXIT_VIOLATION if report.total_violations else EXIT_OK
+    code = EXIT_VIOLATION if report.total_violations else EXIT_OK
+    return code, f"scan --max-order {args.max_order}", [report.to_json_dict()]
 
 
-def cmd_check_bounds(args) -> int:
-    started = time.monotonic()
-    try:
-        G = load_cayley_file(args.group_file)
-    except (ValueError, CayleyTableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_check_bounds(args) -> tuple[int, str, list]:
+    G = load_cayley_file(args.group_file)
     failures = []
     rows = []
     for H in all_subgroups(G):
@@ -242,18 +221,12 @@ def cmd_check_bounds(args) -> int:
         status = "ok" if ok else "FAIL"
         print(f"subgroup order {m:>4} index {q:>4}: psi_H={value} <= {bound} [{status}]")
     print(f"{len(failures)} bound failures over {len(rows)} subgroups")
-    if args.json:
-        _emit_json(args.json, f"check-bounds {args.group_file}", rows, started)
-    return EXIT_VIOLATION if failures else EXIT_OK
+    code = EXIT_VIOLATION if failures else EXIT_OK
+    return code, f"check-bounds {args.group_file}", rows
 
 
-def cmd_ratios(args) -> int:
-    started = time.monotonic()
-    try:
-        G = load_cayley_file(args.group_file)
-    except (ValueError, CayleyTableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_ratios(args) -> tuple[int, str, list]:
+    G = load_cayley_file(args.group_file)
     records = verify.subgroup_ratio_scan(G)
     for rec in records:
         mark = " VIOLATES" if rec.is_violation else ""
@@ -262,22 +235,15 @@ def cmd_ratios(args) -> int:
               f"ratio={rec.ratio.numerator}/{rec.ratio.denominator}{mark}")
     violations = [rec for rec in records if rec.is_violation]
     print(f"{len(violations)} violations over {len(records)} subgroups")
-    if args.json:
-        _emit_json(args.json, f"ratios {args.group_file}",
-                   [rec.to_json_dict() for rec in records], started)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    code = EXIT_VIOLATION if violations else EXIT_OK
+    return code, f"ratios {args.group_file}", [rec.to_json_dict() for rec in records]
 
 
-def cmd_bijection(args) -> int:
-    started = time.monotonic()
-    try:
-        G = load_cayley_file(args.group_file)
-        gens = _parse_generators(args.subgroup)
-        for g in gens:
-            G.check_encoding(g)
-    except (ValueError, CayleyTableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_bijection(args) -> tuple[int, str, list]:
+    G = load_cayley_file(args.group_file)
+    gens = _parse_generators(args.subgroup)
+    for g in gens:
+        G.check_encoding(g)
     H = generate(G, gens)
     result = verify.bijection_exists(G, H)
     if result.exists:
@@ -296,10 +262,7 @@ def cmd_bijection(args) -> int:
             "deficiency": result.deficiency(),
         }
         code = EXIT_VIOLATION
-    if args.json:
-        _emit_json(args.json, f"bijection {args.group_file} --subgroup {args.subgroup}",
-                   [doc], started)
-    return code
+    return code, f"bijection {args.group_file} --subgroup {args.subgroup}", [doc]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,11 +317,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except (ValueError, CayleyTableError) as exc:
+        code, command, results = args.func(args)
+        if args.json:
+            _emit_json(args.json, command, results, started)
+    except (ValueError, OSError) as exc:  # CayleyTableError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return code
 
 
 def entry() -> None:

@@ -3,16 +3,16 @@
 An element with polynomial coefficients (c_0, c_1, ..., c_{r-1}) (constant
 term first) is encoded as the base-p integer sum(c_i * p^i), so encodings run
 over [0, p^r). Encoding 0 is the additive identity, encoding 1 the
-multiplicative identity. Multiplication and inversion go through discrete
-log/exp tables over a fixed primitive element, so they are O(1) after
-construction. Fields are capped at p^r <= 2^20.
+multiplicative identity. Multiplication and powers (inverses included, as
+``pow(a, -1)``) go through discrete log/exp tables over a fixed primitive
+element, so they are O(1) after construction. Fields are capped at p^r <= 2^20.
 """
 
 from __future__ import annotations
 
 from .numtheory import factorize, is_prime
 
-__all__ = ["FiniteField", "FieldElement", "find_irreducible"]
+__all__ = ["FiniteField"]
 
 _SIZE_CAP = 1 << 20
 
@@ -112,7 +112,7 @@ def _digits(e, p, r):
 class FiniteField:
     """Immutable GF(p^r); all element operations take and return encodings."""
 
-    def __init__(self, p: int, r: int, modulus=None):
+    def __init__(self, p: int, r: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if r < 1:
@@ -123,14 +123,7 @@ class FiniteField:
         self.p = p
         self.r = r
         self.size = q
-        if modulus is None:
-            modulus = find_irreducible(p, r)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree r")
-        if not _is_irreducible(list(modulus), p, r):
-            raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = find_irreducible(p, r)
         self.primitive_element = self._find_primitive()
         self._build_tables()
 
@@ -182,9 +175,6 @@ class FiniteField:
             e = e * self.p + c % self.p
         return e
 
-    def coefficients(self, a: int) -> list[int]:
-        return _digits(a, self.p, self.r)
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -206,18 +196,10 @@ class FiniteField:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in finite field")
-        return self._exp[-self._log[a] % (self.size - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -226,64 +208,9 @@ class FiniteField:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.size - 1)]
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.size - 1
-        k = self._log[a]
-        from math import gcd
-
-        return n // gcd(n, k)
-
     def elements(self):
         return range(self.size)
-
-    def element(self, a: int) -> "FieldElement":
-        return FieldElement(self, a % self.size)
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 
-
-class FieldElement:
-    """Thin operator wrapper over (field, encoding); handy in demos."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FiniteField, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.value
-        return int(other) % self.field.size
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        return isinstance(other, FieldElement) and other.field is self.field and other.value == self.value
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
-    def __repr__(self):
-        return f"FieldElement({self.field!r}, {self.value})"

@@ -36,7 +36,6 @@ __all__ = [
     "frobenius_field",
     "direct_product",
     "from_cayley_table",
-    "element_order",
 ]
 
 TABLE_CAP = 4096
@@ -265,12 +264,11 @@ class CayleyTableGroup(FiniteGroup):
         table = np.asarray(table, dtype=np.int64)
         _validate_table(table)
         self.order = int(table.shape[0])
-        self.table = table.astype(np.min_scalar_type(self.order - 1))
-        self._table_cache = self.table
+        self._table_cache = table.astype(np.min_scalar_type(self.order - 1))
         self.name = name
 
     def multiply(self, a, b):
-        return int(self.table[a, b])
+        return int(self._table_cache[a, b])
 
     def inverse(self, a):
         return int(self.inverses()[a])
@@ -631,7 +629,3 @@ def from_cayley_table(table, name: str = "table-group") -> CayleyTableGroup:
     if arr.dtype.kind not in "iu":
         raise CayleyTableError("table entries must be integers")
     return CayleyTableGroup(arr, name=name)
-
-
-def element_order(group: FiniteGroup, x: int) -> int:
-    return group.element_order(x)

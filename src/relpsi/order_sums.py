@@ -20,18 +20,17 @@ from .numtheory import Factorization, factorize, is_prime, psi_cyclic
 from .subgroup_lattice import Subgroup, generate
 
 __all__ = [
-    "PsiReport",
     "IndexRatioBounds",
     "relative_order",
     "relative_orders",
     "relative_order_by_cyclic_intersection",
     "psi_relative",
     "psi",
+    "cyclic_reference",
     "psi_ratio",
     "psi_relative_frobenius_formula",
     "psi_relative_upper_bound",
     "ratio_bounds_for_index",
-    "make_psi_report",
 ]
 
 # brute-force budget: hard error above 2^24 elements
@@ -154,45 +153,3 @@ def ratio_bounds_for_index(q: int | Factorization) -> IndexRatioBounds:
 def rational_json(fr: Fraction) -> dict:
     """Exact JSON form of a rational: numerator and denominator as strings."""
     return {"num": str(fr.numerator), "den": str(fr.denominator)}
-
-
-@dataclass(frozen=True)
-class PsiReport:
-    """Exact results for one (group, subgroup) pair."""
-
-    group: str
-    group_order: int
-    subgroup_order: int
-    subgroup_index: int
-    psi_h: int
-    cyclic_reference: int
-    ratio: Fraction
-    quadratic_bound: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "subgroup_index": self.subgroup_index,
-            "psi_h": str(self.psi_h),
-            "cyclic_reference": str(self.cyclic_reference),
-            "ratio": rational_json(self.ratio),
-            "quadratic_bound": str(self.quadratic_bound),
-        }
-
-
-def make_psi_report(G: FiniteGroup, H: Subgroup) -> PsiReport:
-    n, m = G.order, H.order
-    value = psi_relative(G, H)
-    reference = cyclic_reference(n, m)
-    return PsiReport(
-        group=G.name,
-        group_order=n,
-        subgroup_order=m,
-        subgroup_index=n // m,
-        psi_h=value,
-        cyclic_reference=reference,
-        ratio=Fraction(value, reference),
-        quadratic_bound=psi_relative_upper_bound(m, n // m),
-    )

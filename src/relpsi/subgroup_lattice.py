@@ -28,12 +28,14 @@ class Subgroup:
 
     The constructor checks that ``members`` form a subgroup of ``parent``
     and raises ValueError otherwise; closures built here skip that check.
+    Only ``generate`` and ``all_subgroups`` record ``generators``; a
+    subgroup built from its members alone has none.
     """
 
     __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
 
-    def __init__(self, parent: FiniteGroup, members, generators=()):
-        _fill(self, parent, members, generators)
+    def __init__(self, parent: FiniteGroup, members):
+        _fill(self, parent, members, ())
         self.check()
 
     @property
@@ -60,9 +62,6 @@ class Subgroup:
             mask.setflags(write=False)
             self._mask = mask
         return self._mask
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def check(self) -> None:
         """Exhaustive identity/encoding/order/inverse/closure check; raises

@@ -160,16 +160,6 @@ class BijectionResult:
         return sum(self.deficient_values.values()) - sum(self.neighborhood_values.values())
 
 
-def _cyclic_relative_order_counts(n: int, m: int) -> Counter:
-    # in C_n, the unique subgroup of order m is the multiples of q = n/m and
-    # the relative order of k is q / gcd(q, k)
-    q = n // m
-    counts = Counter()
-    for k in range(n):
-        counts[q // gcd(q, k)] += 1
-    return counts
-
-
 def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     """Decide whether G maps bijectively onto C_n so that each element's
     relative order (over H) divides its image's relative order (over the
@@ -184,7 +174,14 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
         raise ValueError(f"bijection decision capped at order {_BIJECTION_CAP}")
     left_of = relative_orders(G, H).tolist()
     left = Counter(left_of)
-    right = _cyclic_relative_order_counts(n, H.order)
+    # in C_n, the unique subgroup of order |H| is the multiples of q = n/|H|
+    # and the relative order of k is q / gcd(q, k); each value's pool of C_n
+    # elements is kept descending, so pop() yields them ascending
+    q = n // H.order
+    pools: dict[int, list[int]] = {}
+    for k in range(n - 1, -1, -1):
+        pools.setdefault(q // gcd(q, k), []).append(k)
+    right = {w: len(pool) for w, pool in pools.items()}
     left_vals = sorted(left)
     right_vals = sorted(right)
     # nodes: source, left buckets, right buckets, sink
@@ -203,7 +200,7 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
                 flow.add_edge(left_node[v], right_node[w], n)
     total = flow.max_flow(source, sink)
     if total == n:
-        witness = _inflate_witness(n, n // H.order, left_of, flow, left_node, right_node)
+        witness = _inflate_witness(left_of, flow, left_node, right_node, pools)
         return BijectionResult(exists=True, witness=witness)
     reachable = flow.min_cut_reachable(source)
     deficient = {v: left[v] for v in left_vals if left_node[v] in reachable}
@@ -211,24 +208,17 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     return BijectionResult(exists=False, deficient_values=deficient, neighborhood_values=neighborhood)
 
 
-def _inflate_witness(n, q, left_of, flow, left_node, right_node):
+def _inflate_witness(left_of, flow, left_node, right_node, pools):
     node_to_right = {node: w for w, node in right_node.items()}
-    # queue of available C_n elements per relative-order value, ascending
-    right_pool: dict[int, list[int]] = {}
-    for k in range(n):
-        right_pool.setdefault(q // gcd(q, k), []).append(k)
-    for pool in right_pool.values():
-        pool.reverse()  # pop() then yields ascending order
     # per left value, the list of (right value, remaining flow)
     assignments: dict[int, list[list[int]]] = {}
     for v, node in left_node.items():
         assignments[v] = [[node_to_right[t], f] for t, f in flow.flow_on_edges(node)]
     out = []
-    for x in range(n):
-        v = left_of[x]
+    for v in left_of:
         slots = assignments[v]
         w, remaining = slots[-1][0], slots[-1][1]
-        out.append(right_pool[w].pop())
+        out.append(pools[w].pop())
         if remaining == 1:
             slots.pop()
         else:

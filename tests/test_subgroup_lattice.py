@@ -43,6 +43,17 @@ class TestGenerate:
             generate(gc.cyclic(4), [7])
 
 
+class TestSubgroupConstructor:
+    def test_generators_are_not_accepted(self):
+        # 1 neither lies in nor generates {0, 2, 4}; the constructor cannot
+        # be told otherwise
+        with pytest.raises(TypeError):
+            Subgroup(gc.cyclic(6), {0, 2, 4}, generators=(1,))
+
+    def test_members_alone_give_no_generators(self):
+        assert Subgroup(gc.cyclic(6), {0, 2, 4}).generators == ()
+
+
 class TestAllSubgroups:
     def test_c6(self):
         subs = all_subgroups(gc.cyclic(6))
