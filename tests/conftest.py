@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import relpsi as rp
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a child Python that imports this checkout's relpsi."""
+    env = dict(os.environ)
+    src = str(Path(rp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 
 import relpsi.group_core as gc
 from relpsi.cli import load_cayley_file, main
@@ -62,6 +66,59 @@ class TestFrobenius:
         assert "divides" in capsys.readouterr().err
         assert main(["frobenius", "--r", "3", "--q", "4"]) == 1
         assert "odd" in capsys.readouterr().err
+
+
+@pytest.fixture
+def run_cli(src_env):
+    """`python -m relpsi.cli argv` in a subprocess; a hang fails the test
+    after 10 s instead of stalling the suite."""
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "relpsi.cli", *map(str, argv)],
+                              env=src_env, capture_output=True, text=True, timeout=10)
+    return run
+
+
+class TestLargeClosedForms:
+    """Inputs whose factors need more than trial division."""
+
+    def test_psi_cyclic_of_a_19_digit_prime(self, run_cli):
+        proc = run_cli("psi-cyclic", 1000000000000000003)
+        assert (proc.returncode, proc.stdout) == (0, "1000000000000000005000000000000000007\n")
+
+    def test_frobenius_r61(self, run_cli):
+        proc = run_cli("frobenius", "--r", 61)
+        m = 2 ** 61 - 1
+        assert proc.returncode == 0, proc.stderr
+        assert f"psi_H (closed form) = {m * (m * m - m + 1 + 2)}\n" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("psi-cyclic", sympy.nextprime(2 ** 90)),
+        ("psi-cyclic", 3 * sympy.nextprime(2 ** 90)),
+        ("frobenius", "--r", 3, "--q", sympy.nextprime(2 ** 90)),
+    ])
+    def test_uncertifiable_input_exits_one(self, argv, run_cli):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot certify primality of {sympy.nextprime(2 ** 90)}\n"
+
+    @pytest.mark.parametrize("r", [89, 107, 127])
+    def test_frobenius_above_the_proof_bound(self, r, tmp_path, capsys):
+        # 2^r - 1 is a Mersenne prime, decided by Lucas-Lehmer
+        path = tmp_path / "frob.json"
+        assert main(["frobenius", "--r", str(r), "--json", str(path)]) == 0
+        m = 2 ** r - 1
+        result = json.loads(path.read_text())["results"][0]
+        assert result["psi_h"] == str(m * (m * m - m + 1 + 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 10 ** 6])
+    def test_brute_force_matches_element_loop(self, n, capsys):
+        expected = sum(n // gcd(n, k) for k in range(n))
+        assert main(["psi-cyclic", str(n), "--brute-force"]) == 0
+        assert capsys.readouterr().out.split() == [str(expected), str(expected), "OK"]
+
+    def test_brute_force_cap(self, capsys):
+        assert main(["psi-cyclic", str(10 ** 6 + 1), "--brute-force"]) == 1
+        assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
 
 
 class TestScan:

@@ -1,10 +1,13 @@
+import random
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from relpsi import numtheory
 from relpsi.numtheory import (
     Factorization,
     factorize,
@@ -50,6 +53,65 @@ class TestFactorize:
         assert value == n
 
 
+# Below this bound a strong probable prime to the bases 2..41 is prime
+# (Sorenson-Webster); the tests below cross it from both sides.
+PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+P90 = sympy.nextprime(2 ** 90)
+
+
+def assert_matches_sympy(n):
+    assert dict(factorize(n).factors) == sympy.factorint(n), n
+    assert is_prime(n) == sympy.isprime(n), n
+
+
+class TestCertifiedAgainstSympy:
+    @pytest.mark.parametrize("bits", range(2, 81))
+    def test_seeded_random_at_every_bit_length(self, bits):
+        rng = random.Random(f"numtheory/{bits}")
+        for _ in range(3):
+            assert_matches_sympy(rng.randrange(1 << (bits - 1), 1 << bits))
+
+    @pytest.mark.parametrize("n", [
+        561, 41041, 825265,  # Carmichael numbers
+        3825123056546413051,  # strong pseudoprime to the bases 2..23
+        318665857834031151167461,  # strong pseudoprime to 2..37; base 41 catches it
+        sympy.nextprime(2 ** 63) ** 2,  # a square above the proof bound
+        sympy.nextprime(2 ** 63),
+        2 ** 61 - 1,
+        2 ** 67 - 1,  # composite Mersenne number
+    ])
+    def test_hard_cases(self, n):
+        assert_matches_sympy(n)
+
+    def test_semiprime_of_the_two_primes_below_the_root_of_the_bound(self):
+        # the composite below the bound whose smallest factor is largest
+        p = sympy.prevprime(isqrt(PROOF_BOUND))
+        q = sympy.prevprime(p)
+        assert p * q < PROOF_BOUND
+        assert factorize(p * q).factors == ((q, 1), (p, 1))
+        assert not is_prime(p * q)
+
+    def test_uncertifiable_prime_raises_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot certify primality of {P90}"):
+            is_prime(P90)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError, match="cannot certify"):
+            factorize(3 * P90)
+
+    def test_witness_above_the_bound_proves_composite(self):
+        assert is_prime(P90 * 3) is False
+        assert is_prime(P90 * sympy.nextprime(2 ** 20)) is False
+        assert factorize(sympy.nextprime(2 ** 20) * sympy.nextprime(2 ** 30) ** 3).factors == (
+            (sympy.nextprime(2 ** 20), 1), (sympy.nextprime(2 ** 30), 3))
+
+    def test_rho_budget_names_the_cofactor(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 10)
+        n = sympy.nextprime(2 ** 40) * sympy.nextprime(2 ** 41)
+        with pytest.raises(ValueError, match=f"cannot split {n}"):
+            factorize(7 * n)
+
+
 class TestMersenne:
     def test_examples(self):
         assert is_mersenne_exponent(3)
@@ -63,6 +125,18 @@ class TestMersenne:
     def test_agrees_with_direct_primality_up_to_31(self):
         for r in range(2, 32):
             assert is_mersenne_exponent(r) == sympy.isprime(2 ** r - 1)
+
+    def test_known_exponents_up_to_1279(self):
+        known = [2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279]
+        assert [r for r in range(2, 1280) if is_mersenne_exponent(r)] == known
+
+    @pytest.mark.parametrize("r", [89, 107, 127])
+    def test_mersenne_primes_above_the_proof_bound_factor(self, r):
+        m = 2 ** r - 1
+        assert m > PROOF_BOUND
+        assert is_prime(m)
+        assert factorize(m).factors == ((m, 1),)
+        assert psi_cyclic(m) == m * m - m + 1
 
 
 class TestPsiCyclic:

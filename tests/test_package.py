@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -18,12 +17,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(relpsi.__path__, "relpsi."
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def test_demo_runs(demo, src_env):
     # each demo asserts its own results, so exit 0 means they held
-    env = dict(os.environ)
-    src = str(Path(relpsi.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, str(demo)], env=src_env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
