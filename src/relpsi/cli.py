@@ -22,10 +22,9 @@ import numpy as np
 
 from . import group_core, order_sums, verify
 from .numtheory import frobenius_ratio_closed_form, psi_cyclic
-from .subgroup_lattice import all_subgroups, generate
+from .subgroup_lattice import _LATTICE_CAP, all_subgroups, generate
 from .order_sums import (
     psi_relative,
-    psi_relative_frobenius_formula,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
     rational_json,
@@ -146,7 +145,7 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
     spec.validate()
     n, m = spec.group_order, spec.subgroup_order
     ratio = frobenius_ratio_closed_form(args.r)
-    psi_h = psi_relative_frobenius_formula(2, args.r) * (spec.q or 1)
+    psi_h = spec.psi_h
     print(f"group order n = {n}")
     print(f"subgroup order m = {m}")
     print(f"psi_H (closed form) = {psi_h}")
@@ -176,6 +175,9 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
 
 
 def cmd_scan(args) -> tuple[int, str, list]:
+    if args.max_order > _LATTICE_CAP:
+        raise ValueError(f"--max-order {args.max_order} exceeds the subgroup "
+                         f"enumeration cap {_LATTICE_CAP}")
     catalog = verify.default_catalog(args.max_order, include_frobenius=args.include_frobenius)
     report = verify.scan_catalog(catalog)
     for res in report.results:

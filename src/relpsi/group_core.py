@@ -171,6 +171,33 @@ class FiniteGroup:
             self._order_cache = orders
         return orders
 
+    def power_table(self, rows: int | None = None) -> np.ndarray:
+        """Read-only array P with P[k, x] = x^(k+1), so column x lists the
+        powers of x up to the identity.
+
+        It has at least ``rows`` rows, capped at (and by default equal to)
+        the largest element order. Cached, and extended only when more rows
+        are asked for; each row is one read of the Cayley table, in whose
+        dtype it is stored, so it never outgrows the table.
+        """
+        powers = getattr(self, "_power_cache", None)
+        if powers is not None and rows is not None and rows <= len(powers):
+            return powers
+        top = int(self.element_orders().max())
+        rows = top if rows is None else min(rows, top)
+        if powers is None or len(powers) < rows:
+            table = self._table()
+            grown = np.empty((rows, self.order), dtype=table.dtype)
+            if powers is None:
+                grown[0] = np.arange(self.order)
+                powers = grown[:1]
+            grown[:len(powers)] = powers
+            for k in range(len(powers), rows):
+                grown[k] = table[grown[k - 1], grown[0]]
+            grown.setflags(write=False)
+            powers = self._power_cache = grown
+        return powers
+
     def _order_divisors(self) -> list[int]:
         cached = getattr(self, "_divisors", None)
         if cached is None:

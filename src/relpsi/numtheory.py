@@ -134,13 +134,7 @@ _RHO_BUDGET = 1 << 24
 def _certified_prime(n: int) -> bool:
     """Primality of an odd n > 41 with no prime factor below ``_TRIAL_BOUND``."""
     if n & (n + 1) == 0:  # n = 2^k - 1: Lucas-Lehmer, exact for every k >= 3
-        k = n.bit_length()
-        if not is_prime(k):
-            return False
-        s = 4
-        for _ in range(k - 2):
-            s = (s * s - 2) % n
-        return s == 0
+        return is_prime(n.bit_length()) and _lucas_lehmer(n)
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -156,6 +150,14 @@ def _certified_prime(n: int) -> bool:
     if n < _MR_PROOF_BOUND:
         return True
     raise ValueError(f"cannot certify primality of {n}")
+
+
+def _lucas_lehmer(n: int) -> bool:
+    """Primality of the Mersenne number n = 2^k - 1 for an odd prime k."""
+    s = 4
+    for _ in range(n.bit_length() - 2):
+        s = (s * s - 2) % n
+    return s == 0
 
 
 def _large_prime_factors(m: int) -> list[int]:

@@ -57,8 +57,14 @@ def relative_order(G: FiniteGroup, H: Subgroup, x: int) -> int:
 
 
 def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
-    """Relative order of every element of G over H, indexed by encoding,
-    from one vectorised pass of at most H.index steps."""
+    """Relative order of every element of G over H, indexed by encoding.
+
+    A tabulated group reads its cached power table: the relative order of x
+    is one more than the first row k with x^(k+1) in H, and only the first
+    H.index rows are read. Other groups take one vectorised pass of at most
+    H.index steps. Either way an element with no power in H by the index
+    raises ValueError.
+    """
     n = G.order
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(
@@ -67,7 +73,17 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
         )
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
-    return first_powers_in(G, H.mask(), H.index)
+    if not G.tabulated:
+        return first_powers_in(G, H.mask(), H.index)
+    hits = H.mask()[G.power_table(H.index)[:H.index]]
+    first = hits.argmax(axis=0)
+    missed = np.flatnonzero(~hits[first, np.arange(n)])
+    if missed.size:
+        raise ValueError(
+            f"no power x^m with 1 <= m <= {H.index} of element {int(missed[0])} lies in "
+            "the subgroup; its members do not form a subgroup"
+        )
+    return first + 1
 
 
 def relative_order_by_cyclic_intersection(G: FiniteGroup, H: Subgroup, x: int) -> int:
@@ -129,13 +145,11 @@ class IndexRatioBounds:
     """Upper bounds on the psi ratio in terms of the primes dividing the index.
 
     ``product`` = prod (p_i + 1)/p_i and ``spread`` = (p_k + 1)/p_1 are both
-    proved strict bounds. ``stated`` = (p_k + 1)/p_k is stronger for k >= 2;
-    it is reported for empirical comparison but never asserted.
+    proved strict bounds.
     """
 
     product: Fraction
     spread: Fraction
-    stated: Fraction
 
 
 def ratio_bounds_for_index(q: int | Factorization) -> IndexRatioBounds:
@@ -146,8 +160,7 @@ def ratio_bounds_for_index(q: int | Factorization) -> IndexRatioBounds:
     for p, _ in fac:
         product *= Fraction(p + 1, p)
     spread = Fraction(fac.largest_prime + 1, fac.smallest_prime)
-    stated = Fraction(fac.largest_prime + 1, fac.largest_prime)
-    return IndexRatioBounds(product=product, spread=spread, stated=stated)
+    return IndexRatioBounds(product=product, spread=spread)
 
 
 def rational_json(fr: Fraction) -> dict:

@@ -132,20 +132,25 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
 def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     """Every subgroup of G, each exactly once, sorted by (order, element tuple).
 
-    Seeds with the cyclic subgroups and repeatedly joins known subgroups with
-    cyclic seeds until a fixpoint; correct because every subgroup is a join of
-    cyclic ones. Each generator tuple is joined once.
+    Seeds with the cyclic subgroups, read from the power table, and
+    repeatedly joins each new subgroup K with the cyclic seeds <x> until a
+    fixpoint; correct because every subgroup is a join of cyclic ones. Since
+    <K, y> = <K, x> for every y in the double coset KxK, a join marks all of
+    KxK, and a seed whose generator is marked (or lies in K) is skipped: its
+    join could only find a subgroup already known. Each generator tuple is
+    joined at most once.
     """
     if G.order > cap:
         raise ValueError(f"subgroup enumeration capped at order {cap}, group has {G.order}")
     n = G.order
-    cols = G._table().T.tolist()  # cols[g][x] = x*g
+    table = G._table()
+    cols = table.T.tolist()  # cols[g][x] = x*g
     orders = G.element_orders().tolist()
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     # the largest proper subgroup order that k divides, for each divisor k of n
     largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
     whole = frozenset(G.elements())
-    cyclic = [generate(G, [x]).members for x in G.elements()]
+    cyclic = _cyclic_members(G)
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:
         """The subgroup J generated by ``gens`` and its subgroup ``base``,
@@ -181,15 +186,18 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
         seeds.setdefault(members, (x,))
     known: dict[frozenset, tuple] = dict(seeds)
     frontier = list(seeds.items())
-    seed_list = list(seeds.items())
     tried = set()
     while frontier:
         new_frontier = []
         for members, gens in frontier:
-            for s_members, s_gens in seed_list:
-                if s_gens[0] in members:
+            ks = np.fromiter(members, dtype=np.int64, count=len(members))
+            done = np.zeros(n, dtype=bool)
+            done[ks] = True
+            for (x,) in seeds.values():
+                if done[x]:
                     continue
-                joined_gens = tuple(sorted(set(gens + s_gens)))
+                done[table[table[ks, x][:, None], ks]] = True  # the double coset KxK
+                joined_gens = tuple(sorted(set(gens + (x,))))
                 if joined_gens in tried:
                     continue
                 tried.add(joined_gens)
@@ -201,6 +209,12 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     subs = [_closed(G, m, g) for m, g in known.items()]
     subs.sort(key=lambda s: (s.order, s.elements()))
     return subs
+
+
+def _cyclic_members(G: FiniteGroup) -> list[frozenset]:
+    """The members of <x> for every element x, read from the power table."""
+    powers, orders = G.power_table().T.tolist(), G.element_orders().tolist()
+    return [frozenset(col[:m]) for col, m in zip(powers, orders)]
 
 
 def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):

@@ -3,6 +3,7 @@ pipeline, the order-divisibility bijection decision, and catalog sweeps."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,8 +108,15 @@ class CounterexampleSpec:
     q: int = 0
 
     def validate(self) -> None:
+        """Raise ValueError unless 2^r - 1 is prime and q a valid cofactor.
+        An r whose psi_H has more decimal digits than Python will convert
+        to a string is refused first, before any primality test."""
         if self.r < 3:
             raise ValueError(f"need r >= 3, got {self.r}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and self.psi_h >= 10 ** limit:
+            raise ValueError(f"psi_H for r = {self.r} has more than {limit} digits, "
+                             "the most Python converts to a decimal string")
         if not is_mersenne_exponent(self.r):
             raise ValueError(f"2^{self.r}-1 is not prime")
         if self.q:
@@ -128,6 +136,14 @@ class CounterexampleSpec:
     def subgroup_order(self) -> int:
         m = 2 ** self.r - 1
         return m * self.q if self.q else m
+
+    @property
+    def psi_h(self) -> int:
+        """The closed form psi_relative_frobenius_formula(2, r) * q, which is
+        M * (M^2 - M + 3) * q for the prime M = 2^r - 1, since
+        psi_cyclic(M) = M^2 - M + 1; it needs no second primality proof."""
+        m = 2 ** self.r - 1
+        return m * (m * m - m + 3) * (self.q or 1)
 
 
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:

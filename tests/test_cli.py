@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from math import gcd
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import sympy
 
 import relpsi.group_core as gc
+from relpsi import numtheory
 from relpsi.cli import load_cayley_file, main
 
 
@@ -110,6 +112,34 @@ class TestLargeClosedForms:
         result = json.loads(path.read_text())["results"][0]
         assert result["psi_h"] == str(m * (m * m - m + 1 + 2))
 
+    def test_frobenius_unprintable_r_fails_fast(self, run_cli):
+        # 2^9941 - 1 is prime, but its psi_H has 8978 digits
+        started = time.perf_counter()
+        proc = run_cli("frobenius", "--r", 9941)
+        assert time.perf_counter() - started < 1
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: psi_H for r = 9941 has more than 4300 digits, "
+                               "the most Python converts to a decimal string\n")
+
+    def test_frobenius_largest_printable_mersenne_exponent(self, run_cli):
+        proc = run_cli("frobenius", "--r", 4423)
+        m = 2 ** 4423 - 1
+        assert proc.returncode == 0, proc.stderr
+        assert f"psi_H (closed form) = {m * (m * m - m + 3)}\n" in proc.stdout
+
+    @pytest.mark.parametrize("r, runs, code", [(127, 1, 0), (9941, 0, 1), (4, 0, 1)])
+    def test_frobenius_runs_lucas_lehmer_at_most_once(self, r, runs, code, monkeypatch, capsys):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return lucas_lehmer(n)
+
+        lucas_lehmer = numtheory._lucas_lehmer
+        monkeypatch.setattr(numtheory, "_lucas_lehmer", counted)
+        assert main(["frobenius", "--r", str(r)]) == code
+        assert calls == [2 ** r - 1] * runs
+
     @pytest.mark.parametrize("n", [1, 2, 97, 392182, 10 ** 6])
     def test_brute_force_matches_element_loop(self, n, capsys):
         expected = sum(n // gcd(n, k) for k in range(n))
@@ -129,6 +159,13 @@ class TestScan:
     def test_default_scan_at_63_is_clean(self, capsys):
         assert main(["scan", "--max-order", "63"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_order", [201, 400])
+    def test_max_order_above_lattice_cap_fails_fast(self, max_order, run_cli):
+        proc = run_cli("scan", "--max-order", max_order)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: --max-order {max_order} exceeds the subgroup "
+                               "enumeration cap 200\n")
 
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"

@@ -6,6 +6,7 @@ from relpsi.order_sums import psi, psi_relative
 from relpsi.subgroup_lattice import (
     _LATTICE_CAP,
     Subgroup,
+    _cyclic_members,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -85,6 +86,20 @@ class TestAllSubgroups:
     def test_cap(self):
         with pytest.raises(ValueError):
             all_subgroups(gc.cyclic(300))
+
+
+class TestCyclicSeeds:
+    def test_power_table_seeds_match_generate(self, catalog100):
+        for G in catalog100 + [gc.symmetric(5), gc.dihedral(60), gc.frobenius_field(2, 5)]:
+            assert _cyclic_members(G) == [generate(G, [x]).members for x in G.elements()], G.name
+
+    def test_extended_power_table(self):
+        # a table first built to three rows grows to the largest element order
+        G = gc.dihedral(18)
+        assert G.power_table(3).shape == (3, 36)
+        assert G.power_table().shape == (18, 36)
+        assert _cyclic_members(G) == [generate(G, [x]).members for x in G.elements()]
+        assert G.power_table(5).shape == (18, 36)
 
 
 def join_by_generate(G):
