@@ -24,6 +24,7 @@ from . import group_core, order_sums, verify
 from .numtheory import frobenius_ratio_closed_form, psi_cyclic
 from .subgroup_lattice import _LATTICE_CAP, all_subgroups, generate
 from .order_sums import (
+    _BRUTE_FORCE_CAP,
     psi_relative,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
@@ -142,6 +143,11 @@ def cmd_psi_cyclic(args) -> tuple[int, str, list]:
 
 def cmd_frobenius(args) -> tuple[int, str, list]:
     spec = verify.CounterexampleSpec(r=args.r, q=args.q or 0)
+    # 2^13 * (2^13 - 1) > 2^24 already, so a larger r is refused before 2^r is computed
+    if args.brute_force and args.r >= 3 and (args.r > 12 or spec.group_order > _BRUTE_FORCE_CAP):
+        cofactor = f" * {spec.q}" if spec.q else ""
+        raise ValueError(f"group of order 2^{args.r} * (2^{args.r} - 1){cofactor} exceeds the "
+                         "brute-force budget 2^24; use the closed form without --brute-force")
     spec.validate()
     n, m = spec.group_order, spec.subgroup_order
     ratio = frobenius_ratio_closed_form(args.r)
@@ -175,6 +181,8 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
 
 
 def cmd_scan(args) -> tuple[int, str, list]:
+    if args.max_order < 1:
+        raise ValueError(f"--max-order {args.max_order} must be at least 1")
     if args.max_order > _LATTICE_CAP:
         raise ValueError(f"--max-order {args.max_order} exceeds the subgroup "
                          f"enumeration cap {_LATTICE_CAP}")

@@ -117,9 +117,10 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if r < 1:
             raise ValueError(f"need r >= 1, got {r}")
+        # p >= 2, so any r > 20 is over the cap without computing p^r
+        if r > 20 or p ** r > _SIZE_CAP:
+            raise ValueError(f"field size {p}^{r} exceeds cap 2^20")
         q = p ** r
-        if q > _SIZE_CAP:
-            raise ValueError(f"field size {q} exceeds cap 2^20")
         self.p = p
         self.r = r
         self.size = q

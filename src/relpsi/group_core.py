@@ -1,11 +1,12 @@
 """Finite groups on integer encodings.
 
 Every group fixes a deterministic bijection between its elements and
-[0, order), with the identity at encoding 0. Each class defines scalar
-`multiply`/`inverse` and an array product on int64 arrays. A group of order
-at most TABLE_CAP builds one compact Cayley table on first use, from the
-array product, and caches it; `multiply_array` then reads that table, and
-the subgroup, classification and order-sum loops run on it. Above the cap
+[0, order), with the identity at encoding 0. Each class defines an array
+product on int64 arrays, which every computation uses, and a scalar
+`multiply`/`inverse` that the tests check it against. A group of order at
+most TABLE_CAP builds one compact Cayley table on first use, from the array
+product, and caches it; `multiply_array` then reads that table, and the
+subgroup, classification and order-sum loops run on it. Above the cap
 `multiply_array` computes products arithmetically, so no table is built.
 """
 
@@ -57,8 +58,8 @@ def row_blocks(rows: np.ndarray, width: int):
 
 
 class FiniteGroup:
-    """Abstract finite group; concrete classes define multiply/inverse and,
-    for speed, the array product `_product_array`."""
+    """Abstract finite group; concrete classes define the array product
+    `_product_array` (a table group reads its table) and multiply/inverse."""
 
     order: int
     name: str = "G"
@@ -69,12 +70,6 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         raise NotImplementedError
-
-    def _product_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # scalar fallback for groups that define only multiply
-        x, y = np.broadcast_arrays(x, y)
-        flat = map(self.multiply, x.ravel().tolist(), y.ravel().tolist())
-        return np.fromiter(flat, dtype=np.int64, count=x.size).reshape(x.shape)
 
     @property
     def tabulated(self) -> bool:
@@ -105,20 +100,6 @@ class FiniteGroup:
     def cayley_table(self) -> np.ndarray:
         """The Cayley table as a new int64 array: entry (a, b) is a*b."""
         return self._table().astype(np.int64)
-
-    def column(self, g: int):
-        """Right multiplication by g, indexable: col[x] = x*g. For a
-        tabulated group a cached list read from the table, since list
-        indexing is what tight Python loops want; otherwise scalar multiply."""
-        if not self.tabulated:
-            return _RightProduct(self, g)
-        cols = getattr(self, "_column_cache", None)
-        if cols is None:
-            cols = self._column_cache = {}
-        col = cols.get(g)
-        if col is None:
-            col = cols[g] = self._table()[:, g].tolist()
-        return col
 
     def inverses(self) -> np.ndarray:
         """Inverse of every element, as an int64 array indexed by encoding."""
@@ -224,16 +205,6 @@ class FiniteGroup:
         return f"<{type(self).__name__} {self.name} of order {self.order}>"
 
 
-class _RightProduct:
-    __slots__ = ("group", "g")
-
-    def __init__(self, group: FiniteGroup, g: int):
-        self.group, self.g = group, g
-
-    def __getitem__(self, x: int) -> int:
-        return self.group.multiply(x, self.g)
-
-
 def first_powers_in(G: FiniteGroup, inside: np.ndarray, limit: int) -> np.ndarray:
     """For every element x of G, the smallest m >= 1 with x^m in the set
     marked by the boolean mask ``inside``, as an int64 array.
@@ -332,19 +303,9 @@ def _check_associativity(table: np.ndarray) -> None:
     doubles it and S has at most log2(n) elements.
     """
     n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
     gens: list[int] = []
-    frontier = np.zeros(1, dtype=np.int64)
-    while True:
-        while frontier.size:
-            nxt = np.unique(table[np.ix_(frontier, gens)])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
-        missing = np.flatnonzero(~reached)
-        if not missing.size:
-            return
-        b = int(missing[0])
+    while not (reached := _close_right(lambda x, y: table[x, y], n, gens)).all():
+        b = int(reached.argmin())
         right = table[b]
         for rows in row_blocks(np.arange(n), n):
             bad = table[table[rows[:, 0], b]] != table[rows, right]
@@ -352,7 +313,26 @@ def _check_associativity(table: np.ndarray) -> None:
                 i, c = np.argwhere(bad)[0]
                 raise CayleyTableError(f"associativity fails at ({int(rows[i, 0])},{b},{int(c)})")
         gens.append(b)
-        frontier = np.flatnonzero(reached)
+
+
+def _close_right(product, n: int, gens) -> np.ndarray:
+    """Boolean mask over [0, n) of the closure of the identity 0 under right
+    multiplication by ``gens``; ``product`` multiplies two encoding arrays.
+    Each step multiplies the elements the last step reached, in row blocks,
+    by every generator and by the first of those elements: that one is in
+    the closure already, and it cuts the steps for one generator of order m
+    far below m (67 for m = 65536)."""
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    right = np.append(np.asarray(gens, dtype=np.int64), 0)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        right[-1] = frontier[0]
+        nxt = np.concatenate([product(rows, right).ravel()
+                              for rows in row_blocks(frontier, right.size)])
+        frontier = np.unique(nxt[~reached[nxt]])
+        reached[frontier] = True
+    return reached
 
 
 class PermutationGroup(FiniteGroup):

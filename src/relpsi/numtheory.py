@@ -120,15 +120,21 @@ _TRIAL_BOUND = 1000
 # Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
-# Pollard-Brent rho: steps per gcd, and the steps tried on one cofactor before
-# giving up (rounds of r = 1, 2, ..., 2^22). Rho needs about 2 sqrt(p) steps
-# to find a prime factor p, and no composite below _MR_PROOF_BOUND has its
-# smallest factor above p_max = 1.82e12, so the budget is 12 sqrt(p_max); over
-# 40 000 seeded semiprimes no split took more than 11.1 sqrt(p). The hardest
-# case, the product of the two primes just below sqrt(_MR_PROOF_BOUND),
-# splits after 4 194 302 steps (c = 1, round r = 2^20).
+# Pollard-Brent rho: steps per gcd, and the steps tried on one cofactor below
+# _MR_PROOF_BOUND before giving up (rounds of r = 1, 2, ..., 2^22). Rho needs
+# about 2 sqrt(p) steps to find a prime factor p, and no composite below
+# _MR_PROOF_BOUND has its smallest factor above p_max = 1.82e12, so the budget
+# is 12 sqrt(p_max); over 40 000 seeded semiprimes no split took more than
+# 11.1 sqrt(p). The hardest case, the product of the two primes just below
+# sqrt(_MR_PROOF_BOUND), splits in round r = 2^20 of c = 1, within 4 194 302
+# steps.
 _RHO_BATCH = 128
 _RHO_BUDGET = 1 << 24
+# Above the bound no step count guarantees a split, so rho gets a fixed amount
+# of work: a step on a b-bit cofactor costs about b * (b + 2048) units (linear
+# in b up to a few hundred bits, quadratic beyond), so about 2^21 steps at 121
+# bits and 2^17 at 1000 bits.
+_RHO_WORK = 1 << 39
 
 
 def _certified_prime(n: int) -> bool:
@@ -178,26 +184,35 @@ def _large_prime_factors(m: int) -> list[int]:
 def _rho_divisor(n: int) -> int:
     """A proper divisor of the odd composite n, by Pollard-Brent rho with
     batched gcds over x -> x^2 + c for c = 1, 2, ...; raises ValueError
-    once a round would take the steps past ``_RHO_BUDGET``."""
+    before the steps would pass ``_RHO_BUDGET``, or above the proof bound
+    those that ``_RHO_WORK`` buys at the bit length of n."""
+    b = n.bit_length()
+    budget = _RHO_BUDGET if n < _MR_PROOF_BOUND else _RHO_WORK // (b * (b + 2048))
     steps = 0
+
+    def spend(k: int) -> None:
+        nonlocal steps
+        steps += k
+        if steps > budget:
+            raise ValueError(f"cannot split {n}: Pollard rho found no divisor in {budget} steps")
+
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            steps += 2 * r
-            if steps > _RHO_BUDGET:
-                raise ValueError(f"cannot split {n}: Pollard rho found no divisor "
-                                 f"in {_RHO_BUDGET} steps")
+            spend(r)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             done = 0
             while done < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - done)):
+                batch = min(_RHO_BATCH, r - done)
+                spend(batch)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
-                done += _RHO_BATCH
+                done += batch
             r *= 2
         if g == n:  # the batch overshot: step through it one gcd at a time
             g = 1

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .group_core import CayleyTableGroup, FiniteGroup, first_powers_in, row_blocks
+from .group_core import CayleyTableGroup, FiniteGroup, _close_right, first_powers_in, row_blocks
 
 __all__ = [
     "Subgroup",
@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 _LATTICE_CAP = 200
+_CLOSURE_CAP = 1 << 24
 _QUOTIENT_INDEX_CAP = 512
 
 
@@ -110,23 +111,15 @@ def _closed(parent: FiniteGroup, members, generators=()) -> Subgroup:
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of G containing ``gens``: closure of the identity
-    under right multiplication by the generators, read from the Cayley
-    table's columns when G is tabulated."""
+    """Smallest subgroup of G containing ``gens``, closed by vectorised steps
+    over a member mask of G; refuses a G of more than 2^24 elements."""
     gens = sorted(set(int(g) for g in gens))
     for g in gens:
         G.check_encoding(g)
-    cols = [G.column(g) for g in gens]
-    members = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        x = frontier.pop()
-        for col in cols:
-            y = col[x]
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return _closed(G, members, gens)
+    if G.order > _CLOSURE_CAP:
+        raise ValueError(f"subgroup closure capped at group order 2^24, {G.name} has {G.order}")
+    members = np.flatnonzero(_close_right(G.multiply_array, G.order, gens))
+    return _closed(G, members.tolist(), gens)
 
 
 def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:

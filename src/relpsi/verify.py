@@ -296,19 +296,16 @@ class CatalogReport:
         }
 
 
-def scan_catalog(groups, include_subgroups: bool = True) -> CatalogReport:
+def scan_catalog(groups) -> CatalogReport:
     """Scan every group: classification flags, the plain order-sum comparison
-    against C_n, and (optionally) the per-subgroup ratio records. Per-group
-    failures are collected and the scan continues."""
+    against C_n, and the per-subgroup ratio records. Per-group failures are
+    collected and the scan continues."""
     report = CatalogReport()
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
-            records = subgroup_ratio_scan(G) if include_subgroups else []
+            records = subgroup_ratio_scan(G)
             # every group has the trivial subgroup, so records carry the flags
-            if records:
-                nilpotent, solvable = records[0].nilpotent, records[0].solvable
-            else:
-                nilpotent, solvable = is_nilpotent(G), is_solvable(G)
+            nilpotent, solvable = records[0].nilpotent, records[0].solvable
             result = GroupScanResult(
                 group=G.name,
                 group_order=G.order,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import relpsi.group_core as gc
@@ -80,3 +82,30 @@ class TestNilpotent:
 
         with pytest.raises(ValueError, match="budget"):
             is_nilpotent(Fake())
+
+
+def _sympy_cases():
+    from sympy.combinatorics.named_groups import AlternatingGroup, DihedralGroup, SymmetricGroup
+
+    cases = []
+    for n in range(1, 7):
+        cases.append(pytest.param(lambda n=n: gc.symmetric(n), lambda n=n: SymmetricGroup(n), id=f"S{n}"))
+        cases.append(pytest.param(lambda n=n: gc.alternating(n), lambda n=n: AlternatingGroup(n), id=f"A{n}"))
+    for n in range(3, 40):
+        cases.append(pytest.param(lambda n=n: gc.dihedral(n), lambda n=n: DihedralGroup(n), id=f"D{n}"))
+    return cases
+
+
+class TestAgainstSympy:
+    """Differential checks against sympy.combinatorics, which shares no code
+    with relpsi: derived-subgroup order (this closes the commutators with
+    generate), solvability, nilpotency and the multiset of element orders."""
+
+    @pytest.mark.parametrize("make, make_sympy", _sympy_cases())
+    def test_matches_sympy(self, make, make_sympy):
+        G, S = make(), make_sympy()
+        assert G.order == S.order()
+        assert derived_subgroup(G).order == S.derived_subgroup().order()
+        assert is_solvable(G) == S.is_solvable
+        assert is_nilpotent(G) == S.is_nilpotent
+        assert Counter(G.element_orders().tolist()) == Counter(int(p.order()) for p in S.elements)

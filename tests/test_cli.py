@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,8 +128,16 @@ class TestLargeClosedForms:
         assert proc.returncode == 0, proc.stderr
         assert f"psi_H (closed form) = {m * (m * m - m + 3)}\n" in proc.stdout
 
-    @pytest.mark.parametrize("r, runs, code", [(127, 1, 0), (9941, 0, 1), (4, 0, 1)])
-    def test_frobenius_runs_lucas_lehmer_at_most_once(self, r, runs, code, monkeypatch, capsys):
+    @pytest.mark.parametrize("r, runs, code, flags", [
+        pytest.param(127, 1, 0, (), id="127-1-0"),
+        pytest.param(9941, 0, 1, (), id="9941-0-1"),
+        pytest.param(4, 0, 1, (), id="4-0-1"),
+        pytest.param(4423, 0, 1, ("--brute-force",), id="4423-0-1-brute-force"),
+        pytest.param(127, 0, 1, ("--brute-force",), id="127-0-1-brute-force"),
+        pytest.param(7, 0, 0, ("--brute-force",), id="7-0-0-brute-force"),
+    ])
+    def test_frobenius_runs_lucas_lehmer_at_most_once(self, r, runs, code, flags,
+                                                      monkeypatch, capsys):
         calls = []
 
         def counted(n):
@@ -137,8 +146,40 @@ class TestLargeClosedForms:
 
         lucas_lehmer = numtheory._lucas_lehmer
         monkeypatch.setattr(numtheory, "_lucas_lehmer", counted)
-        assert main(["frobenius", "--r", str(r)]) == code
+        assert main(["frobenius", "--r", str(r), *flags]) == code
         assert calls == [2 ** r - 1] * runs
+
+    @pytest.mark.parametrize("argv, order", [
+        (("--r", 4423), "2^4423 * (2^4423 - 1)"),
+        (("--r", 13), "2^13 * (2^13 - 1)"),
+        (("--r", 7, "--q", 1039), "2^7 * (2^7 - 1) * 1039"),
+    ])
+    def test_frobenius_brute_force_above_budget_fails_before_any_work(self, argv, order, run_cli):
+        started = time.perf_counter()
+        proc = run_cli("frobenius", *argv, "--brute-force")
+        assert time.perf_counter() - started < 2
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: group of order {order} exceeds the brute-force budget "
+                               "2^24; use the closed form without --brute-force\n")
+
+    @pytest.mark.parametrize("n", [
+        sympy.nextprime(2 ** 60) * sympy.nextprime(2 ** 61),
+        sympy.nextprime(2 ** 499) * sympy.nextprime(2 ** 500),
+    ], ids=["121-bit", "1000-bit"])
+    def test_unsplit_semiprime_fails_within_the_rho_work_budget(self, n, src_env):
+        # the whole 2^24-step budget took 6-9 s at 121 bits and about a minute at 1000
+        proc = subprocess.run([sys.executable, "-m", "relpsi.cli", "psi-cyclic", str(n)],
+                              env=src_env, capture_output=True, text=True, timeout=5)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: cannot split {n}: Pollard rho found no divisor in ")
+
+    def test_semiprime_with_a_38_bit_factor_still_splits(self, run_cli):
+        # rho needs about 1.7 million steps, a second of work, to find p; q is
+        # below the proof bound, so it is certified prime
+        p, q = sympy.nextprime(2 ** 38), sympy.nextprime(2 ** 81)
+        assert q < numtheory._MR_PROOF_BOUND < p * q
+        proc = run_cli("psi-cyclic", p * q)
+        assert (proc.returncode, proc.stdout) == (0, f"{(p * p - p + 1) * (q * q - q + 1)}\n")
 
     @pytest.mark.parametrize("n", [1, 2, 97, 392182, 10 ** 6])
     def test_brute_force_matches_element_loop(self, n, capsys):
@@ -160,12 +201,22 @@ class TestScan:
         assert main(["scan", "--max-order", "63"]) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("max_order", [201, 400])
-    def test_max_order_above_lattice_cap_fails_fast(self, max_order, run_cli):
+    @pytest.mark.parametrize("max_order, message", [
+        pytest.param(201, "exceeds the subgroup enumeration cap 200", id="201"),
+        pytest.param(400, "exceeds the subgroup enumeration cap 200", id="400"),
+        pytest.param(0, "must be at least 1", id="0"),
+        pytest.param(-5, "must be at least 1", id="-5"),
+    ])
+    def test_max_order_above_lattice_cap_fails_fast(self, max_order, message, run_cli):
         proc = run_cli("scan", "--max-order", max_order)
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == (f"error: --max-order {max_order} exceeds the subgroup "
-                               "enumeration cap 200\n")
+        assert proc.stderr == f"error: --max-order {max_order} {message}\n"
+
+    def test_catalog_scan_matches_the_benchmark_expected_results(self, tmp_path, capsys):
+        expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "catalog_scan.json"
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "100", "--include-frobenius", "--json", str(path)]) == 3
+        assert json.loads(path.read_text())["results"] == json.loads(expected.read_text())
 
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"

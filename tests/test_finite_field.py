@@ -98,5 +98,10 @@ class TestPrimitiveElement:
 
 
 def test_size_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^field size 2\^21 exceeds cap 2\^20$"):
         FiniteField(2, 21)
+    with pytest.raises(ValueError, match=r"^field size 3\^13 exceeds cap 2\^20$"):
+        FiniteField(3, 13)
+    # refused without computing 3^(10^9)
+    with pytest.raises(ValueError, match=r"^field size 3\^1000000000 exceeds cap 2\^20$"):
+        FiniteField(3, 10 ** 9)

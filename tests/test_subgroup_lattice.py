@@ -14,6 +14,7 @@ from relpsi.subgroup_lattice import (
     is_normal,
     quotient,
 )
+from relpsi.verify import CounterexampleSpec, build_counterexample
 
 
 def num_divisors(n):
@@ -42,6 +43,64 @@ class TestGenerate:
     def test_invalid_encoding(self):
         with pytest.raises(ValueError):
             generate(gc.cyclic(4), [7])
+
+    def test_group_above_closure_cap_is_refused(self):
+        class Huge(gc.FiniteGroup):
+            order = (1 << 24) + 1
+            name = "huge"
+
+        with pytest.raises(ValueError, match="capped at group order 2"):
+            generate(Huge(), [1])
+
+
+def scalar_closure(G, gens):
+    """The closure of the identity under right multiplication by ``gens``,
+    one scalar `multiply` per product: the reference for `generate`."""
+    members, todo = {G.identity}, [G.identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = G.multiply(x, g)
+            if y not in members:
+                members.add(y)
+                todo.append(y)
+    return frozenset(members)
+
+
+def frobenius_with_cofactor(r, q):
+    return gc.direct_product([gc.frobenius_field(2, r), gc.cyclic(q)])
+
+
+class TestGenerateAboveTableCap:
+    @pytest.mark.parametrize("make, gens", [
+        (lambda: gc.frobenius_field(2, 7), lambda G: [G.encode(0, 1)]),
+        (lambda: gc.frobenius_field(2, 7), lambda G: [G.encode(1, 0), G.encode(5, 3)]),
+        (lambda: frobenius_with_cofactor(5, 7), lambda G: [G.encode((1, 0))]),
+        (lambda: frobenius_with_cofactor(5, 7), lambda G: [G.encode((1, 0)), G.encode((0, 1))]),
+        (lambda: gc.symmetric(7), lambda G: [G.order - 1]),
+        (lambda: gc.symmetric(7), lambda G: [1, G.order - 1]),
+    ], ids=["Frob(2,7)-1", "Frob(2,7)-2", "Frob(2,5)xC7-1", "Frob(2,5)xC7-2", "S7-1", "S7-2"])
+    def test_matches_scalar_closure(self, make, gens):
+        G = make()
+        assert G.order > gc.TABLE_CAP
+        gens = gens(G)
+        H = generate(G, gens)
+        assert H.members == scalar_closure(G, gens)
+        assert H.generators == tuple(sorted(gens))
+        assert not G.tabulated
+
+    def test_counterexample_makes_no_scalar_multiply(self, monkeypatch):
+        calls = []
+        for cls in (gc.CyclicGroup, gc.PermutationGroup, gc.CayleyTableGroup,
+                    gc.FrobeniusFieldGroup, gc.DirectProductGroup):
+            def counted(self, a, b, _multiply=cls.multiply):
+                calls.append(type(self).__name__)
+                return _multiply(self, a, b)
+            monkeypatch.setattr(cls, "multiply", counted)
+        G, H = build_counterexample(CounterexampleSpec(5, 7))
+        assert G.order > gc.TABLE_CAP
+        assert H.order == 31 * 7
+        assert calls == []
 
 
 class TestSubgroupConstructor:
