@@ -11,6 +11,7 @@ GF(8) -- 56 elements, maps x -> g^k * x + a -- measured against one of its
 order-7 complements.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import relpsi as rp
@@ -45,8 +46,5 @@ print("closed form agrees:", rp.frobenius_ratio_closed_form(3))
 # Where the excess lives: the profile of relative orders across G.  The maps
 # with a nontrivial translation part take a long time to fall into H, longer
 # on average than the elements of C_56 take to reach its order-7 subgroup.
-orders = {}
-for x in G.elements():
-    o = rp.relative_order(G, H, x)
-    orders[o] = orders.get(o, 0) + 1
+orders = Counter(rp.relative_orders(G, H).tolist())
 print("relative order profile:", dict(sorted(orders.items())))

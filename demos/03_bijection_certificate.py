@@ -20,8 +20,9 @@ res = rp.bijection_exists(G, H)
 assert res.exists
 print(f"{G.name}: bijection exists")
 from math import gcd
+relative = rp.relative_orders(G, H)
 for x in G.elements():
-    left = rp.relative_order(G, H, x)
+    left = relative[x]
     right = G.order // gcd(G.order, res.witness[x])
     assert right % left == 0
 print("witness checked: every image order is a multiple of the source order")

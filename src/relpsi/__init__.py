@@ -48,8 +48,6 @@ from .order_sums import (
     psi_relative_frobenius_formula,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
-    relative_order,
-    relative_order_by_cyclic_intersection,
     relative_orders,
 )
 from .classify import derived_subgroup, is_nilpotent, is_solvable

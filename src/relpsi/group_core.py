@@ -2,12 +2,15 @@
 
 Every group fixes a deterministic bijection between its elements and
 [0, order), with the identity at encoding 0. Each class defines an array
-product on int64 arrays, which every computation uses, and a scalar
-`multiply`/`inverse` that the tests check it against. A group of order at
-most TABLE_CAP builds one compact Cayley table on first use, from the array
-product, and caches it; `multiply_array` then reads that table, and the
-subgroup, classification and order-sum loops run on it. Above the cap
-`multiply_array` computes products arithmetically, so no table is built.
+product on int64 arrays, and the Cayley table, inverses, element orders and
+power table all come from it. A group of order at most TABLE_CAP builds one
+compact Cayley table on first use, from the array product, and caches it;
+`multiply_array` then reads that table, and the subgroup, classification and
+order-sum loops run on it. Above the cap `multiply_array` computes products
+arithmetically, so no table is built. Each class also keeps a scalar
+`multiply`/`inverse` that the program does not call: the tests check the
+array product against them and build their reference powers, element orders
+and relative orders on them.
 """
 
 from __future__ import annotations
@@ -109,7 +112,16 @@ class FiniteGroup:
                 # each row holds the identity 0, the smallest encoding, once
                 inv = self._table().argmin(axis=1)
             else:
-                inv = np.array([self.inverse(a) for a in self.elements()], dtype=np.int64)
+                # x^(|G|-1) = x^-1 by Lagrange, for every x at once by
+                # square-and-multiply: at most 2 * bit_length(|G|) products
+                inv = np.zeros(self.order, dtype=np.int64)
+                base, e = np.arange(self.order, dtype=np.int64), self.order - 1
+                while e:
+                    if e & 1:
+                        inv = self.multiply_array(inv, base)
+                    e >>= 1
+                    if e:
+                        base = self.multiply_array(base, base)
             inv.setflags(write=False)
             self._inverse_cache = inv
         return inv
@@ -120,25 +132,6 @@ class FiniteGroup:
     def check_encoding(self, a: int) -> None:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not a valid element encoding of {self.name}")
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inverse(a), -e
-        result = self.identity
-        while e:
-            if e & 1:
-                result = self.multiply(result, a)
-            a = self.multiply(a, a)
-            e >>= 1
-        return result
-
-    def element_order(self, a: int) -> int:
-        """Smallest m >= 1 with a^m = identity; scans divisors of |G|."""
-        self.check_encoding(a)
-        for d in self._order_divisors():
-            if self.power(a, d) == self.identity:
-                return d
-        raise AssertionError("element order must divide group order")
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, as a read-only int64 array, from one
@@ -179,27 +172,8 @@ class FiniteGroup:
             powers = self._power_cache = grown
         return powers
 
-    def _order_divisors(self) -> list[int]:
-        cached = getattr(self, "_divisors", None)
-        if cached is None:
-            n = self.order
-            small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-            large = [n // d for d in reversed(small) if d * d != n]
-            cached = self._divisors = small + large
-        return cached
-
     def is_cyclic(self) -> bool:
         return int(self.element_orders().max()) == self.order
-
-    def validate(self) -> None:
-        """Check the group axioms exactly on the Cayley table (so only up to
-        TABLE_CAP), and that `inverse` agrees with it."""
-        table = self.cayley_table()
-        _validate_table(table)
-        inv = np.array([self.inverse(a) for a in self.elements()], dtype=np.int64)
-        bad = np.flatnonzero(table[inv, np.arange(self.order)] != self.identity)
-        if bad.size:
-            raise CayleyTableError(f"inverse() disagrees with the table at {int(bad[0])}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} of order {self.order}>"
@@ -249,10 +223,6 @@ class CyclicGroup(FiniteGroup):
 
     def _product_array(self, x, y):
         return (x + y) % self.order
-
-    def element_order(self, a):
-        self.check_encoding(a)
-        return self.order // math.gcd(self.order, a)
 
 
 class CayleyTableGroup(FiniteGroup):

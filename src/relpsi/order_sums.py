@@ -17,13 +17,11 @@ import numpy as np
 
 from .group_core import FiniteGroup, first_powers_in
 from .numtheory import Factorization, factorize, is_prime, psi_cyclic
-from .subgroup_lattice import Subgroup, generate
+from .subgroup_lattice import Subgroup
 
 __all__ = [
     "IndexRatioBounds",
-    "relative_order",
     "relative_orders",
-    "relative_order_by_cyclic_intersection",
     "psi_relative",
     "psi",
     "cyclic_reference",
@@ -35,25 +33,6 @@ __all__ = [
 
 # brute-force budget: hard error above 2^24 elements
 _BRUTE_FORCE_CAP = 1 << 24
-
-
-def relative_order(G: FiniteGroup, H: Subgroup, x: int) -> int:
-    """Smallest m >= 1 with x^m in H; never exceeds the index of H, and a
-    member set for which it would raises ValueError."""
-    G.check_encoding(x)
-    if H.parent is not G:
-        raise ValueError("subgroup does not belong to this group")
-    if x in H:
-        return 1
-    y = x
-    for m in range(2, H.index + 1):
-        y = G.multiply(y, x)
-        if y in H:
-            return m
-    raise ValueError(
-        f"no power x^m with 1 <= m <= {H.index} of element {x} lies in the subgroup; "
-        "its members do not form a subgroup"
-    )
 
 
 def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
@@ -84,14 +63,6 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
             "the subgroup; its members do not form a subgroup"
         )
     return first + 1
-
-
-def relative_order_by_cyclic_intersection(G: FiniteGroup, H: Subgroup, x: int) -> int:
-    """Cross-check oracle: |<x>| / |<x> inter H| computed from the explicit
-    cyclic subgroup, independent of the direct power loop."""
-    cyc = generate(G, [x])
-    meet = sum(1 for y in cyc.elements() if y in H)
-    return cyc.order // meet
 
 
 def psi_relative(G: FiniteGroup, H: Subgroup) -> int:

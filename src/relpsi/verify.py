@@ -114,7 +114,8 @@ class CounterexampleSpec:
         if self.r < 3:
             raise ValueError(f"need r >= 3, got {self.r}")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and self.psi_h >= 10 ** limit:
+        # psi_H >= M^3 >= 2^(3r - 3), so a large r is refused before psi_H is multiplied out
+        if limit and (3 * self.r - 3 >= (10 ** limit).bit_length() or self.psi_h >= 10 ** limit):
             raise ValueError(f"psi_H for r = {self.r} has more than {limit} digits, "
                              "the most Python converts to a decimal string")
         if not is_mersenne_exponent(self.r):
@@ -318,7 +319,7 @@ def scan_catalog(groups) -> CatalogReport:
             )
             report.results.append(result)
         except Exception as exc:  # noqa: BLE001 - collected per contract
-            report.errors.append((G.name, str(exc)))
+            report.errors.append((G.name, f"{type(exc).__name__}: {exc}"))
     return report
 
 

@@ -122,6 +122,16 @@ class TestLargeClosedForms:
         assert proc.stderr == ("error: psi_H for r = 9941 has more than 4300 digits, "
                                "the most Python converts to a decimal string\n")
 
+    @pytest.mark.parametrize("r", [10 ** 7, 10 ** 8, 10 ** 9])
+    def test_frobenius_huge_r_fails_before_multiplying_out_psi_h(self, r, run_cli):
+        # 2^r alone would take seconds to minutes to multiply out
+        started = time.perf_counter()
+        proc = run_cli("frobenius", "--r", r)
+        assert time.perf_counter() - started < 2
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: psi_H for r = {r} has more than 4300 digits, "
+                               "the most Python converts to a decimal string\n")
+
     def test_frobenius_largest_printable_mersenne_exponent(self, run_cli):
         proc = run_cli("frobenius", "--r", 4423)
         m = 2 ** 4423 - 1

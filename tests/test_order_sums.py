@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relpsi.group_core as gc
 from relpsi.group_core import first_powers_in
@@ -13,11 +15,10 @@ from relpsi.order_sums import (
     psi_relative_frobenius_formula,
     psi_relative_upper_bound,
     ratio_bounds_for_index,
-    relative_order,
-    relative_order_by_cyclic_intersection,
     relative_orders,
 )
 from relpsi.subgroup_lattice import Subgroup, _closed, all_subgroups, generate
+from reference import relative_order, relative_order_by_cyclic_intersection
 
 
 def frobenius_complement(G):
@@ -28,17 +29,17 @@ class TestRelativeOrder:
     def test_member_is_one(self):
         G = gc.cyclic(6)
         H = generate(G, [3])
-        assert relative_order(G, H, 3) == 1
+        assert relative_orders(G, H)[3] == 1 == relative_order(G, H, 3)
 
     def test_c6_mod_order2(self):
         G = gc.cyclic(6)
         H = generate(G, [3])  # {0, 3}
-        assert relative_order(G, H, 2) == 3
+        assert relative_orders(G, H)[2] == 3 == relative_order(G, H, 2)
 
     def test_c6_mod_order3(self):
         G = gc.cyclic(6)
         H = generate(G, [2])  # {0, 2, 4}
-        assert relative_order(G, H, 3) == 2
+        assert relative_orders(G, H)[3] == 2 == relative_order(G, H, 3)
 
     def test_bounded_by_index_and_matches_oracle(self, catalog_subgroups):
         for G, subs in catalog_subgroups:
@@ -70,7 +71,7 @@ class TestRelativeOrder:
         assert str(table_pass.value) == str(oracle.value)
 
     def test_public_constructor_rejects_non_subgroup(self):
-        # unchecked, {2, 4} gives relative_order(C6, H, 1) == 2, a wrong number
+        # unchecked, {2, 4} gives relative order 2 to the element 1, a wrong number
         G = gc.cyclic(6)
         with pytest.raises(ValueError, match="identity"):
             Subgroup(G, {2, 4})
@@ -108,8 +109,8 @@ class TestRelativeOrder:
     def test_wrong_parent_rejected(self):
         G, other = gc.cyclic(6), gc.cyclic(12)
         H = generate(other, [6])
-        with pytest.raises(ValueError):
-            relative_order(G, H, 1)
+        with pytest.raises(ValueError, match="does not belong"):
+            relative_orders(G, H)
 
 
 class TestPsiRelative:
@@ -183,8 +184,6 @@ class TestPsiRatio:
             for (G2, m2) in pairs:
                 if G1 is G2 or G1.order * G2.order > 400:
                     continue
-                from math import gcd
-
                 if gcd(G1.order, G2.order) != 1:
                     continue
                 H1 = next(H for H in all_subgroups(G1) if H.order == m1)
@@ -195,6 +194,34 @@ class TestPsiRatio:
                 H = generate(G, gens)
                 assert H.order == m1 * m2
                 assert psi_relative(G, H) == psi_relative(G1, H1) * psi_relative(G2, H2)
+
+
+@pytest.fixture(scope="module")
+def coprime_pairs(catalog_subgroups):
+    """Pairs of catalog groups, with their subgroups, of coprime orders and
+    at most 2000 elements in their direct product."""
+    return [(a, b) for a in catalog_subgroups for b in catalog_subgroups
+            if gcd(a[0].order, b[0].order) == 1 and a[0].order * b[0].order <= 2000]
+
+
+class TestMultiplicativity:
+    # psi and psi_H multiply across direct factors of coprime order; this is
+    # what carries the Frobenius ratio over to Frob x C_q
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_psi(self, coprime_pairs, data):
+        (G, _), (K, _) = data.draw(st.sampled_from(coprime_pairs))
+        assert psi(gc.direct_product([G, K])) == psi(G) * psi(K)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_psi_relative(self, coprime_pairs, data):
+        (G, g_subs), (K, k_subs) = data.draw(st.sampled_from(coprime_pairs))
+        H, L = data.draw(st.sampled_from(g_subs)), data.draw(st.sampled_from(k_subs))
+        GK = gc.direct_product([G, K])
+        HL = Subgroup(GK, [GK.encode((h, l)) for h in H.elements() for l in L.elements()])
+        assert psi_relative(GK, HL) == psi_relative(G, H) * psi_relative(K, L)
 
 
 class TestFrobeniusFormula:

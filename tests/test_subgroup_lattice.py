@@ -15,6 +15,7 @@ from relpsi.subgroup_lattice import (
     quotient,
 )
 from relpsi.verify import CounterexampleSpec, build_counterexample
+from reference import closure, element_order
 
 
 def num_divisors(n):
@@ -35,8 +36,8 @@ class TestGenerate:
 
     def test_s3_full(self):
         S3 = gc.symmetric(3)
-        transposition = next(x for x in S3.elements() if S3.element_order(x) == 2)
-        three_cycle = next(x for x in S3.elements() if S3.element_order(x) == 3)
+        transposition = next(x for x in S3.elements() if element_order(S3, x) == 2)
+        three_cycle = next(x for x in S3.elements() if element_order(S3, x) == 3)
         H = generate(S3, [transposition, three_cycle])
         assert H.order == 6
 
@@ -51,20 +52,6 @@ class TestGenerate:
 
         with pytest.raises(ValueError, match="capped at group order 2"):
             generate(Huge(), [1])
-
-
-def scalar_closure(G, gens):
-    """The closure of the identity under right multiplication by ``gens``,
-    one scalar `multiply` per product: the reference for `generate`."""
-    members, todo = {G.identity}, [G.identity]
-    while todo:
-        x = todo.pop()
-        for g in gens:
-            y = G.multiply(x, g)
-            if y not in members:
-                members.add(y)
-                todo.append(y)
-    return frozenset(members)
 
 
 def frobenius_with_cofactor(r, q):
@@ -85,7 +72,7 @@ class TestGenerateAboveTableCap:
         assert G.order > gc.TABLE_CAP
         gens = gens(G)
         H = generate(G, gens)
-        assert H.members == scalar_closure(G, gens)
+        assert H.members == closure(G, gens)
         assert H.generators == tuple(sorted(gens))
         assert not G.tabulated
 
@@ -245,8 +232,8 @@ class TestQuotient:
         G = gc.symmetric(3)
         Q = quotient(G, generate(G, []))
         assert Q.order == 6
-        assert sorted(Q.element_order(x) for x in Q.elements()) == sorted(
-            G.element_order(x) for x in G.elements()
+        assert sorted(element_order(Q, x) for x in Q.elements()) == sorted(
+            element_order(G, x) for x in G.elements()
         )
 
     def test_frobenius_mod_kernel_is_c7(self):
@@ -293,7 +280,7 @@ class TestIsolated:
         for G, subs in catalog_subgroups_64:
             psi_g = psi(G)
             for H in subs:
-                psi_h_as_group = sum(G.element_order(h) for h in H.elements())
+                psi_h_as_group = sum(element_order(G, h) for h in H.elements())
                 identity_holds = psi_relative(G, H) == H.order + psi_g - psi_h_as_group
                 assert is_isolated(G, H) == identity_holds
 
