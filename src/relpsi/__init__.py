@@ -50,7 +50,7 @@ from .order_sums import (
     ratio_bounds_for_index,
     relative_orders,
 )
-from .classify import derived_subgroup, is_nilpotent, is_solvable
+from .classify import is_nilpotent, is_solvable
 from .verify import (
     BijectionResult,
     CatalogReport,

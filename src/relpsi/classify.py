@@ -8,19 +8,14 @@ from .group_core import FiniteGroup, row_blocks
 from .numtheory import factorize
 from .subgroup_lattice import Subgroup, generate
 
-__all__ = ["derived_subgroup", "is_solvable", "is_nilpotent"]
+__all__ = ["is_solvable", "is_nilpotent"]
 
 _CLASSIFY_CAP = 1 << 16
 
 
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Closure of all commutators a b a^-1 b^-1."""
-    if G.order > _CLASSIFY_CAP:
-        raise ValueError(f"classification budget exceeded at order {G.order}")
-    return _derived_of_members(G, np.arange(G.order))
-
-
 def _derived_of_members(G: FiniteGroup, members: np.ndarray) -> Subgroup:
+    """The derived subgroup of the subgroup with these members: the closure
+    of all commutators a b a^-1 b^-1 of two members."""
     inv = G.inverses()
     commutators = np.zeros(G.order, dtype=bool)
     for rows in row_blocks(members, len(members)):

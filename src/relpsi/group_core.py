@@ -134,43 +134,60 @@ class FiniteGroup:
             raise ValueError(f"{a!r} is not a valid element encoding of {self.name}")
 
     def element_orders(self) -> np.ndarray:
-        """Order of every element, as a read-only int64 array, from one
-        vectorised power pass; cached."""
-        orders = getattr(self, "_order_cache", None)
-        if orders is None:
-            identity = np.zeros(self.order, dtype=bool)
-            identity[self.identity] = True
-            orders = first_powers_in(self, identity, self.order)
-            orders.setflags(write=False)
-            self._order_cache = orders
-        return orders
+        """Order of every element, as a read-only int64 array; cached. A
+        tabulated group reads it off the power table (the first row holding
+        the identity), any other group takes one vectorised power pass."""
+        if getattr(self, "_order_cache", None) is None:
+            if self.tabulated:
+                self._build_powers()
+            else:
+                identity = np.zeros(self.order, dtype=bool)
+                identity[self.identity] = True
+                orders = first_powers_in(self, identity, self.order)
+                orders.setflags(write=False)
+                self._order_cache = orders
+        return self._order_cache
 
-    def power_table(self, rows: int | None = None) -> np.ndarray:
-        """Read-only array P with P[k, x] = x^(k+1), so column x lists the
-        powers of x up to the identity.
+    def power_table(self) -> np.ndarray:
+        """Read-only array P with P[k, x] = x^(k+1) for k below the largest
+        element order, so column x lists the powers of x up to the identity.
+        Cached; tabulated groups only."""
+        if getattr(self, "_power_cache", None) is None:
+            self._build_powers()
+        return self._power_cache
 
-        It has at least ``rows`` rows, capped at (and by default equal to)
-        the largest element order. Cached, and extended only when more rows
-        are asked for; each row is one read of the Cayley table, in whose
-        dtype it is stored, so it never outgrows the table.
+    def _build_powers(self) -> None:
+        """Fill the power-table and element-order caches by doubling.
+
+        With the first L rows known, the next L rows are one table read,
+        P[L + k] = P[k] * P[L - 1], that is x^(k+1) * x^L. Only the new rows
+        are searched for the identity, and the doubling stops once every
+        column has met it, so the largest element order e takes about
+        log2(e) reads. The rows live in one buffer of at most n rows in the
+        table's dtype, never more than the Cayley table itself; rows past
+        e are cut off by the returned view. Reads go in blocks of about
+        _BLOCK entries, which bounds their int64 index temporaries.
         """
-        powers = getattr(self, "_power_cache", None)
-        if powers is not None and rows is not None and rows <= len(powers):
-            return powers
-        top = int(self.element_orders().max())
-        rows = top if rows is None else min(rows, top)
-        if powers is None or len(powers) < rows:
-            table = self._table()
-            grown = np.empty((rows, self.order), dtype=table.dtype)
-            if powers is None:
-                grown[0] = np.arange(self.order)
-                powers = grown[:1]
-            grown[:len(powers)] = powers
-            for k in range(len(powers), rows):
-                grown[k] = table[grown[k - 1], grown[0]]
-            grown.setflags(write=False)
-            powers = self._power_cache = grown
-        return powers
+        table = self._table()
+        n = self.order
+        powers = np.empty((n, n), dtype=table.dtype)
+        powers[0] = np.arange(n)
+        orders = np.zeros(n, dtype=np.int64)
+        orders[self.identity] = 1
+        rows, step = 1, max(1, _BLOCK // n)
+        while not orders.all():
+            last, new = powers[rows - 1], min(rows, n - rows)
+            for lo in range(0, new, step):
+                block = powers[rows + lo:rows + min(lo + step, new)]
+                block[:] = table[powers[lo:lo + len(block)], last]
+                hit = block == self.identity
+                found = np.flatnonzero((orders == 0) & hit.any(axis=0))
+                orders[found] = rows + lo + 1 + hit[:, found].argmax(axis=0)
+            rows += new
+        powers = powers[:orders.max()]
+        powers.setflags(write=False)
+        orders.setflags(write=False)
+        self._power_cache, self._order_cache = powers, orders
 
     def is_cyclic(self) -> bool:
         return int(self.element_orders().max()) == self.order

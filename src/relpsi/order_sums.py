@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group_core import FiniteGroup, first_powers_in
+from .group_core import _BLOCK, FiniteGroup, first_powers_in
 from .numtheory import Factorization, factorize, is_prime, psi_cyclic
 from .subgroup_lattice import Subgroup
 
 __all__ = [
     "IndexRatioBounds",
     "relative_orders",
+    "lattice_order_sums",
     "psi_relative",
     "psi",
     "cyclic_reference",
@@ -54,7 +55,7 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
         raise ValueError("subgroup does not belong to this group")
     if not G.tabulated:
         return first_powers_in(G, H.mask(), H.index)
-    hits = H.mask()[G.power_table(H.index)[:H.index]]
+    hits = H.mask()[G.power_table()[:H.index]]
     first = hits.argmax(axis=0)
     missed = np.flatnonzero(~hits[first, np.arange(n)])
     if missed.size:
@@ -63,6 +64,30 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
             "the subgroup; its members do not form a subgroup"
         )
     return first + 1
+
+
+def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]:
+    """psi_relative(G, H) and the largest relative order over H, for every H
+    in ``subgroups``, from one pass over the power table of a tabulated G.
+
+    Row i of the membership matrix M marks the i-th subgroup, so M[i, P]
+    marks which powers x^(k+1) lie in it and its first true entry down
+    column x gives the relative order of x. The gather runs in blocks of
+    subgroups of at most _BLOCK entries. The subgroups must be closed, as
+    ``all_subgroups`` and ``generate`` build them: unlike `relative_orders`
+    this pass does not check that each is a subgroup.
+    """
+    if any(H.parent is not G for H in subgroups):
+        raise ValueError("subgroup does not belong to this group")
+    powers = G.power_table()
+    masks = np.stack([H.mask() for H in subgroups])
+    step = max(1, _BLOCK // powers.size)
+    sums, largest = [], []
+    for lo in range(0, len(masks), step):
+        rel = masks[lo:lo + step][:, powers].argmax(axis=1) + 1
+        sums += rel.sum(axis=1).tolist()
+        largest += rel.max(axis=1).tolist()
+    return sums, largest
 
 
 def psi_relative(G: FiniteGroup, H: Subgroup) -> int:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .group_core import CayleyTableGroup, FiniteGroup, _close_right, first_powers_in, row_blocks
+from .group_core import CayleyTableGroup, FiniteGroup, _close_right, row_blocks
 
 __all__ = [
     "Subgroup",
@@ -125,25 +125,27 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
 def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     """Every subgroup of G, each exactly once, sorted by (order, element tuple).
 
-    Seeds with the cyclic subgroups, read from the power table, and
-    repeatedly joins each new subgroup K with the cyclic seeds <x> until a
-    fixpoint; correct because every subgroup is a join of cyclic ones. Since
-    <K, y> = <K, x> for every y in the double coset KxK, a join marks all of
-    KxK, and a seed whose generator is marked (or lies in K) is skipped: its
-    join could only find a subgroup already known. Each generator tuple is
-    joined at most once.
+    Seeds with the distinct cyclic subgroups <x>, each under its smallest
+    generator x, read from the power table, and repeatedly joins each new
+    subgroup K with the seeds until a fixpoint; correct because every
+    subgroup is a join of cyclic ones. Since <K, y> = <K, x> for every y in
+    the double coset KxK, K is joined only with the first seed of each
+    double coset other than K itself: any other seed could only find a
+    subgroup already known. Each generator tuple is joined at most once.
     """
     if G.order > cap:
         raise ValueError(f"subgroup enumeration capped at order {cap}, group has {G.order}")
     n = G.order
     table = G._table()
     cols = table.T.tolist()  # cols[g][x] = x*g
-    orders = G.element_orders().tolist()
+    powers, orders = G.power_table(), G.element_orders().tolist()
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     # the largest proper subgroup order that k divides, for each divisor k of n
     largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
     whole = frozenset(G.elements())
-    cyclic = _cyclic_members(G)
+
+    def cyclic(x: int) -> frozenset:
+        return frozenset(powers[:orders[x], x].tolist())
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:
         """The subgroup J generated by ``gens`` and its subgroup ``base``,
@@ -165,7 +167,7 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
                 if rt in inside:
                     continue
                 if orders[rt] > len(base):
-                    return join(cyclic[rt], gens, math.lcm(k, orders[rt]))
+                    return join(cyclic(rt), gens, math.lcm(k, orders[rt]))
                 col = cols[rt]
                 inside.update([col[a] for a in base])
                 k = math.lcm(k, orders[rt])
@@ -174,22 +176,19 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
                 reps.append(rt)
         return frozenset(inside)
 
-    seeds: dict[frozenset, tuple] = {}
-    for x, members in enumerate(cyclic):
-        seeds.setdefault(members, (x,))
-    known: dict[frozenset, tuple] = dict(seeds)
-    frontier = list(seeds.items())
+    seeds = _cyclic_seeds(G)
+    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds.tolist()}
+    frontier = list(known.items())
     tried = set()
     while frontier:
         new_frontier = []
         for members, gens in frontier:
             ks = np.fromiter(members, dtype=np.int64, count=len(members))
-            done = np.zeros(n, dtype=bool)
-            done[ks] = True
-            for (x,) in seeds.values():
-                if done[x]:
-                    continue
-                done[table[table[ks, x][:, None], ks]] = True  # the double coset KxK
+            # the least element of KyK for every y: min over K*y, then over y*K
+            least = table[ks].min(axis=0)[table[:, ks]].min(axis=1)
+            labels, first = np.unique(least[seeds], return_index=True)
+            # the identity 0 labels K itself, whose seeds add nothing
+            for x in seeds[np.sort(first[labels != 0])].tolist():
                 joined_gens = tuple(sorted(set(gens + (x,))))
                 if joined_gens in tried:
                     continue
@@ -204,10 +203,15 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     return subs
 
 
-def _cyclic_members(G: FiniteGroup) -> list[frozenset]:
-    """The members of <x> for every element x, read from the power table."""
-    powers, orders = G.power_table().T.tolist(), G.element_orders().tolist()
-    return [frozenset(col[:m]) for col, m in zip(powers, orders)]
+def _cyclic_seeds(G: FiniteGroup) -> np.ndarray:
+    """The smallest generator of each distinct cyclic subgroup of G, in
+    ascending order. The generators of <x> are the x^k with k coprime to
+    the order of x, so the smallest is one min over those rows of the
+    power table; x is a seed when it is its own smallest generator."""
+    powers, orders = G.power_table(), G.element_orders()
+    coprime = np.gcd(np.arange(1, len(powers) + 1)[:, None], orders) == 1
+    smallest = np.where(coprime, powers, powers[0]).min(axis=0)
+    return np.flatnonzero(smallest == np.arange(G.order))
 
 
 def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):
@@ -244,9 +248,10 @@ def is_isolated(G: FiniteGroup, H: Subgroup) -> bool:
     """True iff every element of G either lies in H or generates a cyclic
     subgroup meeting H only in the identity, i.e. iff every x outside H has
     relative order equal to its element order."""
+    from .order_sums import relative_orders  # order_sums imports this module
+
     inside = H.mask()
-    relative = first_powers_in(G, inside, H.index)
-    return bool((relative == G.element_orders())[~inside].all())
+    return bool((relative_orders(G, H) == G.element_orders())[~inside].all())
 
 
 def conjugates_intersect_trivially(G: FiniteGroup, H: Subgroup) -> bool:

@@ -1,9 +1,14 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import relpsi.group_core as gc
-from relpsi.classify import derived_subgroup, is_nilpotent, is_solvable
+from relpsi.classify import _derived_of_members, is_nilpotent, is_solvable
+
+
+def derived_subgroup(G):
+    return _derived_of_members(G, np.arange(G.order))
 
 
 class TestDerivedSubgroup:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -227,6 +228,19 @@ class TestScan:
         path = tmp_path / "scan.json"
         assert main(["scan", "--max-order", "100", "--include-frobenius", "--json", str(path)]) == 3
         assert json.loads(path.read_text())["results"] == json.loads(expected.read_text())
+
+    def test_table_ingest_matches_the_benchmark_expected_results(self, tmp_path, monkeypatch, capsys):
+        # the seed-1 tables of the benchmark's table-ingest workload, checked by its own oracles
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.chdir(tmp_path)
+        workloads = importlib.import_module("workloads")
+        commands = [c for c in workloads.table_ingest(1, tmp_path) if c.argv[0] != "bijection"]
+        assert sorted({c.argv[0] for c in commands}) == ["check-bounds", "ratios"]
+        assert len(commands) == 8
+        for command in commands:
+            code = main([*command.argv, "--json", "report.json"])
+            doc = json.loads(Path("report.json").read_text())
+            assert command.check(code, doc) == [], command.argv
 
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -8,7 +9,7 @@ import relpsi as rp
 import relpsi.group_core as gc
 from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
-from reference import element_order, validate
+from reference import element_order, power, validate
 
 
 SMALL_GROUPS = [
@@ -239,6 +240,34 @@ def test_vectorised_table_matches_scalar_multiply(G):
 @pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=lambda g: g.name)
 def test_element_orders_match_scalar_element_order(G):
     assert G.element_orders().tolist() == [element_order(G, x) for x in G.elements()]
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS + [gc.frobenius_field(2, 5), gc.cyclic(4096)],
+                         ids=lambda g: g.name)
+def test_power_table_matches_scalar_power(G):
+    P, orders = G.power_table(), G.element_orders()
+    assert orders.tolist() == [element_order(G, x) for x in G.elements()]
+    assert P.shape == (orders.max(), G.order)
+    assert not P.flags.writeable and P is G.power_table()
+    # C4096 has 4096 rows; every 257th column stands for the rest
+    cols = range(0, G.order, 257 if G.order > 1000 else 1)
+    expected = [[power(G, x, k + 1) for x in cols] for k in range(len(P))]
+    assert P[:, cols].tolist() == expected
+
+
+def test_power_table_stays_within_one_cayley_table():
+    # C4096 has an element of order 4096, so its power table is as large as
+    # its Cayley table; building it may allocate little more than that
+    G = gc.cyclic(4096)
+    table = G._table()
+    tracemalloc.start()
+    try:
+        P = G.power_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.nbytes == table.nbytes
+    assert peak < 1.25 * table.nbytes
 
 
 ABOVE_TABLE_CAP = [

@@ -9,6 +9,7 @@ from relpsi.group_core import first_powers_in
 from relpsi.numtheory import psi_cyclic
 from relpsi.order_sums import (
     cyclic_reference,
+    lattice_order_sums,
     psi,
     psi_ratio,
     psi_relative,
@@ -111,6 +112,34 @@ class TestRelativeOrder:
         H = generate(other, [6])
         with pytest.raises(ValueError, match="does not belong"):
             relative_orders(G, H)
+
+
+def per_subgroup_sums(G, subgroups):
+    rels = [relative_orders(G, H) for H in subgroups]
+    return [int(rel.sum()) for rel in rels], [int(rel.max()) for rel in rels]
+
+
+class TestLatticeOrderSums:
+    def test_matches_relative_orders_on_catalog(self, catalog_subgroups):
+        for G, subs in catalog_subgroups:
+            assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs), G.name
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+    ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)"])
+    def test_matches_relative_orders(self, make):
+        # D60's 180 subgroups take two blocks of the gather
+        G = make()
+        subs = all_subgroups(G)
+        assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
+
+    def test_wrong_parent_rejected(self):
+        G, other = gc.cyclic(6), gc.cyclic(12)
+        with pytest.raises(ValueError, match="does not belong"):
+            lattice_order_sums(G, [generate(G, [2]), generate(other, [6])])
 
 
 class TestPsiRelative:

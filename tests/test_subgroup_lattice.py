@@ -6,7 +6,7 @@ from relpsi.order_sums import psi, psi_relative
 from relpsi.subgroup_lattice import (
     _LATTICE_CAP,
     Subgroup,
-    _cyclic_members,
+    _cyclic_seeds,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -137,15 +137,22 @@ class TestAllSubgroups:
 class TestCyclicSeeds:
     def test_power_table_seeds_match_generate(self, catalog100):
         for G in catalog100 + [gc.symmetric(5), gc.dihedral(60), gc.frobenius_field(2, 5)]:
-            assert _cyclic_members(G) == [generate(G, [x]).members for x in G.elements()], G.name
+            closures = [generate(G, [x]).members for x in G.elements()]
+            smallest = {}
+            for x, members in enumerate(closures):
+                smallest.setdefault(members, x)
+            assert _cyclic_seeds(G).tolist() == list(smallest.values()), G.name
+            P, orders = G.power_table(), G.element_orders()
+            assert [frozenset(P[:orders[x], x].tolist()) for x in G.elements()] == closures, G.name
 
     def test_extended_power_table(self):
-        # a table first built to three rows grows to the largest element order
+        # the table stops at the largest element order, 18, and is built once
         G = gc.dihedral(18)
-        assert G.power_table(3).shape == (3, 36)
-        assert G.power_table().shape == (18, 36)
-        assert _cyclic_members(G) == [generate(G, [x]).members for x in G.elements()]
-        assert G.power_table(5).shape == (18, 36)
+        P = G.power_table()
+        assert P.shape == (18, 36)
+        assert G.power_table() is P
+        assert [frozenset(P[:m, x].tolist()) for x, m in enumerate(G.element_orders())] == [
+            generate(G, [x]).members for x in G.elements()]
 
 
 def join_by_generate(G):

@@ -175,6 +175,12 @@ class TestScanCatalog:
         report = scan_catalog(default_catalog(56, include_frobenius=True))
         assert report.flagged_groups == ["Frob(2,3)"]
 
+    def test_violations_are_listed_once(self):
+        res = scan_catalog([gc.frobenius_field(2, 3)]).results[0]
+        assert res.violations is res.violations
+        assert res.violations == [rec for rec in res.records if rec.ratio > 1]
+        assert len(res.violations) == 8
+
     def test_errors_collected_and_scan_continues(self):
         class Broken(gc.FiniteGroup):
             order = 4
