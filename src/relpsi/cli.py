@@ -249,10 +249,7 @@ def cmd_ratios(args) -> tuple[int, str, list]:
 
 def cmd_bijection(args) -> tuple[int, str, list]:
     G = load_cayley_file(args.group_file)
-    gens = _parse_generators(args.subgroup)
-    for g in gens:
-        G.check_encoding(g)
-    H = generate(G, gens)
+    H = generate(G, _parse_generators(args.subgroup))
     result = verify.bijection_exists(G, H)
     if result.exists:
         print("BIJECTION EXISTS")

@@ -108,20 +108,16 @@ class FiniteGroup:
         """Inverse of every element, as an int64 array indexed by encoding."""
         inv = getattr(self, "_inverse_cache", None)
         if inv is None:
-            if self.tabulated:
-                # each row holds the identity 0, the smallest encoding, once
-                inv = self._table().argmin(axis=1)
-            else:
-                # x^(|G|-1) = x^-1 by Lagrange, for every x at once by
-                # square-and-multiply: at most 2 * bit_length(|G|) products
-                inv = np.zeros(self.order, dtype=np.int64)
-                base, e = np.arange(self.order, dtype=np.int64), self.order - 1
-                while e:
-                    if e & 1:
-                        inv = self.multiply_array(inv, base)
-                    e >>= 1
-                    if e:
-                        base = self.multiply_array(base, base)
+            # x^(|G|-1) = x^-1 by Lagrange, for every x at once by
+            # square-and-multiply: at most 2 * bit_length(|G|) products
+            inv = np.zeros(self.order, dtype=np.int64)
+            base, e = np.arange(self.order, dtype=np.int64), self.order - 1
+            while e:
+                if e & 1:
+                    inv = self.multiply_array(inv, base)
+                e >>= 1
+                if e:
+                    base = self.multiply_array(base, base)
             inv.setflags(write=False)
             self._inverse_cache = inv
         return inv
@@ -323,13 +319,12 @@ def _close_right(product, n: int, gens) -> np.ndarray:
 
 
 class PermutationGroup(FiniteGroup):
-    """Group of permutations of [0, degree), elements sorted lexicographically
-    (which puts the identity at encoding 0)."""
+    """Group of the permutations ``perms`` of [0, degree), which must be
+    closed under composition; elements are sorted lexicographically (which
+    puts the identity at encoding 0)."""
 
-    def __init__(self, degree: int, generators=None, perms=None, name: str = "perm-group"):
+    def __init__(self, degree: int, perms, name: str = "perm-group"):
         self.degree = degree
-        if perms is None:
-            perms = _closure(degree, [tuple(g) for g in generators])
         perms = sorted(set(map(tuple, perms)))
         ident = tuple(range(degree))
         if perms[0] != ident:
@@ -381,23 +376,6 @@ class PermutationGroup(FiniteGroup):
             rank[cls] = np.arange(self.order)
             cached = self._rank_cache = (perms, steps, rank)
         return cached
-
-
-def _closure(degree, generators):
-    for g in generators:
-        if sorted(g) != list(range(degree)):
-            raise ValueError(f"{g} is not a permutation of [0, {degree})")
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in generators:
-            q = tuple(p[i] for i in g)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
 
 
 class FrobeniusFieldGroup(FiniteGroup):
@@ -548,12 +526,13 @@ def abelian_of_type(type_map: dict[int, list[int]]) -> FiniteGroup:
 
 
 def dihedral(n: int) -> PermutationGroup:
-    """Dihedral group of order 2n as symmetries of the n-gon, n >= 3."""
+    """Dihedral group of order 2n as symmetries of the n-gon, n >= 3: the
+    n rotations i -> i + k and the n reflections i -> k - i (mod n)."""
     if not 3 <= n <= 512:
         raise ValueError(f"dihedral parameter must be in [3, 512], got {n}")
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((n - i) % n for i in range(n))
-    return PermutationGroup(n, generators=[rot, ref], name=f"D{n}")
+    rotations = [[(i + k) % n for i in range(n)] for k in range(n)]
+    reflections = [[(k - i) % n for i in range(n)] for k in range(n)]
+    return PermutationGroup(n, perms=rotations + reflections, name=f"D{n}")
 
 
 def symmetric(d: int) -> PermutationGroup:

@@ -39,11 +39,10 @@ _BRUTE_FORCE_CAP = 1 << 24
 def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     """Relative order of every element of G over H, indexed by encoding.
 
-    A tabulated group reads its cached power table: the relative order of x
-    is one more than the first row k with x^(k+1) in H, and only the first
-    H.index rows are read. Other groups take one vectorised pass of at most
-    H.index steps. Either way an element with no power in H by the index
-    raises ValueError.
+    One vectorised pass of at most H.index steps over `multiply_array`, the
+    same for every group (`first_powers_in`). An element with no power in H
+    by the index raises ValueError, which only a member set that is not a
+    subgroup can cause.
     """
     n = G.order
     if n > _BRUTE_FORCE_CAP:
@@ -53,17 +52,7 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
         )
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
-    if not G.tabulated:
-        return first_powers_in(G, H.mask(), H.index)
-    hits = H.mask()[G.power_table()[:H.index]]
-    first = hits.argmax(axis=0)
-    missed = np.flatnonzero(~hits[first, np.arange(n)])
-    if missed.size:
-        raise ValueError(
-            f"no power x^m with 1 <= m <= {H.index} of element {int(missed[0])} lies in "
-            "the subgroup; its members do not form a subgroup"
-        )
-    return first + 1
+    return first_powers_in(G, H.mask(), H.index)
 
 
 def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]:

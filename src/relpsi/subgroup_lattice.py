@@ -113,16 +113,17 @@ def _closed(parent: FiniteGroup, members, generators=()) -> Subgroup:
 def generate(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing ``gens``, closed by vectorised steps
     over a member mask of G; refuses a G of more than 2^24 elements."""
-    gens = sorted(set(int(g) for g in gens))
-    for g in gens:
+    gens = list(gens)
+    for g in gens:  # in the order given, so an error names the first bad one
         G.check_encoding(g)
+    gens = sorted(set(map(int, gens)))
     if G.order > _CLOSURE_CAP:
         raise ValueError(f"subgroup closure capped at group order 2^24, {G.name} has {G.order}")
     members = np.flatnonzero(_close_right(G.multiply_array, G.order, gens))
     return _closed(G, members.tolist(), gens)
 
 
-def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, each exactly once, sorted by (order, element tuple).
 
     Seeds with the distinct cyclic subgroups <x>, each under its smallest
@@ -133,8 +134,8 @@ def all_subgroups(G: FiniteGroup, cap: int = _LATTICE_CAP) -> list[Subgroup]:
     double coset other than K itself: any other seed could only find a
     subgroup already known. Each generator tuple is joined at most once.
     """
-    if G.order > cap:
-        raise ValueError(f"subgroup enumeration capped at order {cap}, group has {G.order}")
+    if G.order > _LATTICE_CAP:
+        raise ValueError(f"subgroup enumeration capped at order {_LATTICE_CAP}, group has {G.order}")
     n = G.order
     table = G._table()
     cols = table.T.tolist()  # cols[g][x] = x*g

@@ -358,6 +358,12 @@ class TestBijectionCommand:
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))
         assert main(["bijection", path, "--subgroup", "1,a"]) == 1
 
+    def test_first_invalid_encoding_is_named(self, capsys, tmp_path):
+        # checked in the order given, not sorted: 5 comes before -1
+        path = write_cayley_file(tmp_path / "c4.txt", gc.cyclic(4))
+        assert main(["bijection", path, "--subgroup", "5,-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: 5 is not a valid element encoding")
+
 
 class TestJsonOutput:
     def test_roundtrip_byte_identical(self, tmp_path):

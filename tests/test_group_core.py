@@ -9,7 +9,7 @@ import relpsi as rp
 import relpsi.group_core as gc
 from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
-from reference import element_order, power, validate
+from reference import closure, element_order, power, validate
 
 
 SMALL_GROUPS = [
@@ -85,6 +85,14 @@ class TestConstructors:
     def test_dihedral4(self):
         assert gc.dihedral(4).order == 8
 
+    @pytest.mark.parametrize("n", [3, 4, 97, 512])
+    def test_dihedral_is_generated_by_a_rotation_and_a_reflection(self, n):
+        G = gc.dihedral(n)
+        rot = G.perms.index(tuple((i + 1) % n for i in range(n)))
+        ref = G.perms.index(tuple(-i % n for i in range(n)))
+        assert closure(G, [rot, ref]) == frozenset(range(2 * n)) == frozenset(G.elements())
+        validate(G)
+
     def test_alternating5(self):
         assert gc.alternating(5).order == 60
 
@@ -109,6 +117,8 @@ class TestConstructors:
             gc.symmetric(9)
         with pytest.raises(ValueError):
             gc.dihedral(2)
+        with pytest.raises(ValueError):
+            gc.dihedral(513)
         with pytest.raises(ValueError):
             gc.cyclic(0)
         with pytest.raises(ValueError):
@@ -288,8 +298,16 @@ def test_multiply_array_matches_scalar_multiply_above_table_cap(G):
     assert G.multiply_array(x, y).tolist() == expected
 
 
-@pytest.mark.parametrize("G", ABOVE_TABLE_CAP + [gc.cyclic(65536)], ids=lambda g: g.name)
+@pytest.mark.parametrize("G", ABOVE_TABLE_CAP + [
+    gc.cyclic(65536),
+    gc.symmetric(5),
+    gc.quaternion8(),
+    gc.frobenius_field(3, 2),
+    gc.from_cayley_table(gc.frobenius_field(2, 3).cayley_table(), name="Frob(2,3)-table"),
+], ids=lambda g: g.name)
 def test_inverses_above_table_cap_match_scalar_inverse(G):
-    assert G.order > gc.TABLE_CAP
-    assert G.inverses().tolist() == [G.inverse(a) for a in G.elements()]
-    assert not G.tabulated
+    # the same square-and-multiply pass runs on either side of the table cap;
+    # a table group's scalar inverse reads inverses(), so check x * x^-1 too
+    inv = G.inverses()
+    assert inv.tolist() == [G.inverse(a) for a in G.elements()]
+    assert not G.multiply_array(np.arange(G.order), inv).any()

@@ -65,11 +65,8 @@ class TestRelativeOrder:
         # {0, 1, 2, 3} has index 2 in C8, but 6 first lands in it at 6^3 = 2
         G = gc.cyclic(8)
         H = _closed(G, {0, 1, 2, 3})
-        with pytest.raises(ValueError, match="do not form a subgroup") as table_pass:
+        with pytest.raises(ValueError, match="do not form a subgroup"):
             relative_orders(G, H)
-        with pytest.raises(ValueError) as oracle:
-            first_powers_in(G, H.mask(), H.index)
-        assert str(table_pass.value) == str(oracle.value)
 
     def test_public_constructor_rejects_non_subgroup(self):
         # unchecked, {2, 4} gives relative order 2 to the element 1, a wrong number
@@ -82,23 +79,6 @@ class TestRelativeOrder:
             for H in subs:
                 expected = [relative_order_by_cyclic_intersection(G, H, x) for x in G.elements()]
                 assert relative_orders(G, H).tolist() == expected
-
-    def test_power_table_pass_matches_first_powers_in_on_catalog(self, catalog_subgroups):
-        for G, subs in catalog_subgroups:
-            for H in subs:
-                expected = first_powers_in(G, H.mask(), H.index)
-                assert relative_orders(G, H).tolist() == expected.tolist(), (G.name, H)
-
-    @pytest.mark.parametrize("make", [
-        lambda: gc.symmetric(5),
-        lambda: gc.dihedral(60),
-        lambda: gc.frobenius_field(2, 5),
-    ], ids=["S5", "D60", "Frob(2,5)"])
-    def test_power_table_pass_matches_first_powers_in(self, make):
-        G = make()
-        for H in all_subgroups(G, cap=G.order):
-            expected = first_powers_in(G, H.mask(), H.index)
-            assert relative_orders(G, H).tolist() == expected.tolist(), H
 
     def test_vectorised_pass_above_table_cap(self):
         G = gc.direct_product([gc.frobenius_field(2, 5), gc.cyclic(7)])
@@ -115,8 +95,17 @@ class TestRelativeOrder:
 
 
 def per_subgroup_sums(G, subgroups):
-    rels = [relative_orders(G, H) for H in subgroups]
+    """Each subgroup's sum and largest relative order from its own
+    `first_powers_in` pass, which is what `relative_orders` returns."""
+    rels = [first_powers_in(G, H.mask(), H.index) for H in subgroups]
     return [int(rel.sum()) for rel in rels], [int(rel.max()) for rel in rels]
+
+
+def frobenius_subgroups(G):
+    """The complement, the kernel and the cyclic subgroups of a spread of
+    elements of an affine Frobenius group, all from `generate`."""
+    gens = [[G.encode(0, 1)], G.kernel_elements()] + [[x] for x in range(0, G.order, 31)]
+    return [generate(G, g) for g in gens]
 
 
 class TestLatticeOrderSums:
@@ -124,16 +113,18 @@ class TestLatticeOrderSums:
         for G, subs in catalog_subgroups:
             assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs), G.name
 
-    @pytest.mark.parametrize("make", [
-        lambda: gc.symmetric(5),
-        lambda: gc.dihedral(60),
-        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
-        lambda: gc.frobenius_field(3, 2),
-    ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)"])
-    def test_matches_relative_orders(self, make):
-        # D60's 180 subgroups take two blocks of the gather
+    @pytest.mark.parametrize("make, subgroups", [
+        (lambda: gc.symmetric(5), all_subgroups),
+        (lambda: gc.dihedral(60), all_subgroups),
+        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), all_subgroups),
+        (lambda: gc.frobenius_field(3, 2), all_subgroups),
+        (lambda: gc.frobenius_field(2, 5), frobenius_subgroups),
+    ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)", "Frob(2,5)"])
+    def test_matches_relative_orders(self, make, subgroups):
+        # D60's 180 subgroups take two blocks of the gather; Frob(2,5), of
+        # order 992, is above the lattice cap
         G = make()
-        subs = all_subgroups(G)
+        subs = subgroups(G)
         assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
 
     def test_wrong_parent_rejected(self):
