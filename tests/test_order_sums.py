@@ -80,6 +80,20 @@ class TestRelativeOrder:
                 expected = [relative_order_by_cyclic_intersection(G, H, x) for x in G.elements()]
                 assert relative_orders(G, H).tolist() == expected
 
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+    ], ids=["S5", "D60"])
+    def test_power_table_pass_matches_first_powers_in(self, make):
+        # element by element: the first row of the power table whose entry in
+        # column x lies in H, the read lattice_order_sums makes, against the
+        # first_powers_in pass behind relative_orders
+        G = make()
+        powers = G.power_table()
+        for H in all_subgroups(G):
+            expected = H.mask()[powers].argmax(axis=0) + 1
+            assert relative_orders(G, H).tolist() == expected.tolist(), H
+
     def test_vectorised_pass_above_table_cap(self):
         G = gc.direct_product([gc.frobenius_field(2, 5), gc.cyclic(7)])
         H = generate(G, [G.encode((1, 0)), G.encode((0, 1))])
