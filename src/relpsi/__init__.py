@@ -2,7 +2,6 @@
 subgroups, with the affine Frobenius counterexample family and bound checks."""
 
 from .numtheory import (
-    Factorization,
     factorize,
     frobenius_ratio_closed_form,
     index_ratio_bound,

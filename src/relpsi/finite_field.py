@@ -10,6 +10,8 @@ element, so they are O(1) after construction. Fields are capped at p^r <= 2^20.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .numtheory import factorize, is_prime
 
 __all__ = ["FiniteField"]
@@ -149,7 +151,7 @@ class FiniteField:
         if self.size == 2:
             return 1
         group_order = self.size - 1
-        prime_divs = factorize(group_order).primes
+        prime_divs = [t for t, _ in factorize(group_order)]
         for g in range(2, self.size):
             if all(self._raw_pow(g, group_order // t) != 1 for t in prime_divs):
                 return g
@@ -165,8 +167,11 @@ class FiniteField:
             exp[k] = acc
             log[acc] = k
             acc = self._raw_mul(acc, g)
-        self._exp = exp
-        self._log = log
+        # read-only int64 arrays, so a group product can gather through them
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.array(log, dtype=np.int64)
+        self._exp.setflags(write=False)
+        self._log.setflags(write=False)
 
     # -- element operations ---------------------------------------------------
 
@@ -176,15 +181,15 @@ class FiniteField:
             e = e * self.p + c % self.p
         return e
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        """Digit-wise sum mod p of two encodings, or elementwise of two int64
+        arrays."""
         if self.p == 2:
             return a ^ b
-        p, out, mult = self.p, 0, 1
+        p, out, place = self.p, 0, 1
         for _ in range(self.r):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+            out = out + (a // place + b // place) % p * place
+            place *= p
         return out
 
     def neg(self, a: int) -> int:
@@ -200,14 +205,14 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        return int(self._exp[(self._log[a] + self._log[b]) % (self.size - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of 0 in finite field")
             return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.size - 1)]
+        return int(self._exp[int(self._log[a]) * e % (self.size - 1)])
 
     def elements(self):
         return range(self.size)

@@ -280,22 +280,28 @@ def _check_associativity(table: np.ndarray) -> None:
 
     The elements b with (a*b)*c = a*(b*c) for all a, c are closed under the
     product, so checking b on a set S whose right-multiplication closure from
-    the identity is the whole table proves associativity. S is chosen
-    greedily, each new element outside the current closure; while every
-    check passes that closure is a group, so each new element at least
-    doubles it and S has at most log2(n) elements.
+    the identity is the whole table proves associativity.
     """
     n = table.shape[0]
-    gens: list[int] = []
-    while not (reached := _close_right(lambda x, y: table[x, y], n, gens)).all():
-        b = int(reached.argmin())
+    for b in _greedy_generators(lambda x, y: table[x, y], n):
         right = table[b]
         for rows in row_blocks(np.arange(n), n):
             bad = table[table[rows[:, 0], b]] != table[rows, right]
             if bad.any():
                 i, c = np.argwhere(bad)[0]
                 raise CayleyTableError(f"associativity fails at ({int(rows[i, 0])},{b},{int(c)})")
-        gens.append(b)
+
+
+def _greedy_generators(product, n: int):
+    """Yield a greedy generating set of [0, n) under ``product``: each new
+    element is the least one outside the right-multiplication closure of
+    those before it. The caller checks each element before the next is
+    chosen; while every check passes that closure is a group, so each new
+    element at least doubles it and the set has at most log2(n) elements."""
+    gens: list[int] = []
+    while not (reached := _close_right(product, n, gens)).all():
+        gens.append(int(reached.argmin()))
+        yield gens[-1]
 
 
 def _close_right(product, n: int, gens) -> np.ndarray:
@@ -319,9 +325,15 @@ def _close_right(product, n: int, gens) -> np.ndarray:
 
 
 class PermutationGroup(FiniteGroup):
-    """Group of the permutations ``perms`` of [0, degree), which must be
-    closed under composition; elements are sorted lexicographically (which
-    puts the identity at encoding 0)."""
+    """Group of the permutations ``perms`` of [0, degree); elements are
+    sorted lexicographically (which puts the identity at encoding 0).
+
+    The constructor raises ValueError unless ``perms`` is closed under
+    composition. It checks right multiplication by each element of a greedy
+    generating set exactly: products of members by checked generators are
+    members, so the ranking of `_product_array` names them exactly, and
+    every member is a product of those generators.
+    """
 
     def __init__(self, degree: int, perms, name: str = "perm-group"):
         self.degree = degree
@@ -333,6 +345,13 @@ class PermutationGroup(FiniteGroup):
         self.order = len(perms)
         self._index = {p: i for i, p in enumerate(perms)}
         self.name = name
+        array = self._ranking()[0]
+        for s in _greedy_generators(self._product_array, self.order):
+            # each x*s composed directly, against the member the ranking names
+            bad = (array[:, array[s]] != array[self._product_array(np.arange(self.order), s)]).any(axis=1)
+            if bad.any():
+                raise ValueError(f"permutations not closed under composition: "
+                                 f"{perms[int(bad.argmax())]} * {perms[s]} is not a member")
 
     def multiply(self, a, b):
         pa, pb = self.perms[a], self.perms[b]
@@ -400,9 +419,6 @@ class FrobeniusFieldGroup(FiniteGroup):
     def encode(self, a: int, k: int) -> int:
         return a * (self.q - 1) + k
 
-    def decode(self, e: int) -> tuple[int, int]:
-        return divmod(e, self.q - 1)
-
     def multiply(self, x, y):
         q1 = self.q - 1
         a, k = divmod(x, q1)
@@ -423,27 +439,9 @@ class FrobeniusFieldGroup(FiniteGroup):
         q1 = self.q - 1
         a, k = np.divmod(x, q1)
         b, l = np.divmod(y, q1)
-        log, exp = self._log_exp()
-        gb = np.where(b == 0, 0, exp[(k + log[b]) % q1])
-        return self._field_add(a, gb) * q1 + (k + l) % q1
-
-    def _log_exp(self):
-        cached = getattr(self, "_log_exp_cache", None)
-        if cached is None:
-            f = self.field
-            cached = self._log_exp_cache = (np.array(f._log, dtype=np.int64),
-                                             np.array(f._exp, dtype=np.int64))
-        return cached
-
-    def _field_add(self, a, b):
-        p = self.field.p
-        if p == 2:
-            return a ^ b
-        out, place = 0, 1
-        for _ in range(self.field.r):
-            out = out + (a // place + b // place) % p * place
-            place *= p
-        return out
+        f = self.field
+        gb = np.where(b == 0, 0, f._exp[(k + f._log[b]) % q1])
+        return f.add(a, gb) * q1 + (k + l) % q1
 
     def kernel_elements(self) -> list[int]:
         """Encodings of the normal elementary-abelian part {(a, 0)}."""
@@ -545,23 +543,10 @@ def symmetric(d: int) -> PermutationGroup:
 def alternating(d: int) -> PermutationGroup:
     if not 1 <= d <= 8:
         raise ValueError(f"alternating degree must be in [1, 8], got {d}")
-    perms = [p for p in itertools.permutations(range(d)) if _parity(p) == 0]
+    # the even permutations: those with an even number of inversions
+    perms = [p for p in itertools.permutations(range(d))
+             if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
     return PermutationGroup(d, perms=perms, name=f"A{d}")
-
-
-def _parity(p):
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 def quaternion8() -> CayleyTableGroup:

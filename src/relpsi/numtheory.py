@@ -8,13 +8,11 @@ Floats never appear in results.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
 __all__ = [
-    "Factorization",
     "factorize",
     "is_prime",
     "is_mersenne_exponent",
@@ -25,37 +23,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """n = p1^a1 * p2^a2 * ... * pk^ak with p1 < p2 < ... < pk.
-
-    ``factors`` is empty exactly when value == 1.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-    @property
-    def primes(self) -> list[int]:
-        return [p for p, _ in self.factors]
-
-    @property
-    def smallest_prime(self) -> int:
-        return self.factors[0][0]
-
-    @property
-    def largest_prime(self) -> int:
-        return self.factors[-1][0]
-
-
-def factorize(n: int) -> Factorization:
-    """Exact factorization of n >= 1 into certified primes.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact factorization of n >= 1 into certified primes: the pairs (p, a)
+    with p^a exactly dividing n, primes ascending (none for n = 1).
 
     Trial division strips the prime factors below ``_TRIAL_BOUND``, which
     factors every n below ``_TRIAL_BOUND ** 2`` completely. A larger
@@ -82,7 +52,7 @@ def factorize(n: int) -> Factorization:
         factors += sorted(Counter(_large_prime_factors(m)).items())
     elif m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
@@ -242,8 +212,8 @@ def psi_cyclic_lower_bound(n: int) -> Fraction:
     """Quadratic lower bound p_min * n^2 / (p_max + 1) for psi_cyclic(n), n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2 (n = 1 has no prime divisors), got {n}")
-    fac = factorize(n)
-    return Fraction(fac.smallest_prime * n * n, fac.largest_prime + 1)
+    primes = [p for p, _ in factorize(n)]
+    return Fraction(primes[0] * n * n, primes[-1] + 1)
 
 
 def frobenius_ratio_closed_form(r: int) -> Fraction:

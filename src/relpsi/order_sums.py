@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .group_core import _BLOCK, FiniteGroup, first_powers_in
-from .numtheory import Factorization, factorize, is_prime, psi_cyclic
+from .numtheory import factorize, is_prime, psi_cyclic
 from .subgroup_lattice import Subgroup
 
 __all__ = [
@@ -137,14 +137,14 @@ class IndexRatioBounds:
     spread: Fraction
 
 
-def ratio_bounds_for_index(q: int | Factorization) -> IndexRatioBounds:
-    fac = q if isinstance(q, Factorization) else factorize(q)
-    if fac.value < 2:
+def ratio_bounds_for_index(q: int) -> IndexRatioBounds:
+    primes = [p for p, _ in factorize(q)]
+    if q < 2:
         raise ValueError("index 1 carries no bound claims")
     product = Fraction(1)
-    for p, _ in fac:
+    for p in primes:
         product *= Fraction(p + 1, p)
-    spread = Fraction(fac.largest_prime + 1, fac.smallest_prime)
+    spread = Fraction(primes[-1] + 1, primes[0])
     return IndexRatioBounds(product=product, spread=spread)
 
 

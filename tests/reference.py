@@ -1,10 +1,10 @@
 """Scalar reference arithmetic for the tests.
 
-Powers, element orders, relative orders, subgroup closure and the group-axiom
-check, each built on a group's scalar `multiply`/`inverse` alone and never on
-`multiply_array`, the power table or `first_powers_in`. The program computes
-these quantities with its vectorised engine only, so the tests compare that
-engine against this independent one.
+Powers, element orders, relative orders, subgroup closure, nilpotency and the
+group-axiom check, each built on a group's scalar `multiply`/`inverse` alone
+and never on `multiply_array`, the power table or `first_powers_in`. The
+program computes these quantities with its vectorised engine only, so the
+tests compare that engine against this independent one.
 """
 
 import weakref
@@ -102,3 +102,21 @@ def validate(G):
     bad = np.flatnonzero(table[inv, np.arange(G.order)] != G.identity)
     if bad.size:
         raise CayleyTableError(f"inverse() disagrees with the table at {int(bad[0])}")
+
+
+def is_nilpotent(G):
+    """Every Sylow subgroup is normal: for each p^a exactly dividing |G|, the
+    elements of p-power order number exactly p^a and are closed under the
+    scalar `multiply`, so they are the one Sylow p-subgroup."""
+    n, orders = G.order, [element_order(G, x) for x in G.elements()]
+    for p in (d for d in _divisors(n)[1:] if _divisors(d) == [1, d]):
+        p_part = p
+        while n % (p_part * p) == 0:
+            p_part *= p
+        sylow = [x for x, m in zip(G.elements(), orders) if p_part % m == 0]
+        if len(sylow) != p_part:
+            return False
+        members = set(sylow)
+        if any(G.multiply(x, y) not in members for x in sylow for y in sylow):
+            return False
+    return True

@@ -1,10 +1,13 @@
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import relpsi.group_core as gc
+import reference
 from relpsi.classify import _derived_of_members, is_nilpotent, is_solvable
+from relpsi.verify import default_catalog
 
 
 def derived_subgroup(G):
@@ -48,6 +51,14 @@ class TestSolvable:
             if G.order < 60:
                 assert is_solvable(G), G.name
 
+    def test_refused_above_table_cap_at_once(self):
+        G = gc.symmetric(7)
+        assert G.order > gc.TABLE_CAP
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="classification budget exceeded at order 5040"):
+            is_solvable(G)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestNilpotent:
     def test_abelian(self):
@@ -87,6 +98,20 @@ class TestNilpotent:
 
         with pytest.raises(ValueError, match="budget"):
             is_nilpotent(Fake())
+
+    def test_matches_sylow_closure_reference_on_catalog(self):
+        for G in default_catalog(200, include_frobenius=True):
+            assert is_nilpotent(G) == reference.is_nilpotent(G), G.name
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.frobenius_field(2, 5),
+        lambda: gc.frobenius_field(5, 2),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(5)]),
+    ], ids=["Frob(2,5)", "Frob(5,2)", "Frob(2,3)xC3", "Frob(2,3)xC5"])
+    def test_matches_sylow_closure_reference_on_frobenius(self, make):
+        G = make()
+        assert is_nilpotent(G) is reference.is_nilpotent(G) is False
 
 
 def _sympy_cases():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from relpsi.finite_field import FiniteField, find_irreducible
@@ -58,6 +59,13 @@ class TestArithmetic:
             for b in F.elements():
                 for c in F.elements():
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+    @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 2), (7, 1)])
+    def test_add_takes_arrays_like_encodings(self, p, r):
+        F = FiniteField(p, r)
+        a, b = np.divmod(np.arange(F.size * F.size, dtype=np.int64), F.size)
+        assert F.add(a, b).tolist() == [F.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert not F._log.flags.writeable and not F._exp.flags.writeable
 
     def test_subtraction_and_negation(self):
         F = FiniteField(3, 2)

@@ -96,6 +96,34 @@ class TestConstructors:
     def test_alternating5(self):
         assert gc.alternating(5).order == 60
 
+    def test_permutations_not_closed_are_rejected(self):
+        # (1,0,2) * (0,2,1) = (1,2,0) is missing
+        with pytest.raises(ValueError, match="not closed under composition"):
+            gc.PermutationGroup(3, perms=[(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+        # {e, s, g, g*s} with s = (2 3), g = (0 1 2): right multiplication by
+        # s, the first generator, keeps the set; by g, the second, does not
+        with pytest.raises(ValueError, match=r"\(0, 1, 3, 2\) \* \(1, 2, 0, 3\) is not a member"):
+            gc.PermutationGroup(4, perms=[(0, 1, 2, 3), (0, 1, 3, 2), (1, 2, 0, 3), (1, 2, 3, 0)])
+
+    @pytest.mark.parametrize("make, k", [
+        *((gc.symmetric, d) for d in range(1, 9)),
+        *((gc.alternating, d) for d in range(1, 9)),
+        *((gc.dihedral, n) for n in (3, 60, 512)),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_closed_permutation_groups_build(self, make, k):
+        # every product names the composition (a*b)[i] = a[b[i]] itself: the
+        # whole table up to TABLE_CAP, a seeded sample of pairs above it
+        G = make(k)
+        perms = np.array(G.perms).reshape(G.order, G.degree)
+        if G.tabulated:
+            table = G.cayley_table()
+            for a in G.elements():
+                assert (perms[table[a]] == perms[a][perms]).all(), a
+        else:
+            x, y = np.random.default_rng(1).integers(0, G.order, size=(2, 2000))
+            composed = np.take_along_axis(perms[x], perms[y], axis=1)
+            assert (perms[G.multiply_array(x, y)] == composed).all()
+
     def test_quaternion8_profile(self):
         Q8 = gc.quaternion8()
         counts = Counter(element_order(Q8, x) for x in Q8.elements())

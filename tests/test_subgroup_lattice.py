@@ -100,6 +100,17 @@ class TestSubgroupConstructor:
     def test_members_alone_give_no_generators(self):
         assert Subgroup(gc.cyclic(6), {0, 2, 4}).generators == ()
 
+    @pytest.mark.parametrize("members, message", [
+        ({2, 4}, "misses the identity"),
+        ({0, 6}, "outside the encodings"),
+        ({0, 1, 2, 3}, "does not divide"),
+        # the product check alone rejects a set whose inverses are missing
+        ({0, 1, 2}, "closed under the product"),
+    ])
+    def test_non_subgroup_rejected(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            Subgroup(gc.cyclic(6), members)
+
 
 class TestAllSubgroups:
     def test_c6(self):
