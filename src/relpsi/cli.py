@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / no violated claim, 1 bad input or parse error,
-2 brute-force cross-check mismatch, 3 a scanned claim was violated (for
-``scan`` this is the expected outcome once the catalog contains the affine
-Frobenius groups; for ``bijection`` it means no bijection exists).
+2 brute-force cross-check mismatch or a bijection certificate that fails
+its check, 3 a scanned claim was violated (for ``scan`` this is the
+expected outcome once the catalog contains the affine Frobenius groups; for
+``bijection`` it means no bijection exists).
 
 Cayley-table file format: optional ``#`` comment lines; first data line is
 the order n; then n lines of n whitespace-separated encodings in [0, n) with
@@ -251,6 +252,11 @@ def cmd_bijection(args) -> tuple[int, str, list]:
     G = load_cayley_file(args.group_file)
     H = generate(G, _parse_generators(args.subgroup))
     result = verify.bijection_exists(G, H)
+    label = f"bijection {args.group_file} --subgroup {args.subgroup}"
+    problem = verify.check_bijection(G, H, result)
+    if problem is not None:
+        print(f"CERTIFICATE MISMATCH: {problem}")
+        return EXIT_MISMATCH, label, [{"exists": result.exists, "certificate_error": problem}]
     if result.exists:
         print("BIJECTION EXISTS")
         doc = {"exists": True, "witness": list(result.witness)}
@@ -267,7 +273,7 @@ def cmd_bijection(args) -> tuple[int, str, list]:
             "deficiency": result.deficiency(),
         }
         code = EXIT_VIOLATION
-    return code, f"bijection {args.group_file} --subgroup {args.subgroup}", [doc]
+    return code, label, [doc]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,11 @@ power table all come from it. A group of order at most TABLE_CAP builds one
 compact Cayley table on first use, from the array product, and caches it;
 `multiply_array` then reads that table, and the subgroup, classification and
 order-sum loops run on it. Above the cap `multiply_array` computes products
-arithmetically, so no table is built. Each class also keeps a scalar
+arithmetically, so no table is built. A direct product combines its
+factors' array products, so a factor never builds a table for its parent.
+`first_powers_in` gives relative orders, and element orders above the cap,
+in one pass over the divisors of the group order up to the index, each
+power formed from stored squares. Each class also keeps a scalar
 `multiply`/`inverse` that the program does not call: the tests check the
 array product against them and build their reference powers, element orders
 and relative orders on them.
@@ -21,7 +25,7 @@ import math
 import numpy as np
 
 from .finite_field import FiniteField
-from .numtheory import is_prime
+from .numtheory import factorize, is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -194,28 +198,50 @@ class FiniteGroup:
 
 def first_powers_in(G: FiniteGroup, inside: np.ndarray, limit: int) -> np.ndarray:
     """For every element x of G, the smallest m >= 1 with x^m in the set
-    marked by the boolean mask ``inside``, as an int64 array.
+    marked by the boolean mask ``inside``, a subgroup H of index ``limit``
+    (the trivial subgroup for element orders), as an int64 array.
 
-    Each step multiplies only the still-unresolved elements by x, so the
-    pass takes at most ``limit`` vectorised steps; an element still
-    unresolved after ``limit`` steps raises ValueError.
+    The m with x^m in H are the multiples of the least one, and x^|G| = 1,
+    so that one divides |G|; the cosets H, Hx, ..., Hx^(m-1) are distinct,
+    so it is at most the index. The pass tries only the divisors d of |G|
+    with 1 < d <= limit, in ascending order: x^d is the previous divisor's
+    power times x^(d - d_prev), a product of the stored squares x^(2^j), so
+    it never takes more products than a walk through every m. Elements go
+    in blocks of _BLOCK / 32, which bounds the stored squares and keeps a
+    block's arrays in cache, where the array products run faster per
+    element than on 2^20 elements. An element that no divisor's power puts
+    in the set raises ValueError, which only a non-subgroup can cause.
     """
+    divisors = [1]
+    for p, a in factorize(G.order):
+        divisors = [d * p ** i for d in divisors for i in range(a + 1)]
+    divisors = sorted(d for d in divisors if 1 < d <= limit)
     orders = np.ones(G.order, dtype=np.int64)
-    todo = np.flatnonzero(~inside)
-    power = todo
-    m = 1
-    while todo.size:
-        if m >= limit:
+    outside = np.flatnonzero(~inside)
+    step = max(1, _BLOCK >> 5)
+    for lo in range(0, outside.size, step):
+        todo = outside[lo:lo + step]
+        squares, power, prev = [todo], todo, 1
+        for d in divisors:
+            gap = d - prev
+            for j in range(gap.bit_length()):
+                if len(squares) == j:
+                    squares.append(G.multiply_array(squares[-1], squares[-1]))
+                if gap >> j & 1:
+                    power = G.multiply_array(power, squares[j])
+            prev = d
+            hit = inside[power]
+            orders[todo[hit]] = d
+            miss = ~hit
+            todo, power = todo[miss], power[miss]
+            if not todo.size:
+                break
+            squares = [s[miss] for s in squares]
+        if todo.size:
             raise ValueError(
-                f"no power x^m with 1 <= m <= {limit} of element {int(todo[0])} lies in "
-                "the subgroup; its members do not form a subgroup"
+                f"no power x^d with d dividing {G.order} and 1 <= d <= {limit} of element "
+                f"{int(todo[0])} lies in the subgroup; its members do not form a subgroup"
             )
-        m += 1
-        power = G.multiply_array(power, todo)
-        hit = inside[power]
-        orders[todo[hit]] = m
-        miss = ~hit
-        todo, power = todo[miss], power[miss]
     return orders
 
 
@@ -253,6 +279,9 @@ class CayleyTableGroup(FiniteGroup):
 
     def inverse(self, a):
         return int(self.inverses()[a])
+
+    def _product_array(self, x, y):
+        return self._table_cache[x, y].astype(np.int64)
 
 
 def _validate_table(table: np.ndarray) -> None:
@@ -489,7 +518,7 @@ class DirectProductGroup(FiniteGroup):
         place = self.order
         for g in self.factors:
             place //= g.order
-            out += g.multiply_array(x // place % g.order, y // place % g.order) * place
+            out += g._product_array(x // place % g.order, y // place % g.order) * place
         return out
 
 

@@ -39,10 +39,10 @@ _BRUTE_FORCE_CAP = 1 << 24
 def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     """Relative order of every element of G over H, indexed by encoding.
 
-    One vectorised pass of at most H.index steps over `multiply_array`, the
-    same for every group (`first_powers_in`). An element with no power in H
-    by the index raises ValueError, which only a member set that is not a
-    subgroup can cause.
+    One `first_powers_in` pass over the divisors of |G| up to H.index, the
+    same for every group. An element that no such divisor's power puts in H
+    raises ValueError, which only a member set that is not a subgroup can
+    cause.
     """
     n = G.order
     if n > _BRUTE_FORCE_CAP:

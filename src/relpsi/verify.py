@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from . import group_core
 from .classify import is_nilpotent, is_solvable
 from .group_core import CyclicGroup, FiniteGroup
@@ -36,6 +38,7 @@ __all__ = [
     "subgroup_ratio_scan",
     "build_counterexample",
     "bijection_exists",
+    "check_bijection",
     "scan_catalog",
     "frobenius_ratio_table",
     "default_catalog",
@@ -229,6 +232,40 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     deficient = {v: left[v] for v in left_vals if left_node[v] in reachable}
     neighborhood = {w: right[w] for w in right_vals if right_node[w] in reachable}
     return BijectionResult(exists=False, deficient_values=deficient, neighborhood_values=neighborhood)
+
+
+def check_bijection(G: FiniteGroup, H: Subgroup, result: BijectionResult) -> str | None:
+    """Check a decision of `bijection_exists` without the flow; return what
+    fails, or None. A witness must be a permutation of C_n in which each
+    element's relative order over H divides its image's, q / gcd(q, k) for
+    q = [G:H]. A deficiency must give the relative-order counts of its
+    values, and the C_n counts of exactly the values that some deficient
+    value divides, and the first total must exceed the second (Hall)."""
+    n = G.order
+    q = n // H.order
+    rel = relative_orders(G, H)
+    cyclic_rel = q // np.gcd(q, np.arange(n))
+    if result.exists:
+        witness = np.asarray(result.witness, dtype=np.int64)
+        if witness.shape != (n,) or not np.array_equal(np.sort(witness), np.arange(n)):
+            return "the witness is not a permutation of C_n"
+        bad = np.flatnonzero(cyclic_rel[witness] % rel)
+        if bad.size:
+            x = int(bad[0])
+            return (f"element {x} of relative order {rel[x]} maps to {int(witness[x])}, "
+                    f"of relative order {cyclic_rel[witness[x]]}")
+        return None
+    left, right = Counter(rel.tolist()), Counter(cyclic_rel.tolist())
+    deficient = result.deficient_values
+    if deficient != {v: left[v] for v in deficient}:
+        return f"the deficient values {deficient} do not count the relative orders"
+    reached = {w: c for w, c in right.items() if any(w % v == 0 for v in deficient)}
+    if result.neighborhood_values != reached:
+        return (f"the reachable values {result.neighborhood_values} are not those "
+                "divisible by a deficient value")
+    if sum(deficient.values()) <= sum(reached.values()):
+        return f"the deficient values {deficient} are not more than the values they reach {reached}"
+    return None
 
 
 def _inflate_witness(left_of, flow, left_node, right_node, pools):

@@ -61,6 +61,15 @@ class TestFrobenius:
         assert "OK" in out
         assert "n = 168" in out
 
+    def test_brute_force_above_table_cap_with_cofactor(self, capsys, tmp_path):
+        # Frob(2,7) x C11, 178 816 elements
+        path = tmp_path / "r7q11.json"
+        assert main(["frobenius", "--r", "7", "--q", "11", "--brute-force", "--json", str(path)]) == 0
+        assert "psi_H (brute force)  = 22358985 OK" in capsys.readouterr().out
+        result = json.loads(path.read_text())["results"][0]
+        assert result["verdict"] == "OK"
+        assert result["brute_force"] == result["psi_h"] == "22358985"
+
     def test_non_mersenne_rejected(self, capsys):
         assert main(["frobenius", "--r", "4"]) == 1
         assert "not prime" in capsys.readouterr().err
@@ -353,6 +362,41 @@ class TestBijectionCommand:
         out = capsys.readouterr().out
         assert "NO BIJECTION" in out
         assert "deficiency: 42" in out
+
+    def test_corrupted_witness_exits_2(self, capsys, tmp_path, monkeypatch):
+        from relpsi import verify
+
+        decide = verify.bijection_exists
+
+        def corrupted(G, H):
+            # 1 has relative order 3 over {0, 3}: give it the image 0, of relative order 1
+            witness = list(decide(G, H).witness)
+            y = witness.index(0)
+            witness[1], witness[y] = witness[y], witness[1]
+            return verify.BijectionResult(exists=True, witness=tuple(witness))
+
+        monkeypatch.setattr(verify, "bijection_exists", corrupted)
+        path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))
+        json_path = tmp_path / "out.json"
+        assert main(["bijection", path, "--subgroup", "3", "--json", str(json_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("CERTIFICATE MISMATCH: element ")
+        assert "BIJECTION EXISTS" not in out
+        doc = json.loads(json_path.read_text())["results"][0]
+        assert doc["exists"] is True and doc["certificate_error"] == out.split(": ", 1)[1].strip()
+
+    def test_corrupted_min_cut_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a residual graph that reaches nothing past the source names no
+        # deficient value, which proves nothing
+        from relpsi.matching import MaxFlow
+
+        monkeypatch.setattr(MaxFlow, "min_cut_reachable", lambda self, source: {source})
+        G = gc.frobenius_field(2, 3)
+        path = write_cayley_file(tmp_path / "frob.txt", G)
+        assert main(["bijection", path, "--subgroup", str(G.encode(0, 1))]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("CERTIFICATE MISMATCH: the deficient values {} are not more than")
+        assert "NO BIJECTION" not in out
 
     def test_bad_generator_list(self, capsys, tmp_path):
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))

@@ -9,6 +9,8 @@ import relpsi as rp
 import relpsi.group_core as gc
 from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
+from relpsi.order_sums import relative_orders
+from relpsi.verify import CounterexampleSpec, build_counterexample
 from reference import closure, element_order, power, validate
 
 
@@ -178,6 +180,32 @@ class TestDirectProduct:
         G = gc.direct_product([gc.cyclic(4), gc.dihedral(3)])
         assert G.encode((0, 0)) == 0
         assert G.decode(0) == (0, 0)
+
+    def test_factors_build_no_table_for_their_parent(self):
+        # Frob(2,5) (992 elements) is under the table cap, but a product of
+        # the 6944-element parent must not build its 992 x 992 table
+        G, H = build_counterexample(CounterexampleSpec(5, 7))
+        assert relative_orders(G, H).sum() == CounterexampleSpec(5, 7).psi_h
+        assert [getattr(f, "_table_cache", None) for f in G.factors] == [None, None]
+
+    def test_tabulated_product_keeps_its_factors_untabulated(self):
+        G = gc.direct_product([gc.quaternion8(), gc.symmetric(3), gc.cyclic(5)])
+        assert G.cayley_table().tolist() == [[G.multiply(a, b) for b in G.elements()]
+                                             for a in G.elements()]
+        assert getattr(G.factors[1], "_table_cache", None) is None
+        assert getattr(G.factors[2], "_table_cache", None) is None
+
+
+@pytest.mark.parametrize("G", [
+    gc.quaternion8(),
+    gc.from_cayley_table(gc.symmetric(4).cayley_table(), name="S4-table"),
+    gc.from_cayley_table(gc.frobenius_field(2, 3).cayley_table(), name="Frob(2,3)-table"),
+], ids=lambda g: g.name)
+def test_cayley_table_group_product_reads_its_table(G):
+    x = np.arange(G.order)
+    product = G._product_array(x[:, None], x)
+    assert product.dtype == np.int64
+    assert np.array_equal(product, G.cayley_table())
 
 
 class TestCayleyIngestion:

@@ -19,7 +19,7 @@ from relpsi.order_sums import (
     relative_orders,
 )
 from relpsi.subgroup_lattice import Subgroup, _closed, all_subgroups, generate
-from reference import relative_order, relative_order_by_cyclic_intersection
+from reference import element_order, relative_order, relative_order_by_cyclic_intersection
 
 
 def frobenius_complement(G):
@@ -106,6 +106,62 @@ class TestRelativeOrder:
         H = generate(other, [6])
         with pytest.raises(ValueError, match="does not belong"):
             relative_orders(G, H)
+
+
+def perm(G, cycles):
+    """Encoding of the permutation of [0, G.degree) with these cycles."""
+    image = list(range(G.degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+    return G._index[tuple(image)]
+
+
+def above_cap_cases():
+    """(label, G, H, sampled elements) above the table cap. Frob(2,7) over
+    its complement and its kernel steps through 2, 4, ..., 64, 127; S7 over
+    a point stabiliser (index 7) through every divisor up to 7; S8 over a
+    7-cycle (index 5760) through its divisors up to 15, the largest element
+    order."""
+    F, S7, S8 = gc.frobenius_field(2, 7), gc.symmetric(7), gc.symmetric(8)
+    stabiliser = generate(S7, [perm(S7, [(0, 1)]), perm(S7, [(0, 1, 2, 3, 4, 5)])])
+    return [
+        ("Frob(2,7)/complement", F, frobenius_complement(F), range(0, F.order, 61)),
+        ("Frob(2,7)/kernel", F, generate(F, F.kernel_elements()), range(5, F.order, 67)),
+        ("S7/stabiliser", S7, stabiliser, range(0, S7.order, 17)),
+        ("S8/7-cycle", S8, generate(S8, [perm(S8, [(0, 1, 2, 3, 4, 5, 6)])]), range(3, S8.order, 131)),
+    ]
+
+
+class TestDivisorSteps:
+    """`first_powers_in`, which is `relative_orders` and, above the table
+    cap, `element_orders`, steps only through divisors of |G| up to the
+    index, in blocks; checked here against the scalar walks of reference.py."""
+
+    def test_matches_reference_above_table_cap(self, monkeypatch):
+        # then again in blocks of 128 elements, on fresh groups: every array
+        # must equal the one-block pass
+        one_block = []
+        for label, G, H, sample in above_cap_cases():
+            assert G.order > gc.TABLE_CAP
+            rel, orders = relative_orders(G, H), G.element_orders()
+            assert [int(rel[x]) for x in sample] == [relative_order(G, H, x) for x in sample], label
+            assert [int(orders[x]) for x in sample] == [element_order(G, x) for x in sample], label
+            one_block.append((rel.tolist(), orders.tolist()))
+        monkeypatch.setattr(gc, "_BLOCK", 1 << 12)
+        for (label, G, H, _), (rel, orders) in zip(above_cap_cases(), one_block):
+            assert relative_orders(G, H).tolist() == rel, label
+            assert G.element_orders().tolist() == orders, label
+
+    def test_steps_for_the_frobenius_complement(self, monkeypatch):
+        # a step per m up to the index took 126 products for Frob(2,7)
+        G = gc.frobenius_field(2, 7)
+        H = frobenius_complement(G)
+        calls = []
+        product = G.multiply_array
+        monkeypatch.setattr(G, "multiply_array", lambda x, y: calls.append(1) or product(x, y))
+        assert psi_relative(G, H) == psi_relative_frobenius_formula(2, 7)
+        assert len(calls) <= 20
 
 
 def per_subgroup_sums(G, subgroups):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,18 +6,29 @@ import pytest
 import relpsi.group_core as gc
 from relpsi.classify import is_nilpotent
 from relpsi.numtheory import frobenius_ratio_closed_form
-from relpsi.order_sums import psi_ratio
+from relpsi.order_sums import psi_ratio, relative_orders
 from relpsi.subgroup_lattice import generate
 from relpsi.verify import (
     CounterexampleSpec,
     bijection_exists,
     build_counterexample,
+    check_bijection,
     default_catalog,
     frobenius_ratio_table,
     scan_catalog,
     subgroup_ratio_scan,
 )
 from reference import relative_order
+
+
+def corrupt_witness(G, H, res):
+    """``res`` with two images swapped so that an element of relative order
+    above 1 maps to 0, of relative order 1 in C_n."""
+    witness = list(res.witness)
+    x = int(relative_orders(G, H).argmax())
+    y = witness.index(0)
+    witness[x], witness[y] = witness[y], witness[x]
+    return replace(res, witness=tuple(witness))
 
 
 class TestSubgroupRatioScan:
@@ -147,6 +159,42 @@ class TestBijection:
             for H in subs:
                 if psi_ratio(G, H) > 1:
                     assert not bijection_exists(G, H).exists
+
+    def test_every_catalog_certificate_checks(self, catalog_subgroups_64):
+        decisions = set()
+        for G, subs in catalog_subgroups_64:
+            for H in subs:
+                res = bijection_exists(G, H)
+                assert check_bijection(G, H, res) is None, (G.name, H)
+                decisions.add(res.exists)
+        assert decisions == {True, False}
+
+    def test_corrupted_witness_is_caught(self):
+        G = gc.symmetric(4)
+        H = generate(G, [1])
+        res = bijection_exists(G, H)
+        assert res.exists and check_bijection(G, H, res) is None
+        bad = corrupt_witness(G, H, res)
+        assert "maps to" in check_bijection(G, H, bad)
+        repeated = replace(res, witness=res.witness[:-1] + res.witness[:1])
+        assert check_bijection(G, H, repeated) == "the witness is not a permutation of C_n"
+        assert check_bijection(G, H, replace(res, witness=res.witness[:-1])) is not None
+
+    def test_corrupted_deficiency_is_caught(self):
+        G = gc.frobenius_field(2, 3)
+        H = generate(G, [G.encode(0, 1)])
+        res = bijection_exists(G, H)
+        assert not res.exists and check_bijection(G, H, res) is None
+        # {7: 42} reaches no value of C_56; adding 1 and 7 claims more
+        miscounted = replace(res, deficient_values={7: 41})
+        assert "do not count" in check_bijection(G, H, miscounted)
+        unreached = replace(res, neighborhood_values={1: 7})
+        assert "not those divisible" in check_bijection(G, H, unreached)
+        no_violation = replace(res, deficient_values={1: 7, 7: 42},
+                               neighborhood_values={1: 7, 2: 7, 4: 14, 8: 28})
+        assert "not more than" in check_bijection(G, H, no_violation)
+        empty = replace(res, deficient_values={}, neighborhood_values={})
+        assert "not more than" in check_bijection(G, H, empty)
 
     def test_cap(self):
         class Fake(gc.FiniteGroup):
