@@ -144,12 +144,15 @@ def cmd_psi_cyclic(args) -> tuple[int, str, list]:
 
 def cmd_frobenius(args) -> tuple[int, str, list]:
     spec = verify.CounterexampleSpec(r=args.r, q=args.q or 0)
-    # 2^13 * (2^13 - 1) > 2^24 already, so a larger r is refused before 2^r is computed
-    if args.brute_force and args.r >= 3 and (args.r > 12 or spec.group_order > _BRUTE_FORCE_CAP):
-        cofactor = f" * {spec.q}" if spec.q else ""
-        raise ValueError(f"group of order 2^{args.r} * (2^{args.r} - 1){cofactor} exceeds the "
-                         "brute-force budget 2^24; use the closed form without --brute-force")
-    spec.validate()
+    if args.brute_force:
+        # 2^13 * (2^13 - 1) > 2^24 already, so a larger r is refused before 2^r is computed
+        if args.r >= 3 and (args.r > 12 or spec.group_order > _BRUTE_FORCE_CAP):
+            cofactor = f" * {spec.q}" if spec.q else ""
+            raise ValueError(f"group of order 2^{args.r} * (2^{args.r} - 1){cofactor} exceeds the "
+                             "brute-force budget 2^24; use the closed form without --brute-force")
+        G, H = verify.build_counterexample(spec)  # validates the spec
+    else:
+        spec.validate()
     n, m = spec.group_order, spec.subgroup_order
     ratio = frobenius_ratio_closed_form(args.r)
     psi_h = spec.psi_h
@@ -166,7 +169,6 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
     }
     code = EXIT_OK
     if args.brute_force:
-        G, H = verify.build_counterexample(spec)
         brute = psi_relative(G, H)
         verdict = "OK" if brute == psi_h else "MISMATCH"
         print(f"psi_H (brute force)  = {brute} {verdict}")
@@ -239,9 +241,10 @@ def cmd_ratios(args) -> tuple[int, str, list]:
     records = verify.subgroup_ratio_scan(G)
     for rec in records:
         mark = " VIOLATES" if rec.is_violation else ""
+        ratio = rec.ratio
         print(f"subgroup order {rec.subgroup_order:>4}: psi_H={rec.psi_h}  "
               f"reference={rec.cyclic_reference}  "
-              f"ratio={rec.ratio.numerator}/{rec.ratio.denominator}{mark}")
+              f"ratio={ratio.numerator}/{ratio.denominator}{mark}")
     violations = [rec for rec in records if rec.is_violation]
     print(f"{len(violations)} violations over {len(records)} subgroups")
     code = EXIT_VIOLATION if violations else EXIT_OK

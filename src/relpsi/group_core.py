@@ -72,12 +72,6 @@ class FiniteGroup:
     name: str = "G"
     identity: int = 0
 
-    def multiply(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inverse(self, a: int) -> int:
-        raise NotImplementedError
-
     @property
     def tabulated(self) -> bool:
         """True when products are read from the cached Cayley table."""
@@ -143,7 +137,7 @@ class FiniteGroup:
             else:
                 identity = np.zeros(self.order, dtype=bool)
                 identity[self.identity] = True
-                orders = first_powers_in(self, identity, self.order)
+                orders = first_powers_in(self, identity)
                 orders.setflags(write=False)
                 self._order_cache = orders
         return self._order_cache
@@ -196,22 +190,24 @@ class FiniteGroup:
         return f"<{type(self).__name__} {self.name} of order {self.order}>"
 
 
-def first_powers_in(G: FiniteGroup, inside: np.ndarray, limit: int) -> np.ndarray:
+def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     """For every element x of G, the smallest m >= 1 with x^m in the set
-    marked by the boolean mask ``inside``, a subgroup H of index ``limit``
-    (the trivial subgroup for element orders), as an int64 array.
+    marked by the boolean mask ``inside``, a subgroup H (the trivial
+    subgroup for element orders), as an int64 array.
 
     The m with x^m in H are the multiples of the least one, and x^|G| = 1,
     so that one divides |G|; the cosets H, Hx, ..., Hx^(m-1) are distinct,
-    so it is at most the index. The pass tries only the divisors d of |G|
-    with 1 < d <= limit, in ascending order: x^d is the previous divisor's
-    power times x^(d - d_prev), a product of the stored squares x^(2^j), so
-    it never takes more products than a walk through every m. Elements go
-    in blocks of _BLOCK / 32, which bounds the stored squares and keeps a
-    block's arrays in cache, where the array products run faster per
-    element than on 2^20 elements. An element that no divisor's power puts
-    in the set raises ValueError, which only a non-subgroup can cause.
+    so it is at most the index |G| / |H|. The pass tries only the divisors
+    d of |G| with 1 < d <= |G| / |H|, in ascending order: x^d is the
+    previous divisor's power times x^(d - d_prev), a product of the stored
+    squares x^(2^j), so it never takes more products than a walk through
+    every m. Elements go in blocks of _BLOCK / 32, which bounds the stored
+    squares and keeps a block's arrays in cache, where the array products
+    run faster per element than on 2^20 elements. An element that no
+    divisor's power puts in the set raises ValueError, which only a
+    non-subgroup can cause.
     """
+    limit = G.order // np.count_nonzero(inside)
     divisors = [1]
     for p, a in factorize(G.order):
         divisors = [d * p ** i for d in divisors for i in range(a + 1)]
@@ -354,20 +350,27 @@ def _close_right(product, n: int, gens) -> np.ndarray:
 
 
 class PermutationGroup(FiniteGroup):
-    """Group of the permutations ``perms`` of [0, degree); elements are
-    sorted lexicographically (which puts the identity at encoding 0).
+    """Group of the permutations ``perms`` of [0, degree), the degree being
+    their common length; elements are sorted lexicographically (which puts
+    the identity at encoding 0).
 
-    The constructor raises ValueError unless ``perms`` is closed under
-    composition. It checks right multiplication by each element of a greedy
-    generating set exactly: products of members by checked generators are
-    members, so the ranking of `_product_array` names them exactly, and
-    every member is a product of those generators.
+    The constructor raises ValueError for an empty list, a tuple that is not
+    a permutation of the same [0, degree) as the others, and a list not
+    closed under composition. It checks right multiplication by each
+    element of a greedy generating set exactly: products of members by
+    checked generators are members, so the ranking of `_product_array`
+    names them exactly, and every member is a product of those generators.
     """
 
-    def __init__(self, degree: int, perms, name: str = "perm-group"):
-        self.degree = degree
+    def __init__(self, perms, name: str = "perm-group"):
         perms = sorted(set(map(tuple, perms)))
-        ident = tuple(range(degree))
+        if not perms:
+            raise ValueError("no permutations given")
+        self.degree = len(perms[0])
+        ident = tuple(range(self.degree))
+        bad = next((p for p in perms if tuple(sorted(p)) != ident), None)
+        if bad is not None:
+            raise ValueError(f"{bad} is not a permutation of [0, {self.degree}), as {perms[0]} is")
         if perms[0] != ident:
             raise ValueError("element set does not contain the identity")
         self.perms = perms
@@ -559,14 +562,14 @@ def dihedral(n: int) -> PermutationGroup:
         raise ValueError(f"dihedral parameter must be in [3, 512], got {n}")
     rotations = [[(i + k) % n for i in range(n)] for k in range(n)]
     reflections = [[(k - i) % n for i in range(n)] for k in range(n)]
-    return PermutationGroup(n, perms=rotations + reflections, name=f"D{n}")
+    return PermutationGroup(rotations + reflections, name=f"D{n}")
 
 
 def symmetric(d: int) -> PermutationGroup:
     if not 1 <= d <= 8:
         raise ValueError(f"symmetric degree must be in [1, 8], got {d}")
     perms = list(itertools.permutations(range(d)))
-    return PermutationGroup(d, perms=perms, name=f"S{d}")
+    return PermutationGroup(perms, name=f"S{d}")
 
 
 def alternating(d: int) -> PermutationGroup:
@@ -575,7 +578,7 @@ def alternating(d: int) -> PermutationGroup:
     # the even permutations: those with an even number of inversions
     perms = [p for p in itertools.permutations(range(d))
              if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
-    return PermutationGroup(d, perms=perms, name=f"A{d}")
+    return PermutationGroup(perms, name=f"A{d}")
 
 
 def quaternion8() -> CayleyTableGroup:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .group_core import _BLOCK, FiniteGroup, first_powers_in
 from .numtheory import factorize, is_prime, psi_cyclic
-from .subgroup_lattice import Subgroup
+from .subgroup_lattice import Subgroup, _check_parent
 
 __all__ = [
     "IndexRatioBounds",
@@ -50,9 +50,8 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
             f"group of order {n} exceeds the brute-force budget 2^24; "
             "use a closed form instead"
         )
-    if H.parent is not G:
-        raise ValueError("subgroup does not belong to this group")
-    return first_powers_in(G, H.mask(), H.index)
+    _check_parent(G, H)
+    return first_powers_in(G, H.mask())
 
 
 def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]:
@@ -66,8 +65,7 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     ``all_subgroups`` and ``generate`` build them: unlike `relative_orders`
     this pass does not check that each is a subgroup.
     """
-    if any(H.parent is not G for H in subgroups):
-        raise ValueError("subgroup does not belong to this group")
+    _check_parent(G, *subgroups)
     powers = G.power_table()
     masks = np.stack([H.mask() for H in subgroups])
     step = max(1, _BLOCK // powers.size)

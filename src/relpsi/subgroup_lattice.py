@@ -214,6 +214,13 @@ def _cyclic_seeds(G: FiniteGroup) -> np.ndarray:
     return np.flatnonzero(smallest == np.arange(G.order))
 
 
+def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:
+    """Raise ValueError unless every one of ``subgroups`` was built on G
+    itself; every function of G and a subgroup calls it first, or one that does."""
+    if any(H.parent is not G for H in subgroups):
+        raise ValueError("subgroup does not belong to this group")
+
+
 def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):
     """g*h*g^-1 for g in gs and h in H, in blocks of rows (one per g)."""
     hs, inv = np.array(H.elements()), G.inverses()
@@ -222,6 +229,7 @@ def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+    _check_parent(G, H)
     inside = H.mask()
     return all(inside[c].all() for c in _conjugates(G, np.arange(G.order), H))
 
@@ -256,6 +264,7 @@ def is_isolated(G: FiniteGroup, H: Subgroup) -> bool:
 def conjugates_intersect_trivially(G: FiniteGroup, H: Subgroup) -> bool:
     """Malnormality: H meets each conjugate g*H*g^-1 with g outside H only in
     the identity."""
+    _check_parent(G, H)
     inside = H.mask()
     outside = np.flatnonzero(~inside)
     return not any((inside[c] & (c != G.identity)).any() for c in _conjugates(G, outside, H))

@@ -3,6 +3,7 @@ pipeline, the order-divisibility bijection decision, and catalog sweeps."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -57,9 +58,12 @@ class ViolationRecord:
     subgroup_generators: tuple[int, ...]
     psi_h: int
     cyclic_reference: int
-    ratio: Fraction
     nilpotent: bool
     solvable: bool
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.psi_h, self.cyclic_reference)
 
     @property
     def is_violation(self) -> bool:
@@ -88,9 +92,9 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     solvable = nilpotent or is_solvable(G)
     subgroups = all_subgroups(G)
     sums, _ = lattice_order_sums(G, subgroups)
+    references = {m: cyclic_reference(G.order, m) for m in {H.order for H in subgroups}}
     records = []
     for H, value in zip(subgroups, sums):
-        reference = cyclic_reference(G.order, H.order)
         records.append(
             ViolationRecord(
                 group=G.name,
@@ -98,8 +102,7 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
                 subgroup_order=H.order,
                 subgroup_generators=H.generators,
                 psi_h=value,
-                cyclic_reference=reference,
-                ratio=Fraction(value, reference),
+                cyclic_reference=references[H.order],
                 nilpotent=nilpotent,
                 solvable=solvable,
             )
@@ -296,7 +299,6 @@ class GroupScanResult:
     psi_value: int
     psi_cyclic_value: int
     records: list[ViolationRecord]
-    error: str | None = None
 
     @cached_property
     def violations(self) -> list[ViolationRecord]:
@@ -313,7 +315,7 @@ class GroupScanResult:
             "psi_cyclic": str(self.psi_cyclic_value),
             "violations": [rec.to_json_dict() for rec in self.violations],
             "subgroup_count": len(self.records),
-            "error": self.error,
+            "error": None,  # a group that fails is in CatalogReport.errors instead
         }
 
 
@@ -390,8 +392,12 @@ def default_catalog(max_order: int = 64, include_frobenius: bool = False) -> lis
     for n in range(1, max_order + 1):
         groups.append(CyclicGroup(n))
     for n in range(4, min(max_order, 32) + 1):
-        for type_map in _noncyclic_abelian_types(n):
-            groups.append(group_core.abelian_of_type(type_map))
+        # one partition of each prime's exponent; cyclic when all have one part
+        primes = factorize(n)
+        for parts in itertools.product(*(_partitions(a, a) for _, a in primes)):
+            if any(len(exponents) > 1 for exponents in parts):
+                type_map = {p: exponents for (p, _), exponents in zip(primes, parts)}
+                groups.append(group_core.abelian_of_type(type_map))
     for n in range(3, 13):
         if 2 * n <= max_order:
             groups.append(group_core.dihedral(n))
@@ -417,37 +423,11 @@ def default_catalog(max_order: int = 64, include_frobenius: bool = False) -> lis
     return groups
 
 
-def _noncyclic_abelian_types(n: int):
-    fac = factorize(n)
-    per_prime = []
-    for p, a in fac:
-        per_prime.append((p, _partitions(a)))
-    out = []
-
-    def rec(i, acc):
-        if i == len(per_prime):
-            if any(len(parts) > 1 for _, parts in acc):
-                out.append({p: list(parts) for p, parts in acc})
-            return
-        p, parts_list = per_prime[i]
-        for parts in parts_list:
-            rec(i + 1, acc + [(p, parts)])
-
-    rec(0, [])
-    return out
-
-
-def _partitions(a: int):
+def _partitions(a: int, most: int):
+    """The partitions of a into parts of at most ``most``, each a descending
+    tuple, in descending lexicographic order."""
     if a == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, maximum, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(a, a, [])
-    return out
+        yield ()
+    for part in range(min(a, most), 0, -1):
+        for rest in _partitions(a - part, part):
+            yield (part,) + rest

@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 import relpsi.group_core as gc
-from relpsi import numtheory
+from relpsi import numtheory, verify
 from relpsi.cli import load_cayley_file, main
 
 
@@ -25,6 +25,48 @@ def write_cayley_file(path, G, comment=None):
         lines.append(" ".join(str(int(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def bench_commands(tmp_path, monkeypatch):
+    """The seed-1 commands of one of the benchmark's workloads, by the name of
+    its function in perfbench/workloads.py, with their input files written
+    to the current directory, a fresh temporary one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    workloads = importlib.import_module("workloads")
+    return lambda name: getattr(workloads, name)(1, tmp_path)
+
+
+def run_benchmark_commands(commands):
+    """Run each command in this process and check its exit code and --json
+    report with the benchmark's own oracle."""
+    for command in commands:
+        code = main([*command.argv, "--json", "report.json"])
+        doc = json.loads(Path("report.json").read_text())
+        assert command.check(code, doc) == [], command.argv
+
+
+class TestBenchmarkCommands:
+    """Every other command of the benchmark at seed 1; catalog-scan and the
+    table-ingest analyses are checked in TestScan."""
+
+    def test_frobenius_brute(self, bench_commands, capsys):
+        commands = bench_commands("frobenius_brute")
+        assert [c.argv[0] for c in commands] == ["frobenius"] * 3
+        assert all("--brute-force" in c.argv for c in commands)
+        run_benchmark_commands(commands)
+
+    def test_table_ingest_bijections(self, bench_commands, capsys):
+        commands = [c for c in bench_commands("table_ingest") if c.argv[0] == "bijection"]
+        assert len(commands) == 6
+        run_benchmark_commands(commands)
+
+    def test_closed_form(self, bench_commands, capsys):
+        commands = bench_commands("closed_form")
+        assert sorted({c.argv[0] for c in commands}) == ["frobenius", "psi-cyclic"]
+        assert len(commands) == 15
+        run_benchmark_commands(commands)
 
 
 class TestPsiCyclic:
@@ -169,6 +211,21 @@ class TestLargeClosedForms:
         assert main(["frobenius", "--r", str(r), *flags]) == code
         assert calls == [2 ** r - 1] * runs
 
+    @pytest.mark.parametrize("argv, primes", [
+        (("--r", "7"), [("is_mersenne_exponent", 7)]),
+        (("--r", "5", "--q", "7"), [("is_mersenne_exponent", 5), ("is_prime", 7)]),
+    ], ids=["r7", "r5-q7"])
+    def test_frobenius_brute_force_validates_the_spec_once(self, argv, primes, monkeypatch, capsys):
+        calls = []
+        for name in ("is_mersenne_exponent", "is_prime"):
+            def counted(n, name=name, test=getattr(verify, name)):
+                calls.append((name, n))
+                return test(n)
+            monkeypatch.setattr(verify, name, counted)
+        assert main(["frobenius", *argv, "--brute-force"]) == 0
+        assert calls == primes
+        assert " OK\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv, order", [
         (("--r", 4423), "2^4423 * (2^4423 - 1)"),
         (("--r", 13), "2^13 * (2^13 - 1)"),
@@ -238,18 +295,12 @@ class TestScan:
         assert main(["scan", "--max-order", "100", "--include-frobenius", "--json", str(path)]) == 3
         assert json.loads(path.read_text())["results"] == json.loads(expected.read_text())
 
-    def test_table_ingest_matches_the_benchmark_expected_results(self, tmp_path, monkeypatch, capsys):
+    def test_table_ingest_matches_the_benchmark_expected_results(self, bench_commands, capsys):
         # the seed-1 tables of the benchmark's table-ingest workload, checked by its own oracles
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        monkeypatch.chdir(tmp_path)
-        workloads = importlib.import_module("workloads")
-        commands = [c for c in workloads.table_ingest(1, tmp_path) if c.argv[0] != "bijection"]
+        commands = [c for c in bench_commands("table_ingest") if c.argv[0] != "bijection"]
         assert sorted({c.argv[0] for c in commands}) == ["check-bounds", "ratios"]
         assert len(commands) == 8
-        for command in commands:
-            code = main([*command.argv, "--json", "report.json"])
-            doc = json.loads(Path("report.json").read_text())
-            assert command.check(code, doc) == [], command.argv
+        run_benchmark_commands(commands)
 
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"

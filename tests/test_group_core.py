@@ -101,11 +101,24 @@ class TestConstructors:
     def test_permutations_not_closed_are_rejected(self):
         # (1,0,2) * (0,2,1) = (1,2,0) is missing
         with pytest.raises(ValueError, match="not closed under composition"):
-            gc.PermutationGroup(3, perms=[(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+            gc.PermutationGroup([(0, 1, 2), (1, 0, 2), (0, 2, 1)])
         # {e, s, g, g*s} with s = (2 3), g = (0 1 2): right multiplication by
         # s, the first generator, keeps the set; by g, the second, does not
         with pytest.raises(ValueError, match=r"\(0, 1, 3, 2\) \* \(1, 2, 0, 3\) is not a member"):
-            gc.PermutationGroup(4, perms=[(0, 1, 2, 3), (0, 1, 3, 2), (1, 2, 0, 3), (1, 2, 3, 0)])
+            gc.PermutationGroup([(0, 1, 2, 3), (0, 1, 3, 2), (1, 2, 0, 3), (1, 2, 3, 0)])
+
+    @pytest.mark.parametrize("perms, message", [
+        ([], "no permutations given"),
+        ([(0, 1, 2), (0, 1)], r"^\(0, 1, 2\) is not a permutation of \[0, 2\), as \(0, 1\) is$"),
+        ([(0, 1), (1, 0), (0, 1, 2)], r"^\(0, 1, 2\) is not a permutation of \[0, 2\)"),
+        ([(0, 1, 2), (1, 2)], r"^\(1, 2\) is not a permutation of \[0, 3\)"),
+        # unchecked, {(0, 1), (1, 1)} passed as a group with table [[0, 1], [1, 1]]
+        ([(0, 1), (1, 1)], r"^\(1, 1\) is not a permutation of \[0, 2\)"),
+        ([(0, 1), (5, 7)], r"^\(5, 7\) is not a permutation of \[0, 2\)"),
+    ], ids=["empty", "longer-first", "longer-last", "shorter", "repeated-point", "outside-points"])
+    def test_tuples_that_are_not_permutations_of_one_degree_are_rejected(self, perms, message):
+        with pytest.raises(ValueError, match=message):
+            gc.PermutationGroup(perms)
 
     @pytest.mark.parametrize("make, k", [
         *((gc.symmetric, d) for d in range(1, 9)),

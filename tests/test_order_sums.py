@@ -167,7 +167,7 @@ class TestDivisorSteps:
 def per_subgroup_sums(G, subgroups):
     """Each subgroup's sum and largest relative order from its own
     `first_powers_in` pass, which is what `relative_orders` returns."""
-    rels = [first_powers_in(G, H.mask(), H.index) for H in subgroups]
+    rels = [first_powers_in(G, H.mask()) for H in subgroups]
     return [int(rel.sum()) for rel in rels], [int(rel.max()) for rel in rels]
 
 

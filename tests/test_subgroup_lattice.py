@@ -2,7 +2,7 @@ import pytest
 
 import relpsi.group_core as gc
 from relpsi.numtheory import factorize
-from relpsi.order_sums import psi, psi_relative
+from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import (
     _LATTICE_CAP,
     Subgroup,
@@ -14,7 +14,13 @@ from relpsi.subgroup_lattice import (
     is_normal,
     quotient,
 )
-from relpsi.verify import CounterexampleSpec, build_counterexample
+from relpsi.verify import (
+    BijectionResult,
+    CounterexampleSpec,
+    bijection_exists,
+    build_counterexample,
+    check_bijection,
+)
 from reference import closure, element_order
 
 
@@ -319,6 +325,29 @@ class TestConjugateIntersections:
         for H in all_subgroups(G):
             if H.order == 2:
                 assert conjugates_intersect_trivially(G, H)
+
+
+@pytest.mark.parametrize("entry_point", [
+    is_normal,
+    quotient,
+    is_isolated,
+    conjugates_intersect_trivially,
+    relative_orders,
+    lambda G, H: lattice_order_sums(G, [generate(G, [2]), H]),
+    psi_relative,
+    psi_ratio,
+    bijection_exists,
+    lambda G, H: check_bijection(G, H, BijectionResult(exists=True, witness=tuple(range(G.order)))),
+], ids=["is_normal", "quotient", "is_isolated", "conjugates_intersect_trivially",
+        "relative_orders", "lattice_order_sums", "psi_relative", "psi_ratio",
+        "bijection_exists", "check_bijection"])
+def test_subgroup_of_another_group_is_rejected(entry_point):
+    # S3 has the order of C6, so its masks index C6 without an IndexError:
+    # unchecked, is_normal answered True and quotient failed on its own table
+    G = gc.cyclic(6)
+    H = generate(gc.symmetric(3), [1])
+    with pytest.raises(ValueError, match="^subgroup does not belong to this group$"):
+        entry_point(G, H)
 
 
 def test_subgroup_order_divides_group_order(catalog_subgroups_64):

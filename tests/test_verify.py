@@ -1,7 +1,10 @@
+import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import relpsi.group_core as gc
 from relpsi.classify import is_nilpotent
@@ -268,8 +271,25 @@ class TestDefaultCatalog:
         assert all(G.order <= 64 for G in default_catalog(64, include_frobenius=True))
 
     def test_names_unique(self):
-        names = [G.name for G in default_catalog(100, include_frobenius=True)]
-        assert len(names) == len(set(names))
+        names = [G.name for G in default_catalog(200, include_frobenius=True)]
+        assert len(names) == len(set(names)) == 242
+
+    def test_abelian_groups_of_each_order_up_to_32(self):
+        # one abelian group for each choice of a partition of every exponent
+        # a_i of n = prod p_i^(a_i); abelian groups of one order are
+        # isomorphic iff they have the same multiset of element orders
+        catalog = default_catalog(32)
+        for n in range(1, 33):
+            abelian = [G for G in catalog if G.order == n
+                       and (G.cayley_table() == G.cayley_table().T).all()]
+            expected = math.prod(sympy.partition(a) for a in sympy.factorint(n).values())
+            assert len(abelian) == expected, n
+            orders = {tuple(sorted(Counter(G.element_orders().tolist()).items())) for G in abelian}
+            assert len(orders) == expected, n
+            assert len({G.name for G in abelian}) == expected, n
+        # the catalog lists them by partition, largest first part first
+        assert [G.name for G in catalog if G.order == 16 and G.name != "C16"][:4] == [
+            "C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2"]
 
     def test_frobenius_groups_opt_in(self):
         plain = {G.name for G in default_catalog(100)}
