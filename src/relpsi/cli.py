@@ -64,8 +64,11 @@ def load_cayley_file(path: str):
     """Parse and validate a Cayley-table file; raises ValueError with the
     offending line number on malformed input.
 
-    The table body is parsed by one vectorised ``np.loadtxt`` call; only
-    when that fails is it scanned line by line, to name the first bad line.
+    The table body is parsed by one vectorised ``np.loadtxt`` call straight
+    into the smallest unsigned dtype that holds an encoding, which the table
+    is validated and kept in. That call rejects a negative or overflowing
+    token, so only such a file or one it cannot parse is scanned line by
+    line, into Python ints, to name the first bad line or entry.
     """
     with open(path) as fh:
         data = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
@@ -75,8 +78,8 @@ def load_cayley_file(path: str):
     table = None
     if n >= 1 and len(data) == n + 1:
         try:
-            table = np.loadtxt([line for _, line in data[1:]], dtype=np.int64,
-                               ndmin=2, comments=None)
+            table = np.loadtxt([line for _, line in data[1:]],
+                               dtype=np.min_scalar_type(n - 1), ndmin=2, comments=None)
         except ValueError:
             pass
     if table is None or table.shape != (n, n):

@@ -263,11 +263,12 @@ class CyclicGroup(FiniteGroup):
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit n x n multiplication table."""
 
-    def __init__(self, table: np.ndarray, name: str = "table-group"):
-        table = np.asarray(table, dtype=np.int64)
-        _validate_table(table)
+    def __init__(self, table, name: str = "table-group"):
+        data = np.asarray(table)
+        table = _validate_table(data)
+        # the group owns its table: copy an input that had the compact dtype
+        self._table_cache = table.copy() if table is data else table
         self.order = int(table.shape[0])
-        self._table_cache = table.astype(np.min_scalar_type(self.order - 1))
         self.name = name
 
     def multiply(self, a, b):
@@ -280,24 +281,34 @@ class CayleyTableGroup(FiniteGroup):
         return self._table_cache[x, y].astype(np.int64)
 
 
-def _validate_table(table: np.ndarray) -> None:
-    """Exact check of the group axioms on a table: shape, entry range,
-    Latin square, two-sided identity 0, and associativity by Light's test."""
+def _validate_table(table: np.ndarray) -> np.ndarray:
+    """Exact check of the group axioms on a table of any integer dtype:
+    shape, entry range, Latin square, two-sided identity 0, and
+    associativity by Light's test. Past the range check every check runs on
+    the table in the smallest unsigned dtype that holds an encoding, which
+    is returned; it is the input itself when that had this dtype."""
+    if table.dtype.kind not in "iu":
+        raise CayleyTableError("table entries must be integers")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise CayleyTableError(f"table is not square: shape {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise CayleyTableError("table entries must lie in [0, n)")
-    ident = np.arange(n)
-    bad = np.flatnonzero((np.sort(table, axis=1) != ident).any(axis=1))
+    table = table.astype(np.min_scalar_type(n - 1), copy=False)
+    ident = np.arange(n, dtype=table.dtype)
+    # numpy radix-sorts 8-bit integers under "stable", where its default
+    # sort is several times slower than on wider types
+    kind = "stable" if table.itemsize == 1 else None
+    bad = np.flatnonzero((np.sort(table, axis=1, kind=kind) != ident).any(axis=1))
     if bad.size:
         raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
-    bad = np.flatnonzero((np.sort(table, axis=0) != ident[:, None]).any(axis=0))
+    bad = np.flatnonzero((np.sort(table, axis=0, kind=kind) != ident[:, None]).any(axis=0))
     if bad.size:
         raise CayleyTableError(f"column {int(bad[0])} is not a permutation (not a Latin square)")
     if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
         raise CayleyTableError("element 0 is not a two-sided identity")
     _check_associativity(table)
+    return table
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -305,16 +316,19 @@ def _check_associativity(table: np.ndarray) -> None:
 
     The elements b with (a*b)*c = a*(b*c) for all a, c are closed under the
     product, so checking b on a set S whose right-multiplication closure from
-    the identity is the whole table proves associativity.
+    the identity is the whole table proves associativity. For each b, rows
+    of (a*b)*c are gathered whole from the table and rows of a*(b*c) are the
+    rows a with their columns permuted by row b, all in the table's dtype.
     """
     n = table.shape[0]
     for b in _greedy_generators(lambda x, y: table[x, y], n):
         right = table[b]
-        for rows in row_blocks(np.arange(n), n):
-            bad = table[table[rows[:, 0], b]] != table[rows, right]
+        for block in row_blocks(np.arange(n), n):
+            rows = block[:, 0]
+            bad = table[table[rows, b]] != table[rows].take(right, axis=1)
             if bad.any():
                 i, c = np.argwhere(bad)[0]
-                raise CayleyTableError(f"associativity fails at ({int(rows[i, 0])},{b},{int(c)})")
+                raise CayleyTableError(f"associativity fails at ({int(rows[i])},{b},{int(c)})")
 
 
 def _greedy_generators(product, n: int):
@@ -322,24 +336,30 @@ def _greedy_generators(product, n: int):
     element is the least one outside the right-multiplication closure of
     those before it. The caller checks each element before the next is
     chosen; while every check passes that closure is a group, so each new
-    element at least doubles it and the set has at most log2(n) elements."""
+    element at least doubles it and the set has at most log2(n) elements.
+    Each closure grows the one before it under all the generators so far,
+    which reaches the same set as a closure from the identity."""
     gens: list[int] = []
-    while not (reached := _close_right(product, n, gens)).all():
+    reached = _close_right(product, n, gens)
+    while not reached.all():
         gens.append(int(reached.argmin()))
         yield gens[-1]
+        reached = _close_right(product, n, gens, reached)
 
 
-def _close_right(product, n: int, gens) -> np.ndarray:
-    """Boolean mask over [0, n) of the closure of the identity 0 under right
-    multiplication by ``gens``; ``product`` multiplies two encoding arrays.
+def _close_right(product, n: int, gens, reached=None) -> np.ndarray:
+    """Boolean mask over [0, n) of the closure under right multiplication by
+    ``gens`` of the subgroup marked by ``reached`` (grown in place; by
+    default the identity 0); ``product`` multiplies two encoding arrays.
     Each step multiplies the elements the last step reached, in row blocks,
     by every generator and by the first of those elements: that one is in
     the closure already, and it cuts the steps for one generator of order m
     far below m (67 for m = 65536)."""
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
+    if reached is None:
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
     right = np.append(np.asarray(gens, dtype=np.int64), 0)
-    frontier = np.zeros(1, dtype=np.int64)
+    frontier = np.flatnonzero(reached)
     while frontier.size:
         right[-1] = frontier[0]
         nxt = np.concatenate([product(rows, right).ravel()
@@ -615,7 +635,4 @@ def direct_product(factors) -> DirectProductGroup:
 
 def from_cayley_table(table, name: str = "table-group") -> CayleyTableGroup:
     """Validate and wrap raw table data (nested lists or array)."""
-    arr = np.asarray(table)
-    if arr.dtype.kind not in "iu":
-        raise CayleyTableError("table entries must be integers")
-    return CayleyTableGroup(arr, name=name)
+    return CayleyTableGroup(table, name=name)

@@ -27,6 +27,13 @@ def write_cayley_file(path, G, comment=None):
     return str(path)
 
 
+def cyclic_table_text(n, bump):
+    """C_n's Cayley-table file with entry (1, 1) raised by ``bump``."""
+    table = gc.cyclic(n).cayley_table()
+    table[1, 1] += bump
+    return f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+
+
 @pytest.fixture
 def bench_commands(tmp_path, monkeypatch):
     """The seed-1 commands of one of the benchmark's workloads, by the name of
@@ -366,8 +373,12 @@ class TestCayleyLoader:
         ("3\n0 1 2\n1 2 0\n", "{path}: expected 3 table rows, got 2"),
         ("3\n0 1 2\n1 2 0\n2 0 1\n0 1 2\n", "{path}: expected 3 table rows, got 4"),
         ("", "{path}: empty file"),
+        # 2 + 256 and 2 + 65536: entries that wrap to valid ones in the uint8
+        # and uint16 dtypes the table is parsed into
+        (cyclic_table_text(3, bump=256), "table entries must lie in [0, n)"),
+        (cyclic_table_text(300, bump=65536), "table entries must lie in [0, n)"),
     ], ids=["float", "plus-sign", "underscore", "negative", "2^64", "short-row",
-            "missing-row", "extra-row", "empty"])
+            "missing-row", "extra-row", "empty", "C3+256", "C300+65536"])
     def test_bad_input_message(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text(body)
@@ -397,6 +408,9 @@ class TestCayleyLoader:
         G = make()
         loaded = load_cayley_file(write_cayley_file(tmp_path / "g.txt", G, comment=G.name))
         assert np.array_equal(loaded.cayley_table(), G.cayley_table())
+        # kept as parsed, in uint8 up to order 256 (S5) and uint16 above (Frob(2,5))
+        assert loaded._table_cache.dtype == np.min_scalar_type(G.order - 1)
+        assert loaded.cayley_table().dtype == np.int64
 
 
 class TestBijectionCommand:

@@ -260,6 +260,28 @@ class TestCayleyIngestion:
         with pytest.raises(CayleyTableError, match="entries"):
             gc.from_cayley_table([[0, 1], [1, 5]])
 
+    @pytest.mark.parametrize("n, bump", [(3, 256), (300, 65536)], ids=["C3+256", "C300+65536"])
+    def test_entries_that_wrap_in_the_compact_dtype_rejected(self, n, bump):
+        # 256 and 65536 wrap to a valid entry in uint8 and uint16, the dtypes
+        # the table is kept in, so the range check comes before the cast
+        table = gc.cyclic(n).cayley_table()
+        table[1, 1] += bump
+        with pytest.raises(CayleyTableError, match=r"^table entries must lie in \[0, n\)$"):
+            gc.from_cayley_table(table)
+
+    @pytest.mark.parametrize("make", [gc.from_cayley_table, gc.CayleyTableGroup])
+    def test_float_entries_rejected(self, make):
+        # once truncated to C2 by the constructor
+        with pytest.raises(CayleyTableError, match="^table entries must be integers$"):
+            make([[0.0, 1.5], [1.5, 0.2]])
+
+    def test_compact_input_array_is_copied(self):
+        table = gc.cyclic(5).cayley_table().astype(np.uint8)
+        G = gc.from_cayley_table(table)
+        table[1] = table[2]
+        assert G._table_cache.dtype == np.uint8
+        assert np.array_equal(G.cayley_table(), gc.cyclic(5).cayley_table())
+
     def test_associativity_failure_above_order_512(self):
         # C2^11 with one intercalate swapped: still a Latin square with
         # identity 0, but with a few non-associative triples; sampling 10^5
@@ -270,6 +292,18 @@ class TestCayleyIngestion:
         table[2, [4, 7]] = table[2, [7, 4]]
         with pytest.raises(CayleyTableError, match="associativity"):
             gc.from_cayley_table(table)
+
+
+@pytest.mark.parametrize("make", [lambda: gc.symmetric(5), lambda: gc.dihedral(60),
+                                  lambda: gc.frobenius_field(2, 5)], ids=["S5", "D60", "Frob(2,5)"])
+def test_greedy_generators_match_closures_from_the_identity(make):
+    # each generator is the least element outside the scalar closure of the
+    # ones before it, that closure taken afresh from the identity
+    G = make()
+    want = []
+    while len(reached := closure(G, want)) < G.order:
+        want.append(min(set(G.elements()) - reached))
+    assert list(gc._greedy_generators(G.multiply_array, G.order)) == want
 
 
 def test_frobenius_kernel_and_complement_structure():
