@@ -126,14 +126,13 @@ def _parse_generators(text: str):
 
 def cmd_psi_cyclic(args) -> tuple[int, str, list]:
     n = args.n
+    if args.brute_force and n > 10 ** 6:
+        raise ValueError("brute-force path capped at n = 10^6")
     value = psi_cyclic(n)
     results = [{"n": n, "psi_cyclic": str(value)}]
     code = EXIT_OK
     if args.brute_force:
-        if n > 10 ** 6:
-            raise ValueError("brute-force path capped at n = 10^6")
-        # element k of C_n has order n / gcd(n, k); n <= 10^6 fits int32
-        brute = int(np.sum(n // np.gcd(np.arange(n, dtype=np.int32), n), dtype=np.int64))
+        brute = int(order_sums.cyclic_orders(n).sum(dtype=np.int64))
         verdict = "OK" if brute == value else "MISMATCH"
         print(f"{value} {brute} {verdict}")
         results[0]["brute_force"] = str(brute)
@@ -217,13 +216,16 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
     failures = []
     rows = []
     subgroups = all_subgroups(G)
+    # one bound and one cyclic reference per distinct index
+    index_bounds = {q: (ratio_bounds_for_index(q), order_sums.cyclic_reference(G.order, G.order // q))
+                    for q in {H.index for H in subgroups} if q >= 2}
     for H, value, largest in zip(subgroups, *lattice_order_sums(G, subgroups)):
         m, q = H.order, H.index
         bound = psi_relative_upper_bound(m, q)
         checks = {"quadratic_bound": value <= bound}
         if q >= 2:
-            bounds = ratio_bounds_for_index(q)
-            ratio = Fraction(value, order_sums.cyclic_reference(G.order, m))
+            bounds, reference = index_bounds[q]
+            ratio = Fraction(value, reference)
             checks["product_bound"] = ratio < bounds.product
             checks["spread_bound"] = ratio < bounds.spread
         checks["relative_order_le_index"] = largest <= q

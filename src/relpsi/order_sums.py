@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "psi_relative",
     "psi",
     "cyclic_reference",
+    "cyclic_orders",
     "psi_ratio",
     "psi_relative_frobenius_formula",
     "psi_relative_upper_bound",
@@ -96,6 +98,21 @@ def cyclic_reference(n: int, m: int) -> int:
     if n % m != 0:
         raise ValueError(f"{m} does not divide {n}")
     return m * psi_cyclic(n // m)
+
+
+def cyclic_orders(n: int) -> np.ndarray:
+    """Element orders of C_n as an int32 array: k has order n / gcd(n, k).
+    gcd(n, k) is the largest divisor d of n that divides k, so writing n // d
+    at every multiple of d, divisors ascending, leaves each k its own order
+    with no division per element. The divisors come from trial division, not
+    `factorize`, so this stays independent of the closed form psi_cyclic."""
+    if not 1 <= n <= _BRUTE_FORCE_CAP:
+        raise ValueError(f"need 1 <= n <= 2^24, got {n}")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    orders = np.empty(n, dtype=np.int32)
+    for d in small + [n // d for d in reversed(small) if d * d != n]:
+        orders[::d] = n // d
+    return orders
 
 
 def psi_ratio(G: FiniteGroup, H: Subgroup) -> Fraction:

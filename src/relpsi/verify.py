@@ -9,7 +9,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -23,7 +22,14 @@ from .numtheory import (
     is_prime,
     psi_cyclic,
 )
-from .order_sums import cyclic_reference, lattice_order_sums, psi, rational_json, relative_orders
+from .order_sums import (
+    cyclic_orders,
+    cyclic_reference,
+    lattice_order_sums,
+    psi,
+    rational_json,
+    relative_orders,
+)
 # unused here, but perfbench's tracer test asserts that `verify.psi_relative`
 # exists and is patched
 from .order_sums import psi_relative  # noqa: F401
@@ -204,12 +210,11 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     left_of = relative_orders(G, H).tolist()
     left = Counter(left_of)
     # in C_n, the unique subgroup of order |H| is the multiples of q = n/|H|
-    # and the relative order of k is q / gcd(q, k); each value's pool of C_n
-    # elements is kept descending, so pop() yields them ascending
-    q = n // H.order
-    pools: dict[int, list[int]] = {}
-    for k in range(n - 1, -1, -1):
-        pools.setdefault(q // gcd(q, k), []).append(k)
+    # and the relative order of k is q / gcd(q, k), the order of k mod q in
+    # C_q; each value's pool of C_n elements is kept descending, so pop()
+    # yields them ascending
+    cyclic_rel = np.tile(cyclic_orders(n // H.order), H.order)
+    pools = {int(w): np.flatnonzero(cyclic_rel == w)[::-1].tolist() for w in np.unique(cyclic_rel)}
     right = {w: len(pool) for w, pool in pools.items()}
     left_vals = sorted(left)
     right_vals = sorted(right)

@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 import relpsi.group_core as gc
-from relpsi import numtheory, verify
+from relpsi import cli, numtheory, order_sums, verify
 from relpsi.cli import load_cayley_file, main
 
 
@@ -36,13 +36,13 @@ def cyclic_table_text(n, bump):
 
 @pytest.fixture
 def bench_commands(tmp_path, monkeypatch):
-    """The seed-1 commands of one of the benchmark's workloads, by the name of
-    its function in perfbench/workloads.py, with their input files written
-    to the current directory, a fresh temporary one."""
+    """The commands of one of the benchmark's workloads at a seed (1 unless
+    given), by the name of its function in perfbench/workloads.py, with their
+    input files written to the current directory, a fresh temporary one."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.chdir(tmp_path)
     workloads = importlib.import_module("workloads")
-    return lambda name: getattr(workloads, name)(1, tmp_path)
+    return lambda name, seed=1: getattr(workloads, name)(seed, tmp_path)
 
 
 def run_benchmark_commands(commands):
@@ -55,8 +55,8 @@ def run_benchmark_commands(commands):
 
 
 class TestBenchmarkCommands:
-    """Every other command of the benchmark at seed 1; catalog-scan and the
-    table-ingest analyses are checked in TestScan."""
+    """Every other command of the benchmark at seed 1, and closed-form at seed
+    2 too; catalog-scan and the table-ingest analyses are checked in TestScan."""
 
     def test_frobenius_brute(self, bench_commands, capsys):
         commands = bench_commands("frobenius_brute")
@@ -70,10 +70,11 @@ class TestBenchmarkCommands:
         run_benchmark_commands(commands)
 
     def test_closed_form(self, bench_commands, capsys):
-        commands = bench_commands("closed_form")
-        assert sorted({c.argv[0] for c in commands}) == ["frobenius", "psi-cyclic"]
-        assert len(commands) == 15
-        run_benchmark_commands(commands)
+        for seed in (1, 2):
+            commands = bench_commands("closed_form", seed)
+            assert sorted({c.argv[0] for c in commands}) == ["frobenius", "psi-cyclic"]
+            assert len(commands) == 15
+            run_benchmark_commands(commands)
 
 
 class TestPsiCyclic:
@@ -265,7 +266,7 @@ class TestLargeClosedForms:
         proc = run_cli("psi-cyclic", p * q)
         assert (proc.returncode, proc.stdout) == (0, f"{(p * p - p + 1) * (q * q - q + 1)}\n")
 
-    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 10 ** 6])
+    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 524288, 720720, 10 ** 6])
     def test_brute_force_matches_element_loop(self, n, capsys):
         expected = sum(n // gcd(n, k) for k in range(n))
         assert main(["psi-cyclic", str(n), "--brute-force"]) == 0
@@ -273,6 +274,15 @@ class TestLargeClosedForms:
 
     def test_brute_force_cap(self, capsys):
         assert main(["psi-cyclic", str(10 ** 6 + 1), "--brute-force"]) == 1
+        assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
+
+    def test_brute_force_cap_checked_before_factorizing(self, monkeypatch, capsys):
+        # rho spends about 2 s on this semiprime before giving up on it
+        def refuse(n):
+            raise AssertionError("factorize called")
+        monkeypatch.setattr(numtheory, "factorize", refuse)
+        n = sympy.nextprime(2 ** 60) * sympy.nextprime(2 ** 61)
+        assert main(["psi-cyclic", str(n), "--brute-force"]) == 1
         assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
 
 
@@ -324,6 +334,23 @@ class TestCayleyIngestion:
         path = write_cayley_file(tmp_path / "c12.txt", gc.cyclic(12), comment="C12")
         assert main(["check-bounds", path]) == 0
         assert "0 bound failures" in capsys.readouterr().out
+
+    def test_check_bounds_takes_one_bound_per_index(self, monkeypatch, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "s4.txt", gc.symmetric(4))
+        calls = []
+        for name in ("ratio_bounds_for_index", "cyclic_reference"):
+            def counted(*args, name=name, fn=getattr(order_sums, name)):
+                calls.append((name, args))
+                return fn(*args)
+            monkeypatch.setattr(order_sums, name, counted)
+        monkeypatch.setattr(cli, "ratio_bounds_for_index", order_sums.ratio_bounds_for_index)
+        assert main(["check-bounds", path]) == 0
+        assert "0 bound failures over 30 subgroups" in capsys.readouterr().out
+        # S4 has subgroups of index 2, 3, 4, 6, 8, 12 and 24 besides itself
+        indices = (2, 3, 4, 6, 8, 12, 24)
+        expected = ([("ratio_bounds_for_index", (q,)) for q in indices]
+                    + [("cyclic_reference", (24, 24 // q)) for q in indices])
+        assert sorted(calls) == sorted(expected)
 
     def test_ratios_c6(self, capsys, tmp_path):
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))

@@ -1,13 +1,16 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import relpsi.group_core as gc
 from relpsi.group_core import first_powers_in
+from relpsi import numtheory, order_sums
 from relpsi.numtheory import psi_cyclic
 from relpsi.order_sums import (
+    cyclic_orders,
     cyclic_reference,
     lattice_order_sums,
     psi,
@@ -241,6 +244,33 @@ class TestPsi:
     def test_equals_relative_over_trivial_subgroup(self):
         for G in [gc.symmetric(4), gc.quaternion8(), gc.frobenius_field(2, 3)]:
             assert psi(G) == psi_relative(G, generate(G, []))
+
+
+class TestCyclicOrders:
+    """The divisor sieve against the gcd formula n // gcd(n, k)."""
+
+    def test_every_n_up_to_2000(self):
+        for n in range(1, 2001):
+            assert np.array_equal(cyclic_orders(n), n // np.gcd(n, np.arange(n))), n
+
+    @pytest.mark.parametrize("n", [510510, 524288, 531441, 720720, 999983, 10 ** 6])
+    def test_large_n(self, n):
+        orders = cyclic_orders(n)
+        assert orders.dtype == np.int32
+        assert np.array_equal(orders, n // np.gcd(n, np.arange(n)))
+
+    def test_independent_of_factorize(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("factorize called")
+        monkeypatch.setattr(numtheory, "factorize", refuse)
+        monkeypatch.setattr(order_sums, "factorize", refuse)
+        n = 720720
+        assert np.array_equal(cyclic_orders(n), n // np.gcd(n, np.arange(n)))
+
+    @pytest.mark.parametrize("n", [0, -3, (1 << 24) + 1])
+    def test_out_of_range_refused(self, n):
+        with pytest.raises(ValueError, match="need 1 <= n <= 2\\^24"):
+            cyclic_orders(n)
 
 
 class TestPsiRatio:
