@@ -9,29 +9,22 @@ expected outcome once the catalog contains the affine Frobenius groups; for
 Cayley-table file format: optional ``#`` comment lines; first data line is
 the order n; then n lines of n whitespace-separated encodings in [0, n) with
 entry (i, j) = encoding of element_i * element_j and 0 the identity.
+
+Importing this module loads only ``numtheory`` and the standard library, so
+the closed forms start without numpy; a command that needs the group layer
+imports it when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import group_core, order_sums, verify
-from .numtheory import frobenius_ratio_closed_form, psi_cyclic
-from .subgroup_lattice import _LATTICE_CAP, all_subgroups, generate
-from .order_sums import (
-    _BRUTE_FORCE_CAP,
-    lattice_order_sums,
-    psi_relative,
-    psi_relative_upper_bound,
-    ratio_bounds_for_index,
-    rational_json,
-)
+from .numtheory import CounterexampleSpec, frobenius_ratio_closed_form, psi_cyclic, rational_json
 
 SCHEMA_VERSION = "1"
 
@@ -39,6 +32,15 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_VIOLATION = 3
+
+
+def __getattr__(name: str):
+    # perfbench's tracer test reads `cli.psi_relative`; it is served from
+    # order_sums on first use so that importing this module loads no numpy
+    if name == "psi_relative":
+        from .order_sums import psi_relative
+        return psi_relative
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit_json(path: str, command: str, results, started: float) -> None:
@@ -60,9 +62,14 @@ def _approx(fr: Fraction) -> str:
     return f"{float(fr):.6g}"
 
 
-def load_cayley_file(path: str):
+def load_cayley_file(path: str, check_order=None):
     """Parse and validate a Cayley-table file; raises ValueError with the
     offending line number on malformed input.
+
+    ``check_order``, when given, is called with the order on the first data
+    line before the rest of the file is read, so that a command refuses a
+    group too large for it without parsing the table; a malformed order line
+    is left to the line-by-line scan.
 
     The table body is parsed by one vectorised ``np.loadtxt`` call straight
     into the smallest unsigned dtype that holds an encoding, which the table
@@ -70,11 +77,19 @@ def load_cayley_file(path: str):
     token, so only such a file or one it cannot parse is scanned line by
     line, into Python ints, to name the first bad line or entry.
     """
+    import numpy as np
+
+    from .group_core import from_cayley_table
+
     with open(path) as fh:
-        data = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
-                if line and not line.startswith("#")]
-    head = data[0][1].split() if data else []
-    n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
+        lines = ((lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
+                 if line and not line.startswith("#"))
+        data = list(itertools.islice(lines, 1))
+        head = data[0][1].split() if data else []
+        n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
+        if n >= 1 and check_order is not None:
+            check_order(n)
+        data.extend(lines)
     table = None
     if n >= 1 and len(data) == n + 1:
         try:
@@ -84,7 +99,7 @@ def load_cayley_file(path: str):
             pass
     if table is None or table.shape != (n, n):
         table = _scan_cayley_lines(path, data)
-    return group_core.from_cayley_table(table, name=path)
+    return from_cayley_table(table, name=path)
 
 
 def _scan_cayley_lines(path: str, data) -> list[list[int]]:
@@ -132,7 +147,11 @@ def cmd_psi_cyclic(args) -> tuple[int, str, list]:
     results = [{"n": n, "psi_cyclic": str(value)}]
     code = EXIT_OK
     if args.brute_force:
-        brute = int(order_sums.cyclic_orders(n).sum(dtype=np.int64))
+        import numpy as np
+
+        from .order_sums import cyclic_orders
+
+        brute = int(cyclic_orders(n).sum(dtype=np.int64))
         verdict = "OK" if brute == value else "MISMATCH"
         print(f"{value} {brute} {verdict}")
         results[0]["brute_force"] = str(brute)
@@ -145,8 +164,11 @@ def cmd_psi_cyclic(args) -> tuple[int, str, list]:
 
 
 def cmd_frobenius(args) -> tuple[int, str, list]:
-    spec = verify.CounterexampleSpec(r=args.r, q=args.q or 0)
+    spec = CounterexampleSpec(r=args.r, q=args.q or 0)
     if args.brute_force:
+        from . import verify
+        from .order_sums import _BRUTE_FORCE_CAP, psi_relative
+
         # 2^13 * (2^13 - 1) > 2^24 already, so a larger r is refused before 2^r is computed
         if args.r >= 3 and (args.r > 12 or spec.group_order > _BRUTE_FORCE_CAP):
             cofactor = f" * {spec.q}" if spec.q else ""
@@ -188,6 +210,9 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
 def cmd_scan(args) -> tuple[int, str, list]:
     if args.max_order < 1:
         raise ValueError(f"--max-order {args.max_order} must be at least 1")
+    from . import verify
+    from .subgroup_lattice import _LATTICE_CAP
+
     if args.max_order > _LATTICE_CAP:
         raise ValueError(f"--max-order {args.max_order} exceeds the subgroup "
                          f"enumeration cap {_LATTICE_CAP}")
@@ -212,12 +237,20 @@ def cmd_scan(args) -> tuple[int, str, list]:
 
 
 def cmd_check_bounds(args) -> tuple[int, str, list]:
-    G = load_cayley_file(args.group_file)
+    from .order_sums import (
+        cyclic_reference,
+        lattice_order_sums,
+        psi_relative_upper_bound,
+        ratio_bounds_for_index,
+    )
+    from .subgroup_lattice import _check_lattice_order, all_subgroups
+
+    G = load_cayley_file(args.group_file, _check_lattice_order)
     failures = []
     rows = []
     subgroups = all_subgroups(G)
     # one bound and one cyclic reference per distinct index
-    index_bounds = {q: (ratio_bounds_for_index(q), order_sums.cyclic_reference(G.order, G.order // q))
+    index_bounds = {q: (ratio_bounds_for_index(q), cyclic_reference(G.order, G.order // q))
                     for q in {H.index for H in subgroups} if q >= 2}
     for H, value, largest in zip(subgroups, *lattice_order_sums(G, subgroups)):
         m, q = H.order, H.index
@@ -242,7 +275,10 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
 
 
 def cmd_ratios(args) -> tuple[int, str, list]:
-    G = load_cayley_file(args.group_file)
+    from . import verify
+    from .subgroup_lattice import _check_lattice_order
+
+    G = load_cayley_file(args.group_file, _check_lattice_order)
     records = verify.subgroup_ratio_scan(G)
     for rec in records:
         mark = " VIOLATES" if rec.is_violation else ""
@@ -257,7 +293,10 @@ def cmd_ratios(args) -> tuple[int, str, list]:
 
 
 def cmd_bijection(args) -> tuple[int, str, list]:
-    G = load_cayley_file(args.group_file)
+    from . import verify
+    from .subgroup_lattice import generate
+
+    G = load_cayley_file(args.group_file, verify._check_bijection_order)
     H = generate(G, _parse_generators(args.subgroup))
     result = verify.bijection_exists(G, H)
     label = f"bijection {args.group_file} --subgroup {args.subgroup}"

@@ -1,13 +1,17 @@
-"""Integer plumbing and the closed-form order-sum formulas for cyclic groups.
+"""Integer plumbing, the closed-form order-sum formulas for cyclic groups,
+and the parameters and closed form of the Frobenius counterexample family.
 
 Everything here is exact: sums are arbitrary-precision integers and every
 ratio is a ``fractions.Fraction`` (auto-reduced, denominator positive).
-Floats never appear in results.
+Floats never appear in results. This module uses only the standard library,
+so the closed-form commands run without numpy.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
@@ -20,6 +24,7 @@ __all__ = [
     "psi_cyclic_lower_bound",
     "frobenius_ratio_closed_form",
     "index_ratio_bound",
+    "CounterexampleSpec",
 ]
 
 
@@ -236,3 +241,57 @@ def index_ratio_bound(q: int) -> Fraction:
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
     return Fraction(q * q - q + 1, psi_cyclic(q))
+
+
+@dataclass(frozen=True)
+class CounterexampleSpec:
+    """Parameters of the Frobenius counterexample family: the group is the
+    affine group over GF(2^r) (2^r - 1 prime), optionally crossed with C_q
+    for an odd prime q not dividing 2^r - 1."""
+
+    r: int
+    q: int = 0
+
+    def validate(self) -> None:
+        """Raise ValueError unless 2^r - 1 is prime and q a valid cofactor.
+        An r whose psi_H has more decimal digits than Python will convert
+        to a string is refused first, before any primality test."""
+        if self.r < 3:
+            raise ValueError(f"need r >= 3, got {self.r}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # psi_H >= M^3 >= 2^(3r - 3), so a large r is refused before psi_H is multiplied out
+        if limit and (3 * self.r - 3 >= (10 ** limit).bit_length() or self.psi_h >= 10 ** limit):
+            raise ValueError(f"psi_H for r = {self.r} has more than {limit} digits, "
+                             "the most Python converts to a decimal string")
+        if not is_mersenne_exponent(self.r):
+            raise ValueError(f"2^{self.r}-1 is not prime")
+        if self.q:
+            if self.q % 2 == 0:
+                raise ValueError(f"cofactor q must be odd, got {self.q}")
+            if not is_prime(self.q):
+                raise ValueError(f"cofactor q must be prime, got {self.q}")
+            if (2 ** self.r - 1) % self.q == 0:
+                raise ValueError(f"cofactor q = {self.q} divides 2^{self.r}-1")
+
+    @property
+    def group_order(self) -> int:
+        n = 2 ** self.r * (2 ** self.r - 1)
+        return n * self.q if self.q else n
+
+    @property
+    def subgroup_order(self) -> int:
+        m = 2 ** self.r - 1
+        return m * self.q if self.q else m
+
+    @property
+    def psi_h(self) -> int:
+        """The closed form psi_relative_frobenius_formula(2, r) * q, which is
+        M * (M^2 - M + 3) * q for the prime M = 2^r - 1, since
+        psi_cyclic(M) = M^2 - M + 1; it needs no second primality proof."""
+        m = 2 ** self.r - 1
+        return m * (m * m - m + 3) * (self.q or 1)
+
+
+def rational_json(fr: Fraction) -> dict:
+    """Exact JSON form of a rational: numerator and denominator as strings."""
+    return {"num": str(fr.numerator), "den": str(fr.denominator)}

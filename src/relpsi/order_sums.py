@@ -18,6 +18,7 @@ import numpy as np
 
 from .group_core import _BLOCK, FiniteGroup, first_powers_in
 from .numtheory import factorize, is_prime, psi_cyclic
+from .numtheory import rational_json  # noqa: F401  (re-exported from its old home)
 from .subgroup_lattice import Subgroup, _check_parent
 
 __all__ = [
@@ -162,7 +163,3 @@ def ratio_bounds_for_index(q: int) -> IndexRatioBounds:
     spread = Fraction(primes[-1] + 1, primes[0])
     return IndexRatioBounds(product=product, spread=spread)
 
-
-def rational_json(fr: Fraction) -> dict:
-    """Exact JSON form of a rational: numerator and denominator as strings."""
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}

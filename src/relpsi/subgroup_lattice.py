@@ -122,6 +122,12 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
     return _closed(G, members.tolist(), gens)
 
 
+def _check_lattice_order(n: int) -> None:
+    """Raise ValueError for a group order above the enumeration cap."""
+    if n > _LATTICE_CAP:
+        raise ValueError(f"subgroup enumeration capped at order {_LATTICE_CAP}, group has {n}")
+
+
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, each exactly once, sorted by (order, element tuple).
 
@@ -133,8 +139,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     double coset other than K itself: any other seed could only find a
     subgroup already known. Each generator tuple is joined at most once.
     """
-    if G.order > _LATTICE_CAP:
-        raise ValueError(f"subgroup enumeration capped at order {_LATTICE_CAP}, group has {G.order}")
+    _check_lattice_order(G.order)
     n = G.order
     table = G._table()
     cols = table.T.tolist()  # cols[g][x] = x*g

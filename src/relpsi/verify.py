@@ -4,7 +4,6 @@ pipeline, the order-divisibility bijection decision, and catalog sweeps."""
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,18 +15,18 @@ from . import group_core
 from .classify import is_nilpotent, is_solvable
 from .group_core import CyclicGroup, FiniteGroup
 from .numtheory import (
+    CounterexampleSpec,
     factorize,
     frobenius_ratio_closed_form,
     is_mersenne_exponent,
-    is_prime,
     psi_cyclic,
+    rational_json,
 )
 from .order_sums import (
     cyclic_orders,
     cyclic_reference,
     lattice_order_sums,
     psi,
-    rational_json,
     relative_orders,
 )
 # unused here, but perfbench's tracer test asserts that `verify.psi_relative`
@@ -116,55 +115,6 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """Parameters of the Frobenius counterexample family: the group is the
-    affine group over GF(2^r) (2^r - 1 prime), optionally crossed with C_q
-    for an odd prime q not dividing 2^r - 1."""
-
-    r: int
-    q: int = 0
-
-    def validate(self) -> None:
-        """Raise ValueError unless 2^r - 1 is prime and q a valid cofactor.
-        An r whose psi_H has more decimal digits than Python will convert
-        to a string is refused first, before any primality test."""
-        if self.r < 3:
-            raise ValueError(f"need r >= 3, got {self.r}")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # psi_H >= M^3 >= 2^(3r - 3), so a large r is refused before psi_H is multiplied out
-        if limit and (3 * self.r - 3 >= (10 ** limit).bit_length() or self.psi_h >= 10 ** limit):
-            raise ValueError(f"psi_H for r = {self.r} has more than {limit} digits, "
-                             "the most Python converts to a decimal string")
-        if not is_mersenne_exponent(self.r):
-            raise ValueError(f"2^{self.r}-1 is not prime")
-        if self.q:
-            if self.q % 2 == 0:
-                raise ValueError(f"cofactor q must be odd, got {self.q}")
-            if not is_prime(self.q):
-                raise ValueError(f"cofactor q must be prime, got {self.q}")
-            if (2 ** self.r - 1) % self.q == 0:
-                raise ValueError(f"cofactor q = {self.q} divides 2^{self.r}-1")
-
-    @property
-    def group_order(self) -> int:
-        n = 2 ** self.r * (2 ** self.r - 1)
-        return n * self.q if self.q else n
-
-    @property
-    def subgroup_order(self) -> int:
-        m = 2 ** self.r - 1
-        return m * self.q if self.q else m
-
-    @property
-    def psi_h(self) -> int:
-        """The closed form psi_relative_frobenius_formula(2, r) * q, which is
-        M * (M^2 - M + 3) * q for the prime M = 2^r - 1, since
-        psi_cyclic(M) = M^2 - M + 1; it needs no second primality proof."""
-        m = 2 ** self.r - 1
-        return m * (m * m - m + 3) * (self.q or 1)
-
-
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:
     """The group/subgroup pair whose psi ratio is the closed-form value > 1."""
     spec.validate()
@@ -195,6 +145,12 @@ class BijectionResult:
         return sum(self.deficient_values.values()) - sum(self.neighborhood_values.values())
 
 
+def _check_bijection_order(n: int) -> None:
+    """Raise ValueError for a group order above the bijection cap."""
+    if n > _BIJECTION_CAP:
+        raise ValueError(f"bijection decision capped at order {_BIJECTION_CAP}")
+
+
 def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     """Decide whether G maps bijectively onto C_n so that each element's
     relative order (over H) divides its image's relative order (over the
@@ -205,8 +161,7 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     element-level question and inflates back to an explicit bijection.
     """
     n = G.order
-    if n > _BIJECTION_CAP:
-        raise ValueError(f"bijection decision capped at order {_BIJECTION_CAP}")
+    _check_bijection_order(n)
     left_of = relative_orders(G, H).tolist()
     left = Counter(left_of)
     # in C_n, the unique subgroup of order |H| is the multiples of q = n/|H|

@@ -224,12 +224,18 @@ class TestLargeClosedForms:
         (("--r", "5", "--q", "7"), [("is_mersenne_exponent", 5), ("is_prime", 7)]),
     ], ids=["r7", "r5-q7"])
     def test_frobenius_brute_force_validates_the_spec_once(self, argv, primes, monkeypatch, capsys):
-        calls = []
+        # only outermost calls are recorded: is_mersenne_exponent calls is_prime
+        calls, depth = [], [0]
         for name in ("is_mersenne_exponent", "is_prime"):
-            def counted(n, name=name, test=getattr(verify, name)):
-                calls.append((name, n))
-                return test(n)
-            monkeypatch.setattr(verify, name, counted)
+            def counted(n, name=name, test=getattr(numtheory, name)):
+                if not depth[0]:
+                    calls.append((name, n))
+                depth[0] += 1
+                try:
+                    return test(n)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(numtheory, name, counted)
         assert main(["frobenius", *argv, "--brute-force"]) == 0
         assert calls == primes
         assert " OK\n" in capsys.readouterr().out
@@ -343,7 +349,6 @@ class TestCayleyIngestion:
                 calls.append((name, args))
                 return fn(*args)
             monkeypatch.setattr(order_sums, name, counted)
-        monkeypatch.setattr(cli, "ratio_bounds_for_index", order_sums.ratio_bounds_for_index)
         assert main(["check-bounds", path]) == 0
         assert "0 bound failures over 30 subgroups" in capsys.readouterr().out
         # S4 has subgroups of index 2, 3, 4, 6, 8, 12 and 24 besides itself
@@ -351,6 +356,29 @@ class TestCayleyIngestion:
         expected = ([("ratio_bounds_for_index", (q,)) for q in indices]
                     + [("cyclic_reference", (24, 24 // q)) for q in indices])
         assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
+    def test_order_at_lattice_cap_answers(self, command, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "c200.txt", gc.cyclic(200))
+        assert main([command, path]) == 0
+        # C200 has one subgroup per divisor of 200
+        assert "over 12 subgroups" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, order, message", [
+        (["ratios"], 201, "subgroup enumeration capped at order 200, group has 201"),
+        (["check-bounds"], 201, "subgroup enumeration capped at order 200, group has 201"),
+        (["bijection", "--subgroup", "1"], 10_001, "bijection decision capped at order 10000"),
+    ], ids=["ratios", "check-bounds", "bijection"])
+    def test_order_past_cap_refused_before_parsing(self, argv, order, message, monkeypatch,
+                                                   capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table body parsed")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(cli, "_scan_cayley_lines", refuse)
+        path = tmp_path / "g.txt"
+        path.write_text(f"# C{order}\n{order}\n0 1 2\n")  # a body that is never read
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_ratios_c6(self, capsys, tmp_path):
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))
@@ -407,9 +435,11 @@ class TestCayleyLoader:
     ], ids=["float", "plus-sign", "underscore", "negative", "2^64", "short-row",
             "missing-row", "extra-row", "empty", "C3+256", "C300+65536"])
     def test_bad_input_message(self, capsys, tmp_path, body, message):
+        # through bijection, whose cap admits order 300; ratios would refuse
+        # that table from its order line before reading the body
         path = tmp_path / "bad.txt"
         path.write_text(body)
-        assert main(["ratios", str(path)]) == 1
+        assert main(["bijection", str(path), "--subgroup", "0"]) == 1
         assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize("body", [
