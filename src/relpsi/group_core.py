@@ -150,6 +150,26 @@ class FiniteGroup:
             self._build_powers()
         return self._power_cache
 
+    def cyclic_seeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest generator x of each distinct cyclic subgroup <x>,
+        ascending, and how many elements generate it, phi(order of x).
+        Cached; tabulated groups only.
+
+        The generators of <x> are the powers of x with the order of x, x
+        itself among them, so the smallest is one min over those entries of
+        column x of the power table; x is a seed when it is its own
+        smallest generator.
+        """
+        if getattr(self, "_seed_cache", None) is None:
+            powers, orders = self.power_table(), self.element_orders()
+            smallest = np.where(orders[powers] == orders, powers, powers[0]).min(axis=0)
+            seeds = np.flatnonzero(smallest == np.arange(self.order))
+            weights = np.bincount(smallest, minlength=self.order)[seeds]
+            seeds.setflags(write=False)
+            weights.setflags(write=False)
+            self._seed_cache = seeds, weights
+        return self._seed_cache
+
     def _build_powers(self) -> None:
         """Fill the power-table and element-order caches by doubling.
 

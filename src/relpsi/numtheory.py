@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
@@ -243,14 +242,35 @@ def index_ratio_bound(q: int) -> Fraction:
     return Fraction(q * q - q + 1, psi_cyclic(q))
 
 
-@dataclass(frozen=True)
 class CounterexampleSpec:
     """Parameters of the Frobenius counterexample family: the group is the
     affine group over GF(2^r) (2^r - 1 prime), optionally crossed with C_q
-    for an odd prime q not dividing 2^r - 1."""
+    for an odd prime q not dividing 2^r - 1. Immutable and compared by
+    (r, q); a plain class, since `dataclasses` would import `inspect` into
+    every closed-form command."""
 
-    r: int
-    q: int = 0
+    __slots__ = ("r", "q")
+
+    def __init__(self, r: int, q: int = 0):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: CounterexampleSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: CounterexampleSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.q) == (other.r, other.q)
+
+    def __hash__(self):
+        return hash((self.r, self.q))
+
+    def __repr__(self):
+        return f"CounterexampleSpec(r={self.r!r}, q={self.q!r})"
 
     def validate(self) -> None:
         """Raise ValueError unless 2^r - 1 is prime and q a valid cofactor.

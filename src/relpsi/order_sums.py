@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -61,21 +62,31 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     """psi_relative(G, H) and the largest relative order over H, for every H
     in ``subgroups``, from one pass over the power table of a tabulated G.
 
-    Row i of the membership matrix M marks the i-th subgroup, so M[i, P]
-    marks which powers x^(k+1) lie in it and its first true entry down
-    column x gives the relative order of x. The gather runs in blocks of
-    subgroups of at most _BLOCK entries. The subgroups must be closed, as
-    ``all_subgroups`` and ``generate`` build them: unlike `relative_orders`
-    this pass does not check that each is a subgroup.
+    Every generator y of a cyclic subgroup <x> has the relative order of x,
+    since y^m and x^m generate the same subgroup for every m. So the pass
+    reads only the seed columns of the power table P, one per cyclic
+    subgroup, and weights each seed's relative order by its number of
+    generators. Row i of the membership matrix M marks the i-th subgroup,
+    so M[i, P] marks which powers x^(k+1) of each seed x lie in it, and the
+    first true entry down column x gives the relative order of x. The
+    gather runs in blocks of subgroups of at most _BLOCK entries. The
+    subgroups must be closed, as ``all_subgroups`` and ``generate`` build
+    them: unlike `relative_orders` this pass does not check that each is a
+    subgroup.
     """
     _check_parent(G, *subgroups)
-    powers = G.power_table()
-    masks = np.stack([H.mask() for H in subgroups])
+    seeds, weights = G.cyclic_seeds()
+    powers = G.power_table()[:, seeds]
+    sizes = [H.order for H in subgroups]
+    members = np.fromiter(chain.from_iterable(H.members for H in subgroups), dtype=np.int64,
+                          count=sum(sizes))
+    masks = np.zeros((len(subgroups), G.order), dtype=bool)
+    masks[np.repeat(np.arange(len(subgroups)), sizes), members] = True
     step = max(1, _BLOCK // powers.size)
     sums, largest = [], []
     for lo in range(0, len(masks), step):
         rel = masks[lo:lo + step][:, powers].argmax(axis=1) + 1
-        sums += rel.sum(axis=1).tolist()
+        sums += (rel @ weights).tolist()
         largest += rel.max(axis=1).tolist()
     return sums, largest
 
@@ -154,9 +165,9 @@ class IndexRatioBounds:
 
 
 def ratio_bounds_for_index(q: int) -> IndexRatioBounds:
-    primes = [p for p, _ in factorize(q)]
     if q < 2:
-        raise ValueError("index 1 carries no bound claims")
+        raise ValueError(f"index {q} carries no bound claims: need q >= 2")
+    primes = [p for p, _ in factorize(q)]
     product = Fraction(1)
     for p in primes:
         product *= Fraction(p + 1, p)

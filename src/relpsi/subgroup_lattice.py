@@ -36,7 +36,7 @@ class Subgroup:
     __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members):
-        _fill(self, parent, members, ())
+        _fill(self, parent, frozenset(map(int, members)), ())
         self.check()
 
     @property
@@ -95,17 +95,18 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _fill(sub: Subgroup, parent: FiniteGroup, members, generators) -> Subgroup:
+def _fill(sub: Subgroup, parent: FiniteGroup, members: frozenset, generators: tuple) -> Subgroup:
     sub.parent = parent
-    sub.members = frozenset(map(int, members))
-    sub.generators = tuple(sorted(set(map(int, generators))))
+    sub.members = members
+    sub.generators = generators
     sub._sorted = None
     sub._mask = None
     return sub
 
 
-def _closed(parent: FiniteGroup, members, generators=()) -> Subgroup:
-    """A Subgroup from a member set already known to be closed; no check."""
+def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = ()) -> Subgroup:
+    """A Subgroup from a frozenset of ints already known to be closed and
+    its ascending generator tuple, both kept as given; no check."""
     return _fill(Subgroup.__new__(Subgroup), parent, members, generators)
 
 
@@ -119,7 +120,7 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
     if G.order > _CLOSURE_CAP:
         raise ValueError(f"subgroup closure capped at group order 2^24, {G.name} has {G.order}")
     members = np.flatnonzero(_close_right(G.multiply_array, G.order, gens))
-    return _closed(G, members.tolist(), gens)
+    return _closed(G, frozenset(members.tolist()), tuple(gens))
 
 
 def _check_lattice_order(n: int) -> None:
@@ -133,11 +134,13 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
     Seeds with the distinct cyclic subgroups <x>, each under its smallest
     generator x, read from the power table, and repeatedly joins each new
-    subgroup K with the seeds until a fixpoint; correct because every
-    subgroup is a join of cyclic ones. Since <K, y> = <K, x> for every y in
-    the double coset KxK, K is joined only with the first seed of each
+    subgroup K other than G with the seeds until a fixpoint; correct because
+    every subgroup is a join of cyclic ones. Since <K, y> = <K, x> for every
+    y in the double coset KxK, K is joined only with the first seed of each
     double coset other than K itself: any other seed could only find a
-    subgroup already known. Each generator tuple is joined at most once.
+    subgroup already known. So the double cosets are labelled, by their
+    least element, at the seeds alone. Each generator tuple is joined at
+    most once.
     """
     _check_lattice_order(G.order)
     n = G.order
@@ -182,19 +185,27 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         return frozenset(inside)
 
     seeds = _cyclic_seeds(G)
-    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds.tolist()}
+    seed_rows = table[seeds]  # seed_rows[i, g] = seeds[i] * g
+    seeds = seeds.tolist()
+    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds}
     frontier = list(known.items())
     tried = set()
     while frontier:
         new_frontier = []
         for members, gens in frontier:
+            if len(members) == n:
+                continue
             ks = np.fromiter(members, dtype=np.int64, count=len(members))
-            # the least element of KyK for every y: min over K*y, then over y*K
-            least = table[ks].min(axis=0)[table[:, ks]].min(axis=1)
-            labels, first = np.unique(least[seeds], return_index=True)
+            # the least element of KxK for every seed x: min over x*K of the
+            # least element of each right coset K*y
+            labels = table[ks].min(axis=0)[seed_rows[:, ks]].min(axis=1)
             # the identity 0 labels K itself, whose seeds add nothing
-            for x in seeds[np.sort(first[labels != 0])].tolist():
-                joined_gens = tuple(sorted(set(gens + (x,))))
+            seen = {0}
+            for x, label in zip(seeds, labels.tolist()):
+                if label in seen:
+                    continue
+                seen.add(label)
+                joined_gens = tuple(sorted(gens + (x,)))
                 if joined_gens in tried:
                     continue
                 tried.add(joined_gens)
@@ -210,13 +221,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 def _cyclic_seeds(G: FiniteGroup) -> np.ndarray:
     """The smallest generator of each distinct cyclic subgroup of G, in
-    ascending order. The generators of <x> are the x^k with k coprime to
-    the order of x, so the smallest is one min over those rows of the
-    power table; x is a seed when it is its own smallest generator."""
-    powers, orders = G.power_table(), G.element_orders()
-    coprime = np.gcd(np.arange(1, len(powers) + 1)[:, None], orders) == 1
-    smallest = np.where(coprime, powers, powers[0]).min(axis=0)
-    return np.flatnonzero(smallest == np.arange(G.order))
+    ascending order; see FiniteGroup.cyclic_seeds."""
+    return G.cyclic_seeds()[0]
 
 
 def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:

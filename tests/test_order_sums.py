@@ -58,7 +58,7 @@ class TestRelativeOrder:
         # so the loop must stop at the index instead of running forever; the
         # set is built unchecked, as the public constructor refuses it
         G = gc.cyclic(6)
-        H = _closed(G, {2, 4})
+        H = _closed(G, frozenset({2, 4}))
         with pytest.raises(ValueError, match="do not form a subgroup"):
             relative_order(G, H, 3)
         with pytest.raises(ValueError, match="do not form a subgroup"):
@@ -67,7 +67,7 @@ class TestRelativeOrder:
     def test_first_hit_beyond_the_index_fails(self):
         # {0, 1, 2, 3} has index 2 in C8, but 6 first lands in it at 6^3 = 2
         G = gc.cyclic(8)
-        H = _closed(G, {0, 1, 2, 3})
+        H = _closed(G, frozenset({0, 1, 2, 3}))
         with pytest.raises(ValueError, match="do not form a subgroup"):
             relative_orders(G, H)
 
@@ -194,10 +194,18 @@ class TestLatticeOrderSums:
         (lambda: gc.frobenius_field(2, 5), frobenius_subgroups),
     ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)", "Frob(2,5)"])
     def test_matches_relative_orders(self, make, subgroups):
-        # D60's 180 subgroups take two blocks of the gather; Frob(2,5), of
-        # order 992, is above the lattice cap
+        # Frob(2,5), of order 992, is above the lattice cap
         G = make()
         subs = subgroups(G)
+        assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
+
+    @pytest.mark.parametrize("block", [1 << 14, 1])
+    def test_blocks_of_the_gather(self, monkeypatch, block):
+        # D60's 180 subgroups against 72 seed columns of 60 powers: 60
+        # blocks of 3 subgroups, then one subgroup per block
+        G = gc.dihedral(60)
+        subs = all_subgroups(G)
+        monkeypatch.setattr(order_sums, "_BLOCK", block)
         assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
 
     def test_wrong_parent_rejected(self):
@@ -407,8 +415,15 @@ class TestRatioBounds:
         assert b.product == b.spread == Fraction(3, 2)
 
     def test_rejects_index_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^index 1 carries no bound claims"):
             ratio_bounds_for_index(1)
+
+    @pytest.mark.parametrize("q", [0, -4])
+    def test_rejects_index_below_one_before_factoring(self, monkeypatch, q):
+        # factorize refuses 0 and negatives with its own message
+        monkeypatch.setattr(order_sums, "factorize", None)
+        with pytest.raises(ValueError, match=f"^index {q} carries no bound claims"):
+            ratio_bounds_for_index(q)
 
     def test_bounds_hold_on_catalog(self, catalog_subgroups):
         for G, subs in catalog_subgroups:

@@ -72,6 +72,7 @@ def test_closed_forms_load_no_numpy(src_env):
         assert main(["psi-cyclic", "1001"]) == 0
         assert main(["frobenius", "--r", "5"]) == 0
         assert "numpy" not in sys.modules, sorted(sys.modules)
+        assert "dataclasses" not in sys.modules, sorted(sys.modules)
         assert main(["psi-cyclic", "1001", "--brute-force"]) == 0
         assert main(["scan", "--max-order", "8"]) == 0
         assert "numpy" in sys.modules

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import relpsi.group_core as gc
@@ -162,6 +164,15 @@ class TestCyclicSeeds:
             P, orders = G.power_table(), G.element_orders()
             assert [frozenset(P[:orders[x], x].tolist()) for x in G.elements()] == closures, G.name
 
+    def test_seed_weights_count_generators(self, catalog100):
+        # each seed weighs as many elements as generate its cyclic subgroup
+        for G in catalog100 + [gc.symmetric(5), gc.dihedral(60), gc.frobenius_field(2, 5)]:
+            closures = [generate(G, [y]).members for y in G.elements()]
+            counts = Counter(closures)
+            seeds, weights = G.cyclic_seeds()
+            assert weights.tolist() == [counts[closures[x]] for x in seeds.tolist()], G.name
+            assert weights.sum() == G.order, G.name
+
     def test_extended_power_table(self):
         # the table stops at the largest element order, 18, and is built once
         G = gc.dihedral(18)
@@ -231,6 +242,30 @@ class TestLatticeOracles:
     ], ids=["S4", "S5", "A5"])
     def test_known_counts(self, make, count):
         assert len(all_subgroups(make())) == count
+
+
+class TestLatticeCertificate:
+    """Completeness from `generate` alone, sharing no code with the joins or
+    the double-coset skip: the found set holds {e} and <K, x> for every
+    found K and every x in G. Every subgroup is reached from {e} by adding
+    one element at a time, so such a set is the whole lattice."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(4),
+        lambda: gc.alternating(5),
+        lambda: gc.dihedral(12),
+        lambda: gc.direct_product([gc.quaternion8(), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(2, 3),
+        lambda: gc.abelian_of_type({2: [2, 2, 1]}),
+    ], ids=["S4", "A5", "D12", "Q8xC3", "Frob(2,3)", "C4xC4xC2"])
+    def test_closed_under_adding_an_element(self, make):
+        G = make()
+        found = {H.members for H in all_subgroups(G)}
+        assert generate(G, []).members in found
+        for members in found:
+            for x in G.elements():
+                if x not in members:
+                    assert generate(G, [*members, x]).members in found, (G.name, sorted(members), x)
 
 
 class TestNormality:
