@@ -1,0 +1,52 @@
+"""Every size cap of relpsi, in one table.
+
+Each result here is a brute-force count, an enumeration or a table over
+the elements of a group, so each input either answers within a bound on
+its work and memory or is refused with ValueError before that work starts.
+Each cap below states one such bound. The module that does the work checks
+its cap before it starts and builds its refusal message from it. This
+module imports nothing, so every layer can read it, from `finite_field` up
+to the CLI, which loads no numpy at import.
+"""
+
+# elements of a group that any per-element array is built over (orders,
+# inverses, relative orders, closure masks): one int64 each, 128 MiB
+ELEMENT_CAP = 1 << 24
+# order of a group that caches its Cayley table, n^2 entries of at most two
+# bytes: 32 MiB; is_solvable, which reads that table, is refused above it
+TABLE_CAP = 4096
+# order of a constructed C_n, and so of each cyclic factor of a product
+CYCLIC_CAP = 1 << 16
+# order of a group whose nilpotency is decided: one power pass over its
+# elements, 512 KiB of element orders
+CLASSIFY_CAP = 1 << 16
+# order of a group whose whole subgroup lattice is enumerated, a Python
+# loop per subgroup; the largest lattice under it is C2^7's 29 212 subgroups
+LATTICE_CAP = 200
+# index of a quotient group, whose Cayley table has index^2 entries
+QUOTIENT_INDEX_CAP = 512
+# order of a group in the bijection decision: a table file of n^2 entries,
+# and one relative order and one witness image per element
+BIJECTION_CAP = 10_000
+# size p^r of a finite field, whose log/exp tables hold one int64 per
+# element (8 MiB each) and are filled element by element in Python
+FIELD_SIZE_CAP = 1 << 20
+# n of the dihedral group D_n: 2n permutations of degree n, listed in Python
+DIHEDRAL_CAP = 512
+# degree d of S_d and A_d: at most d! = 40 320 permutations, listed in Python
+DEGREE_CAP = 8
+# n of `psi-cyclic N --brute-force`: one int32 element order per element of
+# C_n, 4 MB
+PSI_CYCLIC_BRUTE_FORCE_CAP = 10 ** 6
+# largest r of frobenius_ratio_table: one exact ratio and one Mersenne
+# test per row
+RATIO_TABLE_CAP = 64
+
+
+def power_text(cap: int, base: int = 2) -> str:
+    """``cap``, a power of ``base``, written as base^k, the way the refusal
+    messages print it."""
+    k = 0
+    while base ** k < cap:
+        k += 1
+    return f"{base}^{k}"

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group_core import TABLE_CAP, FiniteGroup, _greedy_generators, row_blocks
+from .budget import CLASSIFY_CAP, TABLE_CAP
+from .group_core import FiniteGroup, _greedy_generators, row_blocks
 from .numtheory import factorize
 from .subgroup_lattice import Subgroup, generate
 
 __all__ = ["is_solvable", "is_nilpotent"]
-
-_CLASSIFY_CAP = 1 << 16
 
 
 def _derived_of_members(G: FiniteGroup, members: np.ndarray, gens) -> Subgroup:
@@ -50,7 +49,7 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     """True iff every Sylow subgroup is normal. For p^a exactly dividing n,
     the Sylow p-subgroup is unique iff exactly p^a elements have order
     dividing p^a: two Sylow p-subgroups would hold more between them."""
-    if G.order > _CLASSIFY_CAP:
+    if G.order > CLASSIFY_CAP:
         raise ValueError(f"classification budget exceeded at order {G.order}")
     orders = G.element_orders()
     # element orders divide n, so the p-power orders are those dividing p^a

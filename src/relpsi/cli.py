@@ -24,6 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .budget import ELEMENT_CAP, LATTICE_CAP, PSI_CYCLIC_BRUTE_FORCE_CAP, power_text
 from .numtheory import CounterexampleSpec, frobenius_ratio_closed_form, psi_cyclic, rational_json
 
 SCHEMA_VERSION = "1"
@@ -141,8 +142,9 @@ def _parse_generators(text: str):
 
 def cmd_psi_cyclic(args) -> tuple[int, str, list]:
     n = args.n
-    if args.brute_force and n > 10 ** 6:
-        raise ValueError("brute-force path capped at n = 10^6")
+    if args.brute_force and n > PSI_CYCLIC_BRUTE_FORCE_CAP:
+        raise ValueError("brute-force path capped at n = "
+                         + power_text(PSI_CYCLIC_BRUTE_FORCE_CAP, 10))
     value = psi_cyclic(n)
     results = [{"n": n, "psi_cyclic": str(value)}]
     code = EXIT_OK
@@ -166,14 +168,17 @@ def cmd_psi_cyclic(args) -> tuple[int, str, list]:
 def cmd_frobenius(args) -> tuple[int, str, list]:
     spec = CounterexampleSpec(r=args.r, q=args.q or 0)
     if args.brute_force:
-        from . import verify
-        from .order_sums import _BRUTE_FORCE_CAP, psi_relative
-
-        # 2^13 * (2^13 - 1) > 2^24 already, so a larger r is refused before 2^r is computed
-        if args.r >= 3 and (args.r > 12 or spec.group_order > _BRUTE_FORCE_CAP):
+        # 2^r * (2^r - 1) >= 2^(2r - 1), which is over the cap once 2r - 1 reaches
+        # its bit length, so such an r is refused before 2^r is computed
+        if args.r >= 3 and (args.r > ELEMENT_CAP.bit_length() // 2
+                            or spec.group_order > ELEMENT_CAP):
             cofactor = f" * {spec.q}" if spec.q else ""
             raise ValueError(f"group of order 2^{args.r} * (2^{args.r} - 1){cofactor} exceeds the "
-                             "brute-force budget 2^24; use the closed form without --brute-force")
+                             f"brute-force budget {power_text(ELEMENT_CAP)}; "
+                             "use the closed form without --brute-force")
+        from . import verify
+        from .order_sums import psi_relative
+
         G, H = verify.build_counterexample(spec)  # validates the spec
     else:
         spec.validate()
@@ -210,12 +215,11 @@ def cmd_frobenius(args) -> tuple[int, str, list]:
 def cmd_scan(args) -> tuple[int, str, list]:
     if args.max_order < 1:
         raise ValueError(f"--max-order {args.max_order} must be at least 1")
-    from . import verify
-    from .subgroup_lattice import _LATTICE_CAP
-
-    if args.max_order > _LATTICE_CAP:
+    if args.max_order > LATTICE_CAP:
         raise ValueError(f"--max-order {args.max_order} exceeds the subgroup "
-                         f"enumeration cap {_LATTICE_CAP}")
+                         f"enumeration cap {LATTICE_CAP}")
+    from . import verify
+
     catalog = verify.default_catalog(args.max_order, include_frobenius=args.include_frobenius)
     report = verify.scan_catalog(catalog)
     for res in report.results:

@@ -5,18 +5,18 @@ term first) is encoded as the base-p integer sum(c_i * p^i), so encodings run
 over [0, p^r). Encoding 0 is the additive identity, encoding 1 the
 multiplicative identity. Multiplication and powers (inverses included, as
 ``pow(a, -1)``) go through discrete log/exp tables over a fixed primitive
-element, so they are O(1) after construction. Fields are capped at p^r <= 2^20.
+element, so they are O(1) after construction. Fields are capped at
+p^r <= FIELD_SIZE_CAP.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .budget import FIELD_SIZE_CAP, power_text
 from .numtheory import factorize, is_prime
 
 __all__ = ["FiniteField"]
-
-_SIZE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,9 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if r < 1:
             raise ValueError(f"need r >= 1, got {r}")
-        # p >= 2, so any r > 20 is over the cap without computing p^r
-        if r > 20 or p ** r > _SIZE_CAP:
-            raise ValueError(f"field size {p}^{r} exceeds cap 2^20")
+        # p >= 2, so an r with 2^r above the cap is over it without computing p^r
+        if r >= FIELD_SIZE_CAP.bit_length() or p ** r > FIELD_SIZE_CAP:
+            raise ValueError(f"field size {p}^{r} exceeds cap {power_text(FIELD_SIZE_CAP)}")
         q = p ** r
         self.p = p
         self.r = r

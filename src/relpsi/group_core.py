@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .budget import CYCLIC_CAP, DEGREE_CAP, DIHEDRAL_CAP, ELEMENT_CAP, TABLE_CAP, power_text
 from .finite_field import FiniteField
 from .numtheory import factorize, is_prime
 
@@ -46,14 +47,20 @@ __all__ = [
     "from_cayley_table",
 ]
 
-TABLE_CAP = 4096
-_ORDER_CAP = 1 << 16
 # entries per temporary array when a loop covers all pairs of two element sets
 _BLOCK = 1 << 20
 
 
 class CayleyTableError(ValueError):
     """Raised when ingested Cayley-table data fails validation."""
+
+
+def check_element_budget(n: int, advice: str = "") -> None:
+    """Raise ValueError for a group of more than ELEMENT_CAP elements,
+    before any array over its elements is built."""
+    if n > ELEMENT_CAP:
+        raise ValueError(f"group of order {n} exceeds the brute-force budget "
+                         f"{power_text(ELEMENT_CAP)}{advice}")
 
 
 def row_blocks(rows: np.ndarray, width: int):
@@ -106,6 +113,7 @@ class FiniteGroup:
         """Inverse of every element, as an int64 array indexed by encoding."""
         inv = getattr(self, "_inverse_cache", None)
         if inv is None:
+            check_element_budget(self.order)
             # x^(|G|-1) = x^-1 by Lagrange, for every x at once by
             # square-and-multiply: at most 2 * bit_length(|G|) products
             inv = np.zeros(self.order, dtype=np.int64)
@@ -225,8 +233,9 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     squares and keeps a block's arrays in cache, where the array products
     run faster per element than on 2^20 elements. An element that no
     divisor's power puts in the set raises ValueError, which only a
-    non-subgroup can cause.
+    non-subgroup can cause. A group above ELEMENT_CAP is refused first.
     """
+    check_element_budget(G.order)
     limit = G.order // np.count_nonzero(inside)
     divisors = [1]
     for p, a in factorize(G.order):
@@ -265,8 +274,8 @@ class CyclicGroup(FiniteGroup):
     """C_n, written additively: multiply(a, b) = (a + b) mod n."""
 
     def __init__(self, n: int):
-        if not 1 <= n <= _ORDER_CAP:
-            raise ValueError(f"cyclic order must be in [1, 2^16], got {n}")
+        if not 1 <= n <= CYCLIC_CAP:
+            raise ValueError(f"cyclic order must be in [1, {power_text(CYCLIC_CAP)}], got {n}")
         self.order = n
         self.name = f"C{n}"
 
@@ -598,23 +607,23 @@ def abelian_of_type(type_map: dict[int, list[int]]) -> FiniteGroup:
 def dihedral(n: int) -> PermutationGroup:
     """Dihedral group of order 2n as symmetries of the n-gon, n >= 3: the
     n rotations i -> i + k and the n reflections i -> k - i (mod n)."""
-    if not 3 <= n <= 512:
-        raise ValueError(f"dihedral parameter must be in [3, 512], got {n}")
+    if not 3 <= n <= DIHEDRAL_CAP:
+        raise ValueError(f"dihedral parameter must be in [3, {DIHEDRAL_CAP}], got {n}")
     rotations = [[(i + k) % n for i in range(n)] for k in range(n)]
     reflections = [[(k - i) % n for i in range(n)] for k in range(n)]
     return PermutationGroup(rotations + reflections, name=f"D{n}")
 
 
 def symmetric(d: int) -> PermutationGroup:
-    if not 1 <= d <= 8:
-        raise ValueError(f"symmetric degree must be in [1, 8], got {d}")
+    if not 1 <= d <= DEGREE_CAP:
+        raise ValueError(f"symmetric degree must be in [1, {DEGREE_CAP}], got {d}")
     perms = list(itertools.permutations(range(d)))
     return PermutationGroup(perms, name=f"S{d}")
 
 
 def alternating(d: int) -> PermutationGroup:
-    if not 1 <= d <= 8:
-        raise ValueError(f"alternating degree must be in [1, 8], got {d}")
+    if not 1 <= d <= DEGREE_CAP:
+        raise ValueError(f"alternating degree must be in [1, {DEGREE_CAP}], got {d}")
     # the even permutations: those with an even number of inversions
     perms = [p for p in itertools.permutations(range(d))
              if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]

@@ -17,7 +17,8 @@ from math import isqrt
 
 import numpy as np
 
-from .group_core import _BLOCK, FiniteGroup, first_powers_in
+from .budget import ELEMENT_CAP, power_text
+from .group_core import _BLOCK, FiniteGroup, check_element_budget, first_powers_in
 from .numtheory import factorize, is_prime, psi_cyclic
 from .numtheory import rational_json  # noqa: F401  (re-exported from its old home)
 from .subgroup_lattice import Subgroup, _check_parent
@@ -36,9 +37,6 @@ __all__ = [
     "ratio_bounds_for_index",
 ]
 
-# brute-force budget: hard error above 2^24 elements
-_BRUTE_FORCE_CAP = 1 << 24
-
 
 def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     """Relative order of every element of G over H, indexed by encoding.
@@ -46,14 +44,9 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
     One `first_powers_in` pass over the divisors of |G| up to H.index, the
     same for every group. An element that no such divisor's power puts in H
     raises ValueError, which only a member set that is not a subgroup can
-    cause.
+    cause. A group above ELEMENT_CAP is refused before H is looked at.
     """
-    n = G.order
-    if n > _BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"group of order {n} exceeds the brute-force budget 2^24; "
-            "use a closed form instead"
-        )
+    check_element_budget(G.order, "; use a closed form instead")
     _check_parent(G, H)
     return first_powers_in(G, H.mask())
 
@@ -97,10 +90,8 @@ def psi_relative(G: FiniteGroup, H: Subgroup) -> int:
 
 
 def psi(G: FiniteGroup) -> int:
-    """Sum of element orders of G (relative order against the trivial subgroup)."""
-    n = G.order
-    if n > _BRUTE_FORCE_CAP:
-        raise ValueError(f"group of order {n} exceeds the brute-force budget 2^24")
+    """Sum of element orders of G (relative order against the trivial
+    subgroup); `element_orders` refuses a group above ELEMENT_CAP."""
     return int(G.element_orders().sum())
 
 
@@ -118,8 +109,8 @@ def cyclic_orders(n: int) -> np.ndarray:
     at every multiple of d, divisors ascending, leaves each k its own order
     with no division per element. The divisors come from trial division, not
     `factorize`, so this stays independent of the closed form psi_cyclic."""
-    if not 1 <= n <= _BRUTE_FORCE_CAP:
-        raise ValueError(f"need 1 <= n <= 2^24, got {n}")
+    if not 1 <= n <= ELEMENT_CAP:
+        raise ValueError(f"need 1 <= n <= {power_text(ELEMENT_CAP)}, got {n}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     orders = np.empty(n, dtype=np.int32)
     for d in small + [n // d for d in reversed(small) if d * d != n]:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from .budget import ELEMENT_CAP, LATTICE_CAP, QUOTIENT_INDEX_CAP, power_text
 from .group_core import CayleyTableGroup, FiniteGroup, _close_right, row_blocks
 
 __all__ = [
@@ -18,10 +19,6 @@ __all__ = [
     "is_isolated",
     "conjugates_intersect_trivially",
 ]
-
-_LATTICE_CAP = 200
-_CLOSURE_CAP = 1 << 24
-_QUOTIENT_INDEX_CAP = 512
 
 
 class Subgroup:
@@ -112,21 +109,22 @@ def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = ()) -> 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing ``gens``, closed by vectorised steps
-    over a member mask of G; refuses a G of more than 2^24 elements."""
+    over a member mask of G; refuses a G of more than ELEMENT_CAP elements."""
     gens = list(gens)
     for g in gens:  # in the order given, so an error names the first bad one
         G.check_encoding(g)
     gens = sorted(set(map(int, gens)))
-    if G.order > _CLOSURE_CAP:
-        raise ValueError(f"subgroup closure capped at group order 2^24, {G.name} has {G.order}")
+    if G.order > ELEMENT_CAP:
+        raise ValueError(f"subgroup closure capped at group order {power_text(ELEMENT_CAP)}, "
+                         f"{G.name} has {G.order}")
     members = np.flatnonzero(_close_right(G.multiply_array, G.order, gens))
     return _closed(G, frozenset(members.tolist()), tuple(gens))
 
 
 def _check_lattice_order(n: int) -> None:
     """Raise ValueError for a group order above the enumeration cap."""
-    if n > _LATTICE_CAP:
-        raise ValueError(f"subgroup enumeration capped at order {_LATTICE_CAP}, group has {n}")
+    if n > LATTICE_CAP:
+        raise ValueError(f"subgroup enumeration capped at order {LATTICE_CAP}, group has {n}")
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -184,7 +182,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 reps.append(rt)
         return frozenset(inside)
 
-    seeds = _cyclic_seeds(G)
+    seeds = G.cyclic_seeds()[0]
     seed_rows = table[seeds]  # seed_rows[i, g] = seeds[i] * g
     seeds = seeds.tolist()
     known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds}
@@ -219,12 +217,6 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return subs
 
 
-def _cyclic_seeds(G: FiniteGroup) -> np.ndarray:
-    """The smallest generator of each distinct cyclic subgroup of G, in
-    ascending order; see FiniteGroup.cyclic_seeds."""
-    return G.cyclic_seeds()[0]
-
-
 def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:
     """Raise ValueError unless every one of ``subgroups`` was built on G
     itself; every function of G and a subgroup calls it first, or one that does."""
@@ -232,27 +224,31 @@ def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:
         raise ValueError("subgroup does not belong to this group")
 
 
-def _conjugates(G: FiniteGroup, gs: np.ndarray, H: Subgroup):
-    """g*h*g^-1 for g in gs and h in H, in blocks of rows (one per g)."""
+def _conjugates(G: FiniteGroup, H: Subgroup, outside: bool = False):
+    """g*h*g^-1 for h in H and every g in G, or every g outside H, in
+    blocks of rows (one per g). The inverses come first, so a G above
+    ELEMENT_CAP is refused before any array over its elements is built."""
     hs, inv = np.array(H.elements()), G.inverses()
-    for rows in row_blocks(gs, len(hs)):
-        yield G.multiply_array(G.multiply_array(rows, hs), inv[rows])
+    gs = np.flatnonzero(~H.mask()) if outside else np.arange(G.order)
+    return (G.multiply_array(G.multiply_array(rows, hs), inv[rows])
+            for rows in row_blocks(gs, len(hs)))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     _check_parent(G, H)
     inside = H.mask()
-    return all(inside[c].all() for c in _conjugates(G, np.arange(G.order), H))
+    return all(inside[c].all() for c in _conjugates(G, H))
 
 
 def quotient(G: FiniteGroup, K: Subgroup) -> CayleyTableGroup:
     """G/K as an explicit Cayley-table group; cosets are ordered by their
-    minimal element encoding, which puts the identity coset first."""
+    minimal element encoding, which puts the identity coset first. The
+    index is checked against its cap before the normality test."""
+    index = G.order // K.order
+    if index > QUOTIENT_INDEX_CAP:
+        raise ValueError(f"quotient index {index} exceeds cap {QUOTIENT_INDEX_CAP}")
     if not is_normal(G, K):
         raise ValueError(f"subgroup of order {K.order} is not normal in {G.name}")
-    index = G.order // K.order
-    if index > _QUOTIENT_INDEX_CAP:
-        raise ValueError(f"quotient index {index} exceeds cap {_QUOTIENT_INDEX_CAP}")
     ks = np.array(K.elements())
     rep = np.concatenate([G.multiply_array(rows, ks).min(axis=1)
                           for rows in row_blocks(np.arange(G.order), len(ks))])
@@ -277,5 +273,5 @@ def conjugates_intersect_trivially(G: FiniteGroup, H: Subgroup) -> bool:
     the identity."""
     _check_parent(G, H)
     inside = H.mask()
-    outside = np.flatnonzero(~inside)
-    return not any((inside[c] & (c != G.identity)).any() for c in _conjugates(G, outside, H))
+    return not any((inside[c] & (c != G.identity)).any()
+                   for c in _conjugates(G, H, outside=True))

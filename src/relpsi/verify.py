@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import group_core
+from .budget import BIJECTION_CAP, RATIO_TABLE_CAP
 from .classify import is_nilpotent, is_solvable
 from .group_core import CyclicGroup, FiniteGroup
 from .numtheory import (
@@ -49,8 +50,6 @@ __all__ = [
     "frobenius_ratio_table",
     "default_catalog",
 ]
-
-_BIJECTION_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,8 @@ class BijectionResult:
 
 def _check_bijection_order(n: int) -> None:
     """Raise ValueError for a group order above the bijection cap."""
-    if n > _BIJECTION_CAP:
-        raise ValueError(f"bijection decision capped at order {_BIJECTION_CAP}")
+    if n > BIJECTION_CAP:
+        raise ValueError(f"bijection decision capped at order {BIJECTION_CAP}")
 
 
 def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
@@ -330,8 +329,8 @@ def scan_catalog(groups) -> CatalogReport:
 
 def frobenius_ratio_table(r_max: int):
     """Rows (r, exact ratio, 2^r-1 prime?, ratio < 3/2?) for r = 3..r_max."""
-    if not 3 <= r_max <= 64:
-        raise ValueError(f"need 3 <= r_max <= 64, got {r_max}")
+    if not 3 <= r_max <= RATIO_TABLE_CAP:
+        raise ValueError(f"need 3 <= r_max <= {RATIO_TABLE_CAP}, got {r_max}")
     rows = []
     for r in range(3, r_max + 1):
         ratio = frobenius_ratio_closed_form(r)

@@ -1,0 +1,272 @@
+"""The budget table: every size cap is stated once, in `relpsi.budget`, and
+each is checked before the work it bounds. For every cap, one past it is
+refused with the work patched to fail, so the refusal provably comes first;
+at the cap the input answers, where that takes under about a second, and
+is otherwise shown to get past the check. The command-line edges of the
+lattice, bijection and `psi-cyclic --brute-force` caps are in test_cli.py."""
+
+import ast
+import re
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import relpsi
+import relpsi.group_core as gc
+from relpsi import classify, finite_field, order_sums, subgroup_lattice, verify
+from relpsi.budget import (
+    BIJECTION_CAP,
+    CLASSIFY_CAP,
+    CYCLIC_CAP,
+    DEGREE_CAP,
+    DIHEDRAL_CAP,
+    ELEMENT_CAP,
+    FIELD_SIZE_CAP,
+    LATTICE_CAP,
+    PSI_CYCLIC_BRUTE_FORCE_CAP,
+    QUOTIENT_INDEX_CAP,
+    RATIO_TABLE_CAP,
+    TABLE_CAP,
+    power_text,
+)
+from relpsi.cli import main
+from relpsi.classify import is_nilpotent, is_solvable
+from relpsi.finite_field import FiniteField
+from relpsi.order_sums import cyclic_orders, psi, relative_orders
+from relpsi.subgroup_lattice import (
+    _closed,
+    all_subgroups,
+    conjugates_intersect_trivially,
+    generate,
+    is_normal,
+    quotient,
+)
+from relpsi.verify import bijection_exists, frobenius_ratio_table
+
+SRC = Path(relpsi.__file__).resolve().parent
+
+
+class Reached(Exception):
+    """Raised by patched-in work, to show that a call got past its check."""
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the cap was checked")
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+def module_level_targets(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            yield from node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            yield node.target
+
+
+def test_only_the_budget_module_defines_caps():
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [target.id for target in module_level_targets(tree)
+                 if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
+        if names:
+            defined[path.name] = names
+    assert list(defined) == ["budget.py"]
+    assert "TABLE_CAP" in defined["budget.py"]
+
+
+def test_budget_module_imports_nothing():
+    tree = ast.parse((SRC / "budget.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_power_text():
+    assert power_text(ELEMENT_CAP) == "2^24"
+    assert power_text(PSI_CYCLIC_BRUTE_FORCE_CAP, 10) == "10^6"
+    assert power_text(1) == "2^0"
+
+
+class TestElementCap:
+    """ELEMENT_CAP bounds every array over the elements of a group."""
+
+    @pytest.fixture
+    def huge(self, monkeypatch):
+        """C65536 x C512, of order 2^25, and its trivial subgroup, with every
+        product and factorisation patched to fail."""
+        G = gc.direct_product([gc.cyclic(65536), gc.cyclic(512)])
+        assert G.order == 2 * ELEMENT_CAP
+        monkeypatch.setattr(G, "multiply_array", refuse)
+        monkeypatch.setattr(G, "_product_array", refuse)
+        monkeypatch.setattr(gc, "factorize", refuse)
+        return G, _closed(G, frozenset({G.identity}))
+
+    @pytest.mark.parametrize("entry_point", [
+        lambda G, H: G.element_orders(),
+        lambda G, H: G.is_cyclic(),
+        lambda G, H: G.inverses(),
+        lambda G, H: gc.first_powers_in(G, H.mask()),
+        lambda G, H: is_normal(G, H),
+        lambda G, H: conjugates_intersect_trivially(G, H),
+        lambda G, H: psi(G),
+        lambda G, H: relative_orders(G, H),
+    ], ids=["element_orders", "is_cyclic", "inverses", "first_powers_in", "is_normal",
+            "conjugates_intersect_trivially", "psi", "relative_orders"])
+    def test_refused_before_any_per_element_work(self, huge, entry_point):
+        G, H = huge
+        message = f"group of order {G.order} exceeds the brute-force budget 2^24"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                entry_point(G, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most a boolean mask over G, one byte per element, was built first
+        assert peak < 2 * G.order
+
+    def test_closure_edge(self, monkeypatch):
+        class Edge(gc.FiniteGroup):
+            order = ELEMENT_CAP
+
+        class Past(gc.FiniteGroup):
+            order = ELEMENT_CAP + 1
+            name = "past"
+
+        monkeypatch.setattr(subgroup_lattice, "_close_right", reached)
+        with pytest.raises(Reached):
+            generate(Edge(), [1])
+        with pytest.raises(ValueError, match=exactly(
+                f"subgroup closure capped at group order 2^24, past has {ELEMENT_CAP + 1}")):
+            generate(Past(), [1])
+
+    def test_cyclic_orders_past_cap(self, monkeypatch):
+        monkeypatch.setattr(order_sums, "isqrt", refuse)
+        n = ELEMENT_CAP + 1
+        with pytest.raises(ValueError, match=exactly(f"need 1 <= n <= 2^24, got {n}")):
+            cyclic_orders(n)
+
+
+def test_table_cap_edge(monkeypatch):
+    assert is_solvable(gc.cyclic(TABLE_CAP))
+    past = gc.cyclic(TABLE_CAP + 1)
+    assert not past.tabulated
+    monkeypatch.setattr(past, "_product_array", refuse)
+    monkeypatch.setattr(classify, "_greedy_generators", refuse)
+    n = TABLE_CAP + 1
+    with pytest.raises(ValueError, match=exactly(
+            f"refusing to materialize {n}x{n} table (cap 4096)")):
+        past.cayley_table()
+    with pytest.raises(ValueError, match=exactly(f"classification budget exceeded at order {n}")):
+        is_solvable(past)
+
+
+def test_cyclic_cap_edge():
+    assert gc.cyclic(CYCLIC_CAP).is_cyclic()
+    with pytest.raises(ValueError, match=exactly(
+            f"cyclic order must be in [1, 2^16], got {CYCLIC_CAP + 1}")):
+        gc.cyclic(CYCLIC_CAP + 1)
+
+
+def test_classify_cap_edge():
+    assert is_nilpotent(gc.cyclic(CLASSIFY_CAP))
+
+    class Past(gc.FiniteGroup):
+        order = CLASSIFY_CAP + 1
+
+        def element_orders(self):
+            refuse()
+
+    with pytest.raises(ValueError, match=exactly(
+            f"classification budget exceeded at order {CLASSIFY_CAP + 1}")):
+        is_nilpotent(Past())
+
+
+def test_lattice_cap_edge(monkeypatch):
+    # C_n has one subgroup per divisor of n
+    assert len(all_subgroups(gc.cyclic(LATTICE_CAP))) == 12
+    past = gc.cyclic(LATTICE_CAP + 1)
+    monkeypatch.setattr(past, "_table", refuse)
+    with pytest.raises(ValueError, match=exactly(
+            f"subgroup enumeration capped at order 200, group has {LATTICE_CAP + 1}")):
+        all_subgroups(past)
+
+
+def test_scan_past_lattice_cap_refused_before_the_catalog(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "default_catalog", refuse)
+    assert main(["scan", "--max-order", str(LATTICE_CAP + 1)]) == 1
+    assert capsys.readouterr() == ("", f"error: --max-order {LATTICE_CAP + 1} exceeds the "
+                                       "subgroup enumeration cap 200\n")
+
+
+def test_quotient_index_checked_before_normality(monkeypatch):
+    C = gc.cyclic(QUOTIENT_INDEX_CAP)
+    assert quotient(C, generate(C, [])).order == QUOTIENT_INDEX_CAP
+    monkeypatch.setattr(subgroup_lattice, "is_normal", refuse)
+    for index in (QUOTIENT_INDEX_CAP + 1, 2 * QUOTIENT_INDEX_CAP):
+        past = gc.cyclic(index)
+        with pytest.raises(ValueError, match=exactly(f"quotient index {index} exceeds cap 512")):
+            quotient(past, generate(past, []))
+
+
+def test_bijection_cap_edge(monkeypatch):
+    # a whole order-10 000 table file is 10^8 entries, so the edge is only
+    # shown to pass the check: the relative orders are its first work
+    class Fake(gc.FiniteGroup):
+        def __init__(self, order):
+            self.order = order
+
+    H = generate(gc.cyclic(2), [])
+    monkeypatch.setattr(verify, "relative_orders", reached)
+    with pytest.raises(Reached):
+        bijection_exists(Fake(BIJECTION_CAP), H)
+    with pytest.raises(ValueError, match=exactly("bijection decision capped at order 10000")):
+        bijection_exists(Fake(BIJECTION_CAP + 1), H)
+
+
+def test_field_size_cap_edge(monkeypatch):
+    # building GF(2^20)'s log/exp tables takes about 15 s, so the edge is only
+    # shown to pass the check: the irreducible polynomial is its first work
+    assert 2 ** 20 == FIELD_SIZE_CAP
+    monkeypatch.setattr(finite_field, "find_irreducible", reached)
+    with pytest.raises(Reached):
+        FiniteField(2, 20)
+    with pytest.raises(Reached):
+        FiniteField(1021, 2)  # 1 042 441, the largest p^2 under the cap
+    for p, r in [(2, 21), (1031, 2), (2, 10 ** 9)]:
+        with pytest.raises(ValueError, match=exactly(f"field size {p}^{r} exceeds cap 2^20")):
+            FiniteField(p, r)
+
+
+def test_dihedral_cap_edge(monkeypatch):
+    assert gc.dihedral(DIHEDRAL_CAP).order == 2 * DIHEDRAL_CAP
+    monkeypatch.setattr(gc, "PermutationGroup", refuse)
+    with pytest.raises(ValueError, match=exactly(
+            f"dihedral parameter must be in [3, 512], got {DIHEDRAL_CAP + 1}")):
+        gc.dihedral(DIHEDRAL_CAP + 1)
+
+
+def test_degree_cap_edge(monkeypatch):
+    assert gc.symmetric(DEGREE_CAP).order == 40320
+    assert gc.alternating(DEGREE_CAP).order == 20160
+    monkeypatch.setattr(gc, "itertools", SimpleNamespace(permutations=refuse))
+    for make, kind in [(gc.symmetric, "symmetric"), (gc.alternating, "alternating")]:
+        with pytest.raises(ValueError, match=exactly(
+                f"{kind} degree must be in [1, 8], got {DEGREE_CAP + 1}")):
+            make(DEGREE_CAP + 1)
+
+
+def test_ratio_table_cap_edge(monkeypatch):
+    assert [row[0] for row in frobenius_ratio_table(RATIO_TABLE_CAP)] == list(range(3, 65))
+    monkeypatch.setattr(verify, "frobenius_ratio_closed_form", refuse)
+    with pytest.raises(ValueError, match=exactly(
+            f"need 3 <= r_max <= 64, got {RATIO_TABLE_CAP + 1}")):
+        frobenius_ratio_table(RATIO_TABLE_CAP + 1)

@@ -12,6 +12,7 @@ import sympy
 
 import relpsi.group_core as gc
 from relpsi import cli, numtheory, order_sums, verify
+from relpsi.budget import BIJECTION_CAP, LATTICE_CAP, PSI_CYCLIC_BRUTE_FORCE_CAP
 from relpsi.cli import load_cayley_file, main
 
 
@@ -272,14 +273,15 @@ class TestLargeClosedForms:
         proc = run_cli("psi-cyclic", p * q)
         assert (proc.returncode, proc.stdout) == (0, f"{(p * p - p + 1) * (q * q - q + 1)}\n")
 
-    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 524288, 720720, 10 ** 6])
+    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 524288, 720720,
+                                   PSI_CYCLIC_BRUTE_FORCE_CAP])
     def test_brute_force_matches_element_loop(self, n, capsys):
         expected = sum(n // gcd(n, k) for k in range(n))
         assert main(["psi-cyclic", str(n), "--brute-force"]) == 0
         assert capsys.readouterr().out.split() == [str(expected), str(expected), "OK"]
 
     def test_brute_force_cap(self, capsys):
-        assert main(["psi-cyclic", str(10 ** 6 + 1), "--brute-force"]) == 1
+        assert main(["psi-cyclic", str(PSI_CYCLIC_BRUTE_FORCE_CAP + 1), "--brute-force"]) == 1
         assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
 
     def test_brute_force_cap_checked_before_factorizing(self, monkeypatch, capsys):
@@ -359,15 +361,18 @@ class TestCayleyIngestion:
 
     @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
     def test_order_at_lattice_cap_answers(self, command, capsys, tmp_path):
-        path = write_cayley_file(tmp_path / "c200.txt", gc.cyclic(200))
+        path = write_cayley_file(tmp_path / "c200.txt", gc.cyclic(LATTICE_CAP))
         assert main([command, path]) == 0
         # C200 has one subgroup per divisor of 200
         assert "over 12 subgroups" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, order, message", [
-        (["ratios"], 201, "subgroup enumeration capped at order 200, group has 201"),
-        (["check-bounds"], 201, "subgroup enumeration capped at order 200, group has 201"),
-        (["bijection", "--subgroup", "1"], 10_001, "bijection decision capped at order 10000"),
+        (["ratios"], LATTICE_CAP + 1,
+         "subgroup enumeration capped at order 200, group has 201"),
+        (["check-bounds"], LATTICE_CAP + 1,
+         "subgroup enumeration capped at order 200, group has 201"),
+        (["bijection", "--subgroup", "1"], BIJECTION_CAP + 1,
+         "bijection decision capped at order 10000"),
     ], ids=["ratios", "check-bounds", "bijection"])
     def test_order_past_cap_refused_before_parsing(self, argv, order, message, monkeypatch,
                                                    capsys, tmp_path):

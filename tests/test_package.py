@@ -68,6 +68,8 @@ def test_closed_forms_load_no_numpy(src_env):
     code = """if True:
         import sys
         import relpsi
+        import relpsi.budget
+        assert "numpy" not in sys.modules, sorted(sys.modules)
         from relpsi.cli import main
         assert main(["psi-cyclic", "1001"]) == 0
         assert main(["frobenius", "--r", "5"]) == 0

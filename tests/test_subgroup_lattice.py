@@ -3,12 +3,11 @@ from collections import Counter
 import pytest
 
 import relpsi.group_core as gc
+from relpsi.budget import LATTICE_CAP
 from relpsi.numtheory import factorize
 from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import (
-    _LATTICE_CAP,
     Subgroup,
-    _cyclic_seeds,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -160,7 +159,7 @@ class TestCyclicSeeds:
             smallest = {}
             for x, members in enumerate(closures):
                 smallest.setdefault(members, x)
-            assert _cyclic_seeds(G).tolist() == list(smallest.values()), G.name
+            assert G.cyclic_seeds()[0].tolist() == list(smallest.values()), G.name
             P, orders = G.power_table(), G.element_orders()
             assert [frozenset(P[:orders[x], x].tolist()) for x in G.elements()] == closures, G.name
 
@@ -228,7 +227,7 @@ class TestLatticeOracles:
         G = make()
         assert lattice(all_subgroups(G)) == join_by_generate(G)
 
-    @pytest.mark.parametrize("n", range(3, _LATTICE_CAP // 2 + 1))
+    @pytest.mark.parametrize("n", range(3, LATTICE_CAP // 2 + 1))
     def test_dihedral_count(self, n):
         # D_n of order 2n has tau(n) + sigma(n) subgroups: a cyclic one for
         # each divisor d of n, and n/d dihedral ones of order 2d
