@@ -10,7 +10,9 @@ to the CLI, which loads no numpy at import.
 """
 
 # elements of a group that any per-element array is built over (orders,
-# inverses, relative orders, closure masks): one int64 each, 128 MiB
+# inverses, relative orders, closure masks), and n of `psi-cyclic N
+# --brute-force`, whose C_n sieve is one such array: at most one int64
+# each, 128 MiB
 ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
 # bytes: 32 MiB; is_solvable, which reads that table, is refused above it
@@ -29,24 +31,18 @@ QUOTIENT_INDEX_CAP = 512
 # and one relative order and one witness image per element
 BIJECTION_CAP = 10_000
 # size p^r of a finite field, whose log/exp tables hold one int64 per
-# element (8 MiB each) and are filled element by element in Python
+# element (8 MiB each) and are filled by array gathers over all elements
 FIELD_SIZE_CAP = 1 << 20
 # n of the dihedral group D_n: 2n permutations of degree n, listed in Python
 DIHEDRAL_CAP = 512
 # degree d of S_d and A_d: at most d! = 40 320 permutations, listed in Python
 DEGREE_CAP = 8
-# n of `psi-cyclic N --brute-force`: one int32 element order per element of
-# C_n, 4 MB
-PSI_CYCLIC_BRUTE_FORCE_CAP = 10 ** 6
 # largest r of frobenius_ratio_table: one exact ratio and one Mersenne
 # test per row
 RATIO_TABLE_CAP = 64
 
 
-def power_text(cap: int, base: int = 2) -> str:
-    """``cap``, a power of ``base``, written as base^k, the way the refusal
-    messages print it."""
-    k = 0
-    while base ** k < cap:
-        k += 1
-    return f"{base}^{k}"
+def power_text(cap: int) -> str:
+    """``cap``, a power of 2, written as 2^k, the way the refusal messages
+    print it."""
+    return f"2^{cap.bit_length() - 1}"

@@ -24,7 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .budget import ELEMENT_CAP, LATTICE_CAP, PSI_CYCLIC_BRUTE_FORCE_CAP, power_text
+from .budget import ELEMENT_CAP, LATTICE_CAP, power_text
 from .numtheory import CounterexampleSpec, frobenius_ratio_closed_form, psi_cyclic, rational_json
 
 SCHEMA_VERSION = "1"
@@ -142,9 +142,8 @@ def _parse_generators(text: str):
 
 def cmd_psi_cyclic(args) -> tuple[int, str, list]:
     n = args.n
-    if args.brute_force and n > PSI_CYCLIC_BRUTE_FORCE_CAP:
-        raise ValueError("brute-force path capped at n = "
-                         + power_text(PSI_CYCLIC_BRUTE_FORCE_CAP, 10))
+    if args.brute_force and n > ELEMENT_CAP:
+        raise ValueError(f"brute-force path capped at n = {power_text(ELEMENT_CAP)}")
     value = psi_cyclic(n)
     results = [{"n": n, "psi_cyclic": str(value)}]
     code = EXIT_OK

@@ -7,6 +7,11 @@ multiplicative identity. Multiplication and powers (inverses included, as
 ``pow(a, -1)``) go through discrete log/exp tables over a fixed primitive
 element, so they are O(1) after construction. Fields are capped at
 p^r <= FIELD_SIZE_CAP.
+
+Construction reads encodings as digit vectors over F_p, on which
+multiplication by a fixed b is linear: row i of its r x r matrix holds the
+digits of x^i * b. Powers are matrix powers, and the tables are filled from
+the map a -> a * g over all encodings at once.
 """
 
 from __future__ import annotations
@@ -19,73 +24,10 @@ from .numtheory import factorize, is_prime
 __all__ = ["FiniteField"]
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, constant term first,
-# trailing zeros trimmed); only used during field construction
-# ---------------------------------------------------------------------------
-
-def _trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
-def _poly_mod(f, m, p):
-    f = list(f)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm and f:
-        c = f[-1] * inv_lead % p
-        shift = len(f) - 1 - dm
-        for i, a in enumerate(m):
-            f[shift + i] = (f[shift + i] - c * a) % p
-        _trim(f)
-    return f
-
-
-def _poly_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _poly_mod(f, g, p)
-    return f
-
-
-def _poly_powmod(f, e, m, p):
-    result = [1]
-    base = _poly_mod(f, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f, p, r):
-    # No irreducible factor of degree <= r/2 forces irreducibility, since two
-    # proper factors cannot both have degree > r/2. x^(p^i) - x is the product
-    # of all irreducibles of degree dividing i.
-    t = [0, 1]
-    for _ in range(r // 2):
-        t = _poly_powmod(t, p, f, p)
-        diff = list(t) + [0, 0]
-        diff[1] = (diff[1] - 1) % p
-        _trim(diff)
-        g = _poly_gcd(list(f), diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+def _digit_vectors(codes, p: int, n: int) -> np.ndarray:
+    """The n lowest base-p digits of each encoding in ``codes``, constant
+    term first, along a new last axis."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(n) % p
 
 
 def find_irreducible(p: int, r: int) -> tuple[int, ...]:
@@ -96,19 +38,21 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    for low in range(p ** r):
-        coeffs = _digits(low, p, r) + [1]
-        if _is_irreducible(coeffs, p, r):
-            return tuple(coeffs)
+    # f is reducible iff a monic g of degree d <= m = r/2 divides it, since two
+    # proper factors cannot both have degree > r/2. Each g is taken times
+    # x^(m-d), so that all lead at x^m, and divides x^(m-d) * f with the
+    # remainder x^(m-d) * (f mod g): every division runs in the same columns.
+    m = r // 2
+    pairs = [(p ** d + low, m - d) for d in range(1, m + 1) for low in range(p ** d)]
+    leads, shifts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    divisors = _digit_vectors(leads * p ** shifts, p, m + 1)
+    for f in range(p ** r, 2 * p ** r):
+        rem = _digit_vectors(f * p ** shifts, p, r + m)
+        for k in range(r + m - 1, m - 1, -1):
+            rem[:, k - m:k + 1] = (rem[:, k - m:k + 1] - rem[:, k:k + 1] * divisors) % p
+        if rem.any(axis=1).all():
+            return tuple(_digit_vectors(f, p, r + 1).tolist())
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-def _digits(e, p, r):
-    out = []
-    for _ in range(r):
-        out.append(e % p)
-        e //= p
-    return out
 
 
 class FiniteField:
@@ -130,22 +74,30 @@ class FiniteField:
         self.primitive_element = self._find_primitive()
         self._build_tables()
 
-    # -- raw (table-free) arithmetic, used during construction ---------------
+    # -- table-free arithmetic on digit vectors, used during construction -----
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        fa = _trim(_digits(a, self.p, self.r))
-        fb = _trim(_digits(b, self.p, self.r))
-        prod = _poly_mod(_poly_mul(fa, fb, self.p), list(self.modulus), self.p)
-        return self.encode(prod)
+    def _mul_matrix(self, b: int) -> np.ndarray:
+        """Matrix M(b) with digits(a) @ M(b) % p the digits of a * b: row i is
+        row i - 1 shifted up one digit, plus its top digit times x^r mod f."""
+        p, r = self.p, self.r
+        x_to_r = -np.array(self.modulus[:r], dtype=np.int64) % p
+        M = np.zeros((r, r), dtype=np.int64)
+        M[0] = _digit_vectors(b, p, r)
+        for i in range(1, r):
+            M[i, 1:] = M[i - 1, :-1]
+            M[i] = (M[i] + M[i - 1, -1] * x_to_r) % p
+        return M
 
     def _raw_pow(self, a: int, e: int) -> int:
-        result = 1
+        # M(a)^e = M(a^e), whose first row holds the digits of a^e
+        result = np.identity(self.r, dtype=np.int64)
+        base = self._mul_matrix(a)
         while e:
             if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
+                result = result @ base % self.p
+            base = base @ base % self.p
             e >>= 1
-        return result
+        return self.encode(result[0].tolist())
 
     def _find_primitive(self) -> int:
         if self.size == 2:
@@ -158,20 +110,28 @@ class FiniteField:
         raise AssertionError("unreachable: multiplicative group is cyclic")
 
     def _build_tables(self):
-        q = self.size
-        exp = [1] * max(q - 1, 1)
-        log = [0] * q
-        g = self.primitive_element
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, g)
+        p, q = self.p, self.size
+        # times_g[a] = a * g over the encodings below p^(i+1), from those below
+        # p^i: adding digit i of a adds a_i * (x^i * g), one of p multiples
+        times_g = np.zeros(1, dtype=np.int64)
+        for row in self._mul_matrix(self.primitive_element):
+            multiples = np.arange(p)[:, None] * row % p @ p ** np.arange(self.r)
+            times_g = self.add(multiples[:, None], times_g).ravel()
+        # with exp[:L] = g^0..g^(L-1) known and times_g multiplying by g^L,
+        # one gather gives the next L powers, and squaring the map doubles L
+        exp = np.ones(q - 1, dtype=np.int64)
+        known = 1
+        while known < q - 1:
+            new = min(known, q - 1 - known)
+            exp[known:known + new] = times_g[exp[:new]]
+            known += new
+            times_g = times_g[times_g]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
         # read-only int64 arrays, so a group product can gather through them
-        self._exp = np.array(exp, dtype=np.int64)
-        self._log = np.array(log, dtype=np.int64)
-        self._exp.setflags(write=False)
-        self._log.setflags(write=False)
+        exp.setflags(write=False)
+        log.setflags(write=False)
+        self._exp, self._log = exp, log
 
     # -- element operations ---------------------------------------------------
 
@@ -219,4 +179,3 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
-

@@ -20,7 +20,6 @@ import numpy as np
 from .budget import ELEMENT_CAP, power_text
 from .group_core import _BLOCK, FiniteGroup, check_element_budget, first_powers_in
 from .numtheory import factorize, is_prime, psi_cyclic
-from .numtheory import rational_json  # noqa: F401  (re-exported from its old home)
 from .subgroup_lattice import Subgroup, _check_parent
 
 __all__ = [

@@ -7,15 +7,17 @@ lattice, bijection and `psi-cyclic --brute-force` caps are in test_cli.py."""
 
 import ast
 import re
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import relpsi
 import relpsi.group_core as gc
-from relpsi import classify, finite_field, order_sums, subgroup_lattice, verify
+from relpsi import classify, order_sums, subgroup_lattice, verify
 from relpsi.budget import (
     BIJECTION_CAP,
     CLASSIFY_CAP,
@@ -25,7 +27,6 @@ from relpsi.budget import (
     ELEMENT_CAP,
     FIELD_SIZE_CAP,
     LATTICE_CAP,
-    PSI_CYCLIC_BRUTE_FORCE_CAP,
     QUOTIENT_INDEX_CAP,
     RATIO_TABLE_CAP,
     TABLE_CAP,
@@ -84,6 +85,19 @@ def test_only_the_budget_module_defines_caps():
     assert "TABLE_CAP" in defined["budget.py"]
 
 
+def test_every_cap_is_read_by_another_module():
+    tree = ast.parse((SRC / "budget.py").read_text())
+    caps = {target.id for target in module_level_targets(tree)
+            if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "budget.py":
+            imported.update(alias.name for node in ast.walk(ast.parse(path.read_text()))
+                            if isinstance(node, ast.ImportFrom) and node.module == "budget"
+                            for alias in node.names)
+    assert caps and caps <= imported
+
+
 def test_budget_module_imports_nothing():
     tree = ast.parse((SRC / "budget.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -91,7 +105,6 @@ def test_budget_module_imports_nothing():
 
 def test_power_text():
     assert power_text(ELEMENT_CAP) == "2^24"
-    assert power_text(PSI_CYCLIC_BRUTE_FORCE_CAP, 10) == "10^6"
     assert power_text(1) == "2^0"
 
 
@@ -232,15 +245,15 @@ def test_bijection_cap_edge(monkeypatch):
         bijection_exists(Fake(BIJECTION_CAP + 1), H)
 
 
-def test_field_size_cap_edge(monkeypatch):
-    # building GF(2^20)'s log/exp tables takes about 15 s, so the edge is only
-    # shown to pass the check: the irreducible polynomial is its first work
+def test_field_size_cap_edge():
     assert 2 ** 20 == FIELD_SIZE_CAP
-    monkeypatch.setattr(finite_field, "find_irreducible", reached)
-    with pytest.raises(Reached):
-        FiniteField(2, 20)
-    with pytest.raises(Reached):
-        FiniteField(1021, 2)  # 1 042 441, the largest p^2 under the cap
+    # 1021^2 = 1 042 441 is the largest p^2 under the cap, 1 048 573 the
+    # largest prime; each builds in about 0.3 s
+    for p, r in [(2, 20), (1021, 2), (1048573, 1)]:
+        started = time.perf_counter()
+        F = FiniteField(p, r)
+        assert time.perf_counter() - started < 1.0
+        assert np.array_equal(np.sort(F._exp), np.arange(1, F.size))
     for p, r in [(2, 21), (1031, 2), (2, 10 ** 9)]:
         with pytest.raises(ValueError, match=exactly(f"field size {p}^{r} exceeds cap 2^20")):
             FiniteField(p, r)

@@ -12,7 +12,7 @@ import sympy
 
 import relpsi.group_core as gc
 from relpsi import cli, numtheory, order_sums, verify
-from relpsi.budget import BIJECTION_CAP, LATTICE_CAP, PSI_CYCLIC_BRUTE_FORCE_CAP
+from relpsi.budget import BIJECTION_CAP, ELEMENT_CAP, LATTICE_CAP
 from relpsi.cli import load_cayley_file, main
 
 
@@ -273,16 +273,22 @@ class TestLargeClosedForms:
         proc = run_cli("psi-cyclic", p * q)
         assert (proc.returncode, proc.stdout) == (0, f"{(p * p - p + 1) * (q * q - q + 1)}\n")
 
-    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 524288, 720720,
-                                   PSI_CYCLIC_BRUTE_FORCE_CAP])
+    @pytest.mark.parametrize("n", [1, 2, 97, 392182, 524288, 720720, 1000000])
     def test_brute_force_matches_element_loop(self, n, capsys):
         expected = sum(n // gcd(n, k) for k in range(n))
         assert main(["psi-cyclic", str(n), "--brute-force"]) == 0
         assert capsys.readouterr().out.split() == [str(expected), str(expected), "OK"]
 
+    # 14414400 has 504 divisors, the most of any n up to the cap (the next
+    # highly composite number is 17297280); 16216200 has 480
+    @pytest.mark.parametrize("n", [ELEMENT_CAP, 14414400, 16216200])
+    def test_brute_force_at_cap(self, n, capsys):
+        assert main(["psi-cyclic", str(n), "--brute-force"]) == 0
+        assert capsys.readouterr().out.split()[2] == "OK"
+
     def test_brute_force_cap(self, capsys):
-        assert main(["psi-cyclic", str(PSI_CYCLIC_BRUTE_FORCE_CAP + 1), "--brute-force"]) == 1
-        assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
+        assert main(["psi-cyclic", str(ELEMENT_CAP + 1), "--brute-force"]) == 1
+        assert capsys.readouterr().err == "error: brute-force path capped at n = 2^24\n"
 
     def test_brute_force_cap_checked_before_factorizing(self, monkeypatch, capsys):
         # rho spends about 2 s on this semiprime before giving up on it
@@ -291,7 +297,7 @@ class TestLargeClosedForms:
         monkeypatch.setattr(numtheory, "factorize", refuse)
         n = sympy.nextprime(2 ** 60) * sympy.nextprime(2 ** 61)
         assert main(["psi-cyclic", str(n), "--brute-force"]) == 1
-        assert capsys.readouterr().err == "error: brute-force path capped at n = 10^6\n"
+        assert capsys.readouterr().err == "error: brute-force path capped at n = 2^24\n"
 
 
 class TestScan:

@@ -1,5 +1,9 @@
+import random
+from math import gcd
+
 import numpy as np
 import pytest
+import sympy
 
 from relpsi.finite_field import FiniteField, find_irreducible
 
@@ -103,6 +107,36 @@ class TestPrimitiveElement:
             sample = range(0, F.size, F.size // 128)
         for a in sample:
             assert F.pow(a, F.size) == a
+
+
+class TestSympyOracle:
+    """Every GF(p^r) with r >= 2 up to 2^12 elements against sympy's
+    polynomials over F_p, which share no code with the field."""
+
+    @pytest.mark.parametrize("p,r", [(p, r) for p in sympy.primerange(2, 65)
+                                     for r in range(2, 13) if p ** r <= 2 ** 12])
+    def test_field(self, p, r):
+        F = FiniteField(p, r)
+        x = sympy.Symbol("x")
+
+        def poly(code, degree=r - 1):
+            return sympy.Poly([code // p ** i % p for i in range(degree, -1, -1)], x, modulus=p)
+
+        # the least monic irreducible of degree r by encoding
+        modulus = F.encode(F.modulus)
+        assert len(F.modulus) == r + 1 and F.modulus[-1] == 1
+        assert poly(modulus, r).is_irreducible
+        assert not any(poly(f, r).is_irreducible for f in range(p ** r, modulus))
+
+        rng = random.Random(p ** r)
+        for _ in range(50):
+            a, b = rng.randrange(F.size), rng.randrange(F.size)
+            product = (poly(a) * poly(b)).rem(poly(modulus, r))
+            assert F.mul(a, b) == F.encode(reversed(product.all_coeffs()))
+
+        # the least generator of the multiplicative group
+        assert F.primitive_element == next(
+            g for g in F.elements() if gcd(int(F._log[g]), F.size - 1) == 1)
 
 
 def test_size_cap():
