@@ -51,12 +51,8 @@ def _emit_json(path: str, command: str, results, started: float) -> None:
         "results": results,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _approx(fr: Fraction) -> str:

@@ -2,7 +2,8 @@
 used by the order-divisibility bijection decision.
 
 The graph is tiny (one node per distinct relative-order value on each side),
-so a plain Dinic implementation with BFS layering is plenty.
+so a plain Dinic implementation with BFS layering is plenty; its last BFS,
+which finds no path to the sink, marks the source side of a minimum cut.
 """
 
 from __future__ import annotations
@@ -64,25 +65,12 @@ class MaxFlow:
         return total
 
     def min_cut_reachable(self, source: int) -> set[int]:
-        """Nodes reachable from the source in the residual graph; call after
-        max_flow to read off a minimum cut / Hall violator."""
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        """Nodes reachable from the source in the residual graph, the source
+        side of a minimum cut / Hall violator; call after max_flow, whose
+        last BFS from the source found no path to the sink and levelled
+        exactly these nodes."""
+        return {v for v, level in enumerate(self.level) if level >= 0}
 
     def flow_on_edges(self, u: int):
-        """(target, flow) for the forward edges out of u."""
-        out = []
-        for v, _cap, rev, orig in self.graph[u]:
-            if orig == 0:
-                continue
-            back = self.graph[v][rev][1]
-            if back > 0:
-                out.append((v, back))
-        return out
+        """(target, flow) for the forward edges out of u that carry flow."""
+        return [(v, orig - cap) for v, cap, _, orig in self.graph[u] if orig - cap > 0]

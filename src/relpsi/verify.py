@@ -161,38 +161,40 @@ def bijection_exists(G: FiniteGroup, H: Subgroup) -> BijectionResult:
     """
     n = G.order
     _check_bijection_order(n)
-    left_of = relative_orders(G, H).tolist()
-    left = Counter(left_of)
+    rel = relative_orders(G, H)
     # in C_n, the unique subgroup of order |H| is the multiples of q = n/|H|
-    # and the relative order of k is q / gcd(q, k), the order of k mod q in
-    # C_q; each value's pool of C_n elements is kept descending, so pop()
-    # yields them ascending
+    # and the relative order of k is q / gcd(q, k), the order of k mod q in C_q
     cyclic_rel = np.tile(cyclic_orders(n // H.order), H.order)
-    pools = {int(w): np.flatnonzero(cyclic_rel == w)[::-1].tolist() for w in np.unique(cyclic_rel)}
-    right = {w: len(pool) for w, pool in pools.items()}
-    left_vals = sorted(left)
-    right_vals = sorted(right)
-    # nodes: source, left buckets, right buckets, sink
-    source = 0
-    sink = 1 + len(left_vals) + len(right_vals)
+    left_vals, left_counts = (a.tolist() for a in np.unique(rel, return_counts=True))
+    right_vals, right_counts = (a.tolist() for a in np.unique(cyclic_rel, return_counts=True))
+    # nodes: source 0, left bucket i at 1 + i, right bucket j at right + j, sink
+    right = 1 + len(left_vals)
+    sink = right + len(right_vals)
     flow = MaxFlow(sink + 1)
-    left_node = {v: 1 + i for i, v in enumerate(left_vals)}
-    right_node = {v: 1 + len(left_vals) + i for i, v in enumerate(right_vals)}
-    for v in left_vals:
-        flow.add_edge(source, left_node[v], left[v])
-    for w in right_vals:
-        flow.add_edge(right_node[w], sink, right[w])
-    for v in left_vals:
-        for w in right_vals:
+    for i, count in enumerate(left_counts):
+        flow.add_edge(0, 1 + i, count)
+    for j, count in enumerate(right_counts):
+        flow.add_edge(right + j, sink, count)
+    for i, v in enumerate(left_vals):
+        for j, w in enumerate(right_vals):
             if w % v == 0:
-                flow.add_edge(left_node[v], right_node[w], n)
-    total = flow.max_flow(source, sink)
-    if total == n:
-        witness = _inflate_witness(left_of, flow, left_node, right_node, pools)
-        return BijectionResult(exists=True, witness=witness)
-    reachable = flow.min_cut_reachable(source)
-    deficient = {v: left[v] for v in left_vals if left_node[v] in reachable}
-    neighborhood = {w: right[w] for w in right_vals if right_node[w] in reachable}
+                flow.add_edge(1 + i, right + j, n)
+    if flow.max_flow(0, sink) == n:
+        # the elements of each left bucket, ascending, take its right buckets
+        # from the largest value down; right nodes ascend with their values, so
+        # sorting by node sorts by value, and the elements sent to one value
+        # take its C_n elements in ascending order on both sides
+        target = np.empty(n, dtype=np.int64)
+        for i, v in enumerate(left_vals):
+            nodes, flows = np.array(flow.flow_on_edges(1 + i)[::-1]).T
+            target[rel == v] = np.repeat(nodes, flows)
+        witness = np.empty(n, dtype=np.int64)
+        witness[np.argsort(target, kind="stable")] = np.argsort(cyclic_rel, kind="stable")
+        return BijectionResult(exists=True, witness=tuple(witness.tolist()))
+    reachable = flow.min_cut_reachable(0)
+    deficient = {v: c for i, (v, c) in enumerate(zip(left_vals, left_counts)) if 1 + i in reachable}
+    neighborhood = {w: c for j, (w, c) in enumerate(zip(right_vals, right_counts))
+                    if right + j in reachable}
     return BijectionResult(exists=False, deficient_values=deficient, neighborhood_values=neighborhood)
 
 
@@ -228,24 +230,6 @@ def check_bijection(G: FiniteGroup, H: Subgroup, result: BijectionResult) -> str
     if sum(deficient.values()) <= sum(reached.values()):
         return f"the deficient values {deficient} are not more than the values they reach {reached}"
     return None
-
-
-def _inflate_witness(left_of, flow, left_node, right_node, pools):
-    node_to_right = {node: w for w, node in right_node.items()}
-    # per left value, the list of (right value, remaining flow)
-    assignments: dict[int, list[list[int]]] = {}
-    for v, node in left_node.items():
-        assignments[v] = [[node_to_right[t], f] for t, f in flow.flow_on_edges(node)]
-    out = []
-    for v in left_of:
-        slots = assignments[v]
-        w, remaining = slots[-1][0], slots[-1][1]
-        out.append(pools[w].pop())
-        if remaining == 1:
-            slots.pop()
-        else:
-            slots[-1][1] = remaining - 1
-    return tuple(out)
 
 
 @dataclass

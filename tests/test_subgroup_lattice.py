@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -211,6 +212,60 @@ def lattice(subs):
     return [(H.members, H.generators) for H in subs]
 
 
+def gaussian_binomial(n, k, p):
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def conjugate(partition, length):
+    """The first ``length`` parts of the conjugate partition, zero-padded."""
+    return [sum(part > i for part in partition) for i in range(length)]
+
+
+def abelian_subgroup_counts(type_map):
+    """{order: number of subgroups} of the abelian group of type ``type_map``
+    ({p: partition}), in closed form, sharing no code with the lattice. An
+    abelian p-group of type lambda has prod_i p^(mu'_(i+1) (lambda'_i - mu'_i))
+    [lambda'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_p subgroups of type mu,
+    primes ' the conjugate partitions (S. Delsarte, Ann. of Math. 49, 1948;
+    L. M. Butler, Mem. AMS 539, 1994), and the count is multiplicative over
+    the primes."""
+    counts = {1: 1}
+    for p, lam in type_map.items():
+        lam = sorted(lam, reverse=True)
+        columns = lam[0]
+        lam_c = conjugate(lam, columns)
+        at_p = Counter()
+        for mu in product(*(range(part + 1) for part in lam)):
+            if any(a < b for a, b in zip(mu, mu[1:])):
+                continue
+            mu_c = conjugate(mu, columns + 1)
+            count = 1
+            for i in range(columns):
+                count *= (p ** (mu_c[i + 1] * (lam_c[i] - mu_c[i]))
+                          * gaussian_binomial(lam_c[i] - mu_c[i + 1], mu_c[i] - mu_c[i + 1], p))
+            at_p[p ** sum(mu)] += count
+        counts = {a * b: ca * cb for a, ca in counts.items() for b, cb in at_p.items()}
+    return counts
+
+
+def abelian_type(G):
+    """{p: partition} of a catalog group built from cyclic factors, else None."""
+    factors = G.factors if isinstance(G, gc.DirectProductGroup) else [G]
+    if not all(isinstance(C, gc.CyclicGroup) for C in factors):
+        return None
+    type_map = {}
+    for C in factors:
+        for p, a in factorize(C.order):
+            type_map.setdefault(p, []).append(a)
+    return type_map
+
+
 class TestLatticeOracles:
     def test_catalog_matches_join_by_generate(self, catalog_subgroups):
         for G, subs in catalog_subgroups:
@@ -241,6 +296,33 @@ class TestLatticeOracles:
     ], ids=["S4", "S5", "A5"])
     def test_known_counts(self, make, count):
         assert len(all_subgroups(make())) == count
+
+
+class TestAbelianSubgroupCounts:
+    """The lattice of an abelian group against Delsarte's closed-form count of
+    its subgroups of each order."""
+
+    @pytest.mark.parametrize("type_map, total", [
+        ({2: [1] * 5}, 374),
+        ({2: [2, 2, 1, 1]}, 249),
+        ({3: [1] * 4}, 212),
+        ({2: [3, 1, 1]}, 38),
+        ({2: [2, 1], 3: [1, 1]}, 48),
+        ({3: [2, 1]}, 10),
+        ({2: [2, 1]}, 8),
+        ({5: [1, 1]}, 8),
+    ], ids=["C2^5", "C4^2xC2^2", "C3^4", "C8xC2^2", "C4xC2xC3^2", "C9xC3", "C4xC2", "C5^2"])
+    def test_named_groups(self, type_map, total):
+        counts = abelian_subgroup_counts(type_map)
+        assert sum(counts.values()) == total
+        assert Counter(H.order for H in all_subgroups(gc.abelian_of_type(type_map))) == counts
+
+    def test_catalog_abelian_groups(self, catalog_subgroups):
+        abelian = [(G, subs, abelian_type(G)) for G, subs in catalog_subgroups
+                   if abelian_type(G) is not None]
+        assert len(abelian) == 123  # C1..C100 and 23 non-cyclic abelian groups
+        for G, subs, type_map in abelian:
+            assert Counter(H.order for H in subs) == abelian_subgroup_counts(type_map), G.name
 
 
 class TestLatticeCertificate:
