@@ -1,20 +1,27 @@
 """Finite groups on integer encodings.
 
 Every group fixes a deterministic bijection between its elements and
-[0, order), with the identity at encoding 0. Each class defines an array
-product on int64 arrays, and the Cayley table, inverses, element orders and
-power table all come from it. A group of order at most TABLE_CAP builds one
+[0, order), with the identity at encoding 0. Each class names coordinates
+for its elements: `_split` turns int64 encodings into a flat tuple of
+coordinate arrays and `_join` turns them back. C_n has one coordinate k, a
+Frobenius group two, (a, k), and a direct product its factors' coordinates
+in turn, so products nest; a table or permutation group keeps the encoding
+itself. Each class defines exactly one product, `_product`, on those
+coordinates: exponents k + l are reduced by one compare-and-subtract, with
+no division. The array product on encodings, `_product_array`, is join,
+product and split, and the Cayley table, inverses, element orders and power
+table all come from it. A group of order at most TABLE_CAP builds one
 compact Cayley table on first use, from the array product, and caches it;
 `multiply_array` then reads that table, and the subgroup, classification and
 order-sum loops run on it. Above the cap `multiply_array` computes products
-arithmetically, so no table is built. A direct product combines its
-factors' array products, so a factor never builds a table for its parent.
+arithmetically, so no table is built; a direct product multiplies its
+factors' coordinates, so a factor never builds a table for its parent.
 `first_powers_in` gives relative orders, and element orders above the cap,
 in one pass over the divisors of the group order up to the index, each
-power formed from stored squares. Each class also keeps a scalar
-`multiply`/`inverse` that the program does not call: the tests check the
-array product against them and build their reference powers, element orders
-and relative orders on them.
+power formed from stored squares that it keeps split. Each class also keeps
+a scalar `multiply`/`inverse` that the program does not call: the tests
+check the array product against them and build their reference powers,
+element orders and relative orders on them.
 """
 
 from __future__ import annotations
@@ -63,6 +70,15 @@ def check_element_budget(n: int, advice: str = "") -> None:
                          f"{power_text(ELEMENT_CAP)}{advice}")
 
 
+def _reduce(s: np.ndarray, n: int) -> np.ndarray:
+    """s mod n, in place, for an int64 array s with entries in [0, 2n): n is
+    subtracted, and s >> 63, all ones exactly where that left s negative,
+    masks the n that is added back."""
+    s -= n
+    s += (s >> 63) & n
+    return s
+
+
 def row_blocks(rows: np.ndarray, width: int):
     """Split ``rows`` into column vectors of at most about _BLOCK / width
     entries, so a product against ``width`` columns stays small."""
@@ -72,12 +88,31 @@ def row_blocks(rows: np.ndarray, width: int):
 
 
 class FiniteGroup:
-    """Abstract finite group; concrete classes define the array product
-    `_product_array` (a table group reads its table) and multiply/inverse."""
+    """Abstract finite group; concrete classes define the product `_product`
+    on coordinate tuples (a table group reads its table) and multiply/inverse,
+    and, when their coordinates are not the encoding itself, `_split`,
+    `_join` and the number of coordinate arrays `_width`."""
 
     order: int
     name: str = "G"
     identity: int = 0
+    _width = 1
+
+    @staticmethod
+    def _split(x) -> tuple:
+        """int64 encodings -> flat tuple of ``_width`` coordinate arrays; here
+        the encoding itself, which a subclass with coordinates overrides."""
+        return (x,)
+
+    @staticmethod
+    def _join(coords):
+        """The encodings of a coordinate tuple; the inverse of `_split`."""
+        return coords[0]
+
+    def _product_array(self, x, y) -> np.ndarray:
+        """Products of two broadcastable int64 encoding arrays, multiplied
+        on their coordinates."""
+        return self._join(self._product(self._split(x), self._split(y)))
 
     @property
     def tabulated(self) -> bool:
@@ -234,6 +269,11 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     run faster per element than on 2^20 elements. An element that no
     divisor's power puts in the set raises ValueError, which only a
     non-subgroup can cause. A group above ELEMENT_CAP is refused first.
+
+    The squares and the running power stay split into coordinates, and a
+    power is joined only to read ``inside``, once per divisor step; a
+    tabulated group has the encoding as its one coordinate and reads its
+    table for the product.
     """
     check_element_budget(G.order)
     limit = G.order // np.count_nonzero(inside)
@@ -241,27 +281,38 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     for p, a in factorize(G.order):
         divisors = [d * p ** i for d in divisors for i in range(a + 1)]
     divisors = sorted(d for d in divisors if 1 < d <= limit)
+    if G.tabulated:
+        table = G._table()
+        split, join = FiniteGroup._split, FiniteGroup._join
+
+        def product(xs, ys):
+            return (table[xs[0], ys[0]],)
+    else:
+        split, join, product = G._split, G._join, G._product
     orders = np.ones(G.order, dtype=np.int64)
     outside = np.flatnonzero(~inside)
     step = max(1, _BLOCK >> 5)
     for lo in range(0, outside.size, step):
         todo = outside[lo:lo + step]
-        squares, power, prev = [todo], todo, 1
+        squares = [split(todo)]
+        power, prev = squares[0], 1
         for d in divisors:
             gap = d - prev
             for j in range(gap.bit_length()):
                 if len(squares) == j:
-                    squares.append(G.multiply_array(squares[-1], squares[-1]))
+                    squares.append(product(squares[-1], squares[-1]))
                 if gap >> j & 1:
-                    power = G.multiply_array(power, squares[j])
+                    power = product(power, squares[j])
             prev = d
-            hit = inside[power]
+            hit = inside[join(power)]
+            if not hit.any():
+                continue
             orders[todo[hit]] = d
-            miss = ~hit
-            todo, power = todo[miss], power[miss]
+            miss = np.flatnonzero(~hit)
+            todo, power = todo[miss], tuple(c[miss] for c in power)
             if not todo.size:
                 break
-            squares = [s[miss] for s in squares]
+            squares = [tuple(c[miss] for c in s) for s in squares]
         if todo.size:
             raise ValueError(
                 f"no power x^d with d dividing {G.order} and 1 <= d <= {limit} of element "
@@ -285,8 +336,8 @@ class CyclicGroup(FiniteGroup):
     def inverse(self, a):
         return -a % self.order
 
-    def _product_array(self, x, y):
-        return (x + y) % self.order
+    def _product(self, xs, ys):
+        return (_reduce(xs[0] + ys[0], self.order),)
 
 
 class CayleyTableGroup(FiniteGroup):
@@ -306,8 +357,8 @@ class CayleyTableGroup(FiniteGroup):
     def inverse(self, a):
         return int(self.inverses()[a])
 
-    def _product_array(self, x, y):
-        return self._table_cache[x, y].astype(np.int64)
+    def _product(self, xs, ys):
+        return (self._table_cache[xs[0], ys[0]].astype(np.int64),)
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -445,16 +496,17 @@ class PermutationGroup(FiniteGroup):
             inv[j] = i
         return self._index[tuple(inv)]
 
-    def _product_array(self, x, y):
+    def _product(self, xs, ys):
         # a product is ranked by its images of a few base points: each base
         # point refines the classes of perms agreeing on the points before it,
         # and `lookup` maps (class, image) to the refined class, so no key
         # grows past order * degree
+        (x,), (y,) = xs, ys
         perms, steps, rank = self._ranking()
         cls = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
         for point, lookup in steps:
             cls = lookup[cls * self.degree + perms[x, perms[y, point]]]
-        return rank[cls]
+        return (rank[cls],)
 
     def _ranking(self):
         cached = getattr(self, "_rank_cache", None)
@@ -483,8 +535,10 @@ class FrobeniusFieldGroup(FiniteGroup):
     of the additive group (kernel) by the multiplicative group (complement).
 
     Element (a, k) is encoded as enc(a) * (p^r - 1) + k; the identity (0, 0)
-    lands at 0.
+    lands at 0. Its coordinates are the arrays (a, k).
     """
+
+    _width = 2
 
     def __init__(self, p: int, r: int):
         field = FiniteField(p, r)
@@ -496,6 +550,13 @@ class FrobeniusFieldGroup(FiniteGroup):
         self.order = q * (q - 1)
         self.name = f"Frob({p},{r})"
         self._g = field.primitive_element
+        # g^k * b = exp[k + log b] for b != 0: exp stored twice takes
+        # k + log b < 2(q - 1) unreduced, and the q - 1 zeros after it, where
+        # log 0 points, give b = 0 its product 0
+        q1 = q - 1
+        self._exp = np.concatenate([field._exp, field._exp, np.zeros(q1, dtype=np.int64)])
+        self._log = field._log.copy()
+        self._log[0] = 2 * q1
 
     def encode(self, a: int, k: int) -> int:
         return a * (self.q - 1) + k
@@ -516,13 +577,15 @@ class FrobeniusFieldGroup(FiniteGroup):
         b = f.neg(f.mul(g_inv_k, a))
         return b * q1 + (q1 - k) % q1
 
-    def _product_array(self, x, y):
-        q1 = self.q - 1
-        a, k = np.divmod(x, q1)
-        b, l = np.divmod(y, q1)
-        f = self.field
-        gb = np.where(b == 0, 0, f._exp[(k + f._log[b]) % q1])
-        return f.add(a, gb) * q1 + (k + l) % q1
+    def _split(self, x):
+        return tuple(np.divmod(x, self.q - 1))
+
+    def _join(self, coords):
+        return self.encode(*coords)
+
+    def _product(self, xs, ys):
+        (a, k), (b, l) = xs, ys
+        return self.field.add(a, self._exp[k + self._log[b]]), _reduce(k + l, self.q - 1)
 
     def kernel_elements(self) -> list[int]:
         """Encodings of the normal elementary-abelian part {(a, 0)}."""
@@ -535,7 +598,8 @@ class FrobeniusFieldGroup(FiniteGroup):
 
 class DirectProductGroup(FiniteGroup):
     """Componentwise product; encodings packed mixed-radix, first factor most
-    significant, so the identity tuple maps to 0."""
+    significant, so the identity tuple maps to 0. Its coordinates are its
+    factors' coordinates, first factor first, in one flat tuple."""
 
     def __init__(self, factors):
         factors = list(factors)
@@ -544,6 +608,9 @@ class DirectProductGroup(FiniteGroup):
         self.factors = factors
         self.order = math.prod(g.order for g in factors)
         self.name = "x".join(g.name for g in factors)
+        ends = list(itertools.accumulate(g._width for g in factors))
+        self._slices = [slice(end - g._width, end) for g, end in zip(factors, ends)]
+        self._width = ends[-1]
 
     def encode(self, parts) -> int:
         e = 0
@@ -565,13 +632,20 @@ class DirectProductGroup(FiniteGroup):
     def inverse(self, a):
         return self.encode(g.inverse(x) for g, x in zip(self.factors, self.decode(a)))
 
-    def _product_array(self, x, y):
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        place = self.order
-        for g in self.factors:
-            place //= g.order
-            out += g._product_array(x // place % g.order, y // place % g.order) * place
-        return out
+    def _split(self, x):
+        # digits from the last factor up; what is left is the first one's
+        parts = []
+        for g in reversed(self.factors[1:]):
+            x, digit = np.divmod(x, g.order)
+            parts[:0] = g._split(digit)
+        return (*self.factors[0]._split(x), *parts)
+
+    def _join(self, coords):
+        return self.encode(g._join(coords[part]) for g, part in zip(self.factors, self._slices))
+
+    def _product(self, xs, ys):
+        return tuple(itertools.chain.from_iterable(
+            g._product(xs[part], ys[part]) for g, part in zip(self.factors, self._slices)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,7 @@ class TestElementCap:
         assert G.order == 2 * ELEMENT_CAP
         monkeypatch.setattr(G, "multiply_array", refuse)
         monkeypatch.setattr(G, "_product_array", refuse)
+        monkeypatch.setattr(G, "_product", refuse)
         monkeypatch.setattr(gc, "factorize", refuse)
         return G, _closed(G, frozenset({G.identity}))
 

@@ -1,6 +1,8 @@
+import ast
 import tracemalloc
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,7 +391,31 @@ ABOVE_TABLE_CAP = [
     gc.direct_product([gc.cyclic(4096), gc.cyclic(2)]),
     gc.frobenius_field(3, 4),
     gc.symmetric(7),
+    gc.direct_product([gc.direct_product([gc.frobenius_field(2, 5), gc.cyclic(3)]), gc.cyclic(5)]),
+    gc.direct_product([gc.symmetric(5), gc.cyclic(41)]),
+    gc.direct_product([gc.frobenius_field(3, 4), gc.cyclic(2)]),
 ]
+
+
+@pytest.mark.parametrize("G", ABOVE_TABLE_CAP, ids=lambda g: g.name)
+def test_join_inverts_split_above_table_cap(G):
+    x = np.arange(G.order)
+    coords = G._split(x)
+    assert len(coords) == G._width
+    assert np.array_equal(G._join(coords), x)
+
+
+def test_each_group_class_has_one_product():
+    # FiniteGroup alone defines the product on encodings, as join, product
+    # and split; every other class defines its product on coordinates only
+    tree = ast.parse(Path(gc.__file__).read_text())
+    methods = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert not [name for name, defs in methods.items() if {"_product_array", "_product"} <= defs]
+    assert [name for name, defs in methods.items() if "_product_array" in defs] == ["FiniteGroup"]
+    assert [name for name, defs in methods.items() if "_product" in defs] == [
+        "CyclicGroup", "CayleyTableGroup", "PermutationGroup", "FrobeniusFieldGroup",
+        "DirectProductGroup"]
 
 
 @pytest.mark.parametrize("G", ABOVE_TABLE_CAP, ids=lambda g: g.name)

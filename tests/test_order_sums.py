@@ -22,6 +22,7 @@ from relpsi.order_sums import (
     relative_orders,
 )
 from relpsi.subgroup_lattice import Subgroup, _closed, all_subgroups, generate
+from relpsi.verify import CounterexampleSpec, build_counterexample
 from reference import element_order, relative_order, relative_order_by_cyclic_intersection
 
 
@@ -125,14 +126,22 @@ def above_cap_cases():
     its complement and its kernel steps through 2, 4, ..., 64, 127; S7 over
     a point stabiliser (index 7) through every divisor up to 7; S8 over a
     7-cycle (index 5760) through its divisors up to 15, the largest element
-    order."""
+    order. Frob(2,5)xC11 over the paper's subgroup keeps three coordinate
+    arrays per element, and Frob(3,4)xC2 over its complement times C2 adds
+    in GF(81) digit by digit."""
     F, S7, S8 = gc.frobenius_field(2, 7), gc.symmetric(7), gc.symmetric(8)
     stabiliser = generate(S7, [perm(S7, [(0, 1)]), perm(S7, [(0, 1, 2, 3, 4, 5)])])
+    paper, paper_sub = build_counterexample(CounterexampleSpec(5, 11))
+    F34 = gc.frobenius_field(3, 4)
+    odd = gc.direct_product([F34, gc.cyclic(2)])
+    odd_sub = generate(odd, [odd.encode((F34.encode(0, 1), 0)), odd.encode((0, 1))])
     return [
         ("Frob(2,7)/complement", F, frobenius_complement(F), range(0, F.order, 61)),
         ("Frob(2,7)/kernel", F, generate(F, F.kernel_elements()), range(5, F.order, 67)),
         ("S7/stabiliser", S7, stabiliser, range(0, S7.order, 17)),
         ("S8/7-cycle", S8, generate(S8, [perm(S8, [(0, 1, 2, 3, 4, 5, 6)])]), range(3, S8.order, 131)),
+        ("Frob(2,5)xC11/paper", paper, paper_sub, range(1, paper.order, 43)),
+        ("Frob(3,4)xC2/complementxC2", odd, odd_sub, range(2, odd.order, 53)),
     ]
 
 
@@ -157,14 +166,21 @@ class TestDivisorSteps:
             assert G.element_orders().tolist() == orders, label
 
     def test_steps_for_the_frobenius_complement(self, monkeypatch):
-        # a step per m up to the index took 126 products for Frob(2,7)
+        # a step per m up to the index took 126 products for Frob(2,7); the
+        # pass multiplies split coordinates, so it counts coordinate products
         G = gc.frobenius_field(2, 7)
         H = frobenius_complement(G)
         calls = []
-        product = G.multiply_array
-        monkeypatch.setattr(G, "multiply_array", lambda x, y: calls.append(1) or product(x, y))
+        product = G._product
+        monkeypatch.setattr(G, "_product", lambda xs, ys: calls.append(1) or product(xs, ys))
         assert psi_relative(G, H) == psi_relative_frobenius_formula(2, 7)
-        assert len(calls) <= 20
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("p, r", [(3, 4), (5, 3)])
+    def test_odd_characteristic_complement_matches_closed_form(self, p, r):
+        G = gc.frobenius_field(p, r)
+        assert G.order > gc.TABLE_CAP
+        assert psi_relative(G, frobenius_complement(G)) == psi_relative_frobenius_formula(p, r)
 
 
 def per_subgroup_sums(G, subgroups):

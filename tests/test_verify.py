@@ -263,7 +263,7 @@ class TestScanCatalog:
 
         report = scan_catalog([Broken(), gc.cyclic(3)])
         assert report.errors == [
-            ("broken", "AttributeError: 'Broken' object has no attribute '_product_array'")
+            ("broken", "AttributeError: 'Broken' object has no attribute '_product'")
         ]
         assert [r.group for r in report.results] == ["C3"]
 
