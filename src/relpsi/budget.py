@@ -13,9 +13,8 @@ to the CLI, which loads no numpy at import.
 # inverses, relative orders, closure masks), and n of `psi-cyclic N
 # --brute-force`, whose C_n sieve is one such array: at most one int64
 # each, 128 MiB. The worst admitted brute force, `frobenius --r 7 --q 1031
-# --brute-force` (order 16 759 936), takes 3.3 s at 315 MiB peak RSS in a
-# fresh process on a 2-vCPU VM; with products that decoded both operands on
-# every call it took 15.5 s at the same peak
+# --brute-force` (order 16 759 936), takes 2.3 s at 175 MiB peak RSS in a
+# fresh process on a 2-vCPU VM
 ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
 # bytes: 32 MiB; is_solvable, which reads that table, is refused above it

@@ -18,10 +18,11 @@ arithmetically, so no table is built; a direct product multiplies its
 factors' coordinates, so a factor never builds a table for its parent.
 `first_powers_in` gives relative orders, and element orders above the cap,
 in one pass over the divisors of the group order up to the index, each
-power formed from stored squares that it keeps split. Each class also keeps
-a scalar `multiply`/`inverse` that the program does not call: the tests
-check the array product against them and build their reference powers,
-element orders and relative orders on them.
+power formed from stored squares that it keeps split, on every group's own
+`_product`, and holds one int64 array over the group, its result. Each
+class also keeps a scalar `multiply`/`inverse` that the program does not
+call: the tests check the array product against them and build their
+reference powers, element orders and relative orders on them.
 """
 
 from __future__ import annotations
@@ -173,11 +174,13 @@ class FiniteGroup:
     def element_orders(self) -> np.ndarray:
         """Order of every element, as a read-only int64 array; cached. A
         tabulated group reads it off the power table (the first row holding
-        the identity), any other group takes one vectorised power pass."""
+        the identity), any other group takes one vectorised power pass. A
+        group above ELEMENT_CAP is refused before any array is built."""
         if getattr(self, "_order_cache", None) is None:
             if self.tabulated:
                 self._build_powers()
             else:
+                check_element_budget(self.order)
                 identity = np.zeros(self.order, dtype=bool)
                 identity[self.identity] = True
                 orders = first_powers_in(self, identity)
@@ -264,16 +267,16 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     d of |G| with 1 < d <= |G| / |H|, in ascending order: x^d is the
     previous divisor's power times x^(d - d_prev), a product of the stored
     squares x^(2^j), so it never takes more products than a walk through
-    every m. Elements go in blocks of _BLOCK / 32, which bounds the stored
-    squares and keeps a block's arrays in cache, where the array products
-    run faster per element than on 2^20 elements. An element that no
-    divisor's power puts in the set raises ValueError, which only a
-    non-subgroup can cause. A group above ELEMENT_CAP is refused first.
+    every m. Encodings go in blocks of _BLOCK / 32, and each block's
+    elements outside the set are read off the mask, so the int64 result is
+    the pass's one array over G; the blocks bound the stored squares and
+    keep a block's arrays in cache, where the array products run faster per
+    element than on 2^20 elements. An element that no divisor's power puts
+    in the set raises ValueError, which only a non-subgroup can cause. A
+    group above ELEMENT_CAP is refused first.
 
     The squares and the running power stay split into coordinates, and a
-    power is joined only to read ``inside``, once per divisor step; a
-    tabulated group has the encoding as its one coordinate and reads its
-    table for the product.
+    power is joined only to read ``inside``, once per divisor step.
     """
     check_element_budget(G.order)
     limit = G.order // np.count_nonzero(inside)
@@ -281,19 +284,13 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     for p, a in factorize(G.order):
         divisors = [d * p ** i for d in divisors for i in range(a + 1)]
     divisors = sorted(d for d in divisors if 1 < d <= limit)
-    if G.tabulated:
-        table = G._table()
-        split, join = FiniteGroup._split, FiniteGroup._join
-
-        def product(xs, ys):
-            return (table[xs[0], ys[0]],)
-    else:
-        split, join, product = G._split, G._join, G._product
+    split, join, product = G._split, G._join, G._product
     orders = np.ones(G.order, dtype=np.int64)
-    outside = np.flatnonzero(~inside)
     step = max(1, _BLOCK >> 5)
-    for lo in range(0, outside.size, step):
-        todo = outside[lo:lo + step]
+    for lo in range(0, G.order, step):
+        todo = lo + np.flatnonzero(~inside[lo:lo + step])
+        if not todo.size:
+            continue
         squares = [split(todo)]
         power, prev = squares[0], 1
         for d in divisors:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .budget import ELEMENT_CAP, LATTICE_CAP, QUOTIENT_INDEX_CAP, power_text
-from .group_core import CayleyTableGroup, FiniteGroup, _close_right, row_blocks
+from .group_core import CayleyTableGroup, FiniteGroup, _close_right, check_element_budget, row_blocks
 
 __all__ = [
     "Subgroup",
@@ -64,7 +64,8 @@ class Subgroup:
     def check(self) -> None:
         """Exhaustive identity/encoding/order/closure check; raises
         ValueError on the first that fails. A finite set closed under the
-        product holds each inverse x^-1 = x^(k-1), k the order of x."""
+        product holds each inverse x^-1 = x^(k-1), k the order of x. A
+        parent above ELEMENT_CAP is refused before the member mask is built."""
         G = self.parent
         if G.identity not in self.members:
             raise ValueError("subgroup misses the identity")
@@ -73,6 +74,7 @@ class Subgroup:
             raise ValueError(f"subgroup member outside the encodings of {G.name}")
         if G.order % self.order != 0:
             raise ValueError("subgroup order does not divide group order")
+        check_element_budget(G.order)
         inside, elems = self.mask(), np.array(elems)
         for rows in row_blocks(elems, len(elems)):
             if not inside[G.multiply_array(rows, elems)].all():

@@ -37,6 +37,7 @@ from relpsi.classify import is_nilpotent, is_solvable
 from relpsi.finite_field import FiniteField
 from relpsi.order_sums import cyclic_orders, psi, relative_orders
 from relpsi.subgroup_lattice import (
+    Subgroup,
     _closed,
     all_subgroups,
     conjugates_intersect_trivially,
@@ -132,8 +133,9 @@ class TestElementCap:
         lambda G, H: conjugates_intersect_trivially(G, H),
         lambda G, H: psi(G),
         lambda G, H: relative_orders(G, H),
+        lambda G, H: Subgroup(G, [G.identity]),
     ], ids=["element_orders", "is_cyclic", "inverses", "first_powers_in", "is_normal",
-            "conjugates_intersect_trivially", "psi", "relative_orders"])
+            "conjugates_intersect_trivially", "psi", "relative_orders", "Subgroup"])
     def test_refused_before_any_per_element_work(self, huge, entry_point):
         G, H = huge
         message = f"group of order {G.order} exceeds the brute-force budget 2^24"
@@ -146,6 +148,20 @@ class TestElementCap:
             tracemalloc.stop()
         # at most a boolean mask over G, one byte per element, was built first
         assert peak < 2 * G.order
+
+    @pytest.mark.parametrize("entry_point", [
+        lambda G: G.element_orders(),
+        lambda G: psi(G),
+        lambda G: G.is_cyclic(),
+        lambda G: Subgroup(G, [G.identity]),
+    ], ids=["element_orders", "psi", "is_cyclic", "Subgroup"])
+    def test_refused_before_allocating(self, entry_point):
+        # C65536^3 is far too large for any array over its elements, so one
+        # built before the check raises MemoryError, not the budget's message
+        G = gc.direct_product([gc.cyclic(CYCLIC_CAP)] * 3)
+        with pytest.raises(ValueError, match=exactly(
+                f"group of order {2 ** 48} exceeds the brute-force budget 2^24")):
+            entry_point(G)
 
     def test_closure_edge(self, monkeypatch):
         class Edge(gc.FiniteGroup):

@@ -418,6 +418,33 @@ def test_each_group_class_has_one_product():
         "DirectProductGroup"]
 
 
+def test_first_powers_in_has_one_product_path():
+    # every group runs the pass on its own coordinates and product, which for
+    # a table group is already its table read
+    tree = ast.parse(Path(gc.__file__).read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "first_powers_in")
+    read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert not read & {"tabulated", "_table", "_table_cache"}
+
+
+def test_first_powers_in_holds_one_array_over_the_group(monkeypatch):
+    # the int64 result is the pass's one array over G: each block's elements
+    # outside H come from the mask, and small blocks keep the rest small
+    monkeypatch.setattr(gc, "_BLOCK", 1 << 12)
+    G, H = build_counterexample(CounterexampleSpec(7, 3))
+    assert G.order > gc.TABLE_CAP
+    relative_orders(G, H)  # builds H's mask
+    tracemalloc.start()
+    try:
+        relative_orders(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * G.order
+
+
 @pytest.mark.parametrize("G", ABOVE_TABLE_CAP, ids=lambda g: g.name)
 def test_multiply_array_matches_scalar_multiply_above_table_cap(G):
     assert G.order > gc.TABLE_CAP

@@ -1,9 +1,11 @@
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
 import relpsi.group_core as gc
+from relpsi import order_sums
 from relpsi.budget import LATTICE_CAP
 from relpsi.numtheory import factorize
 from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, relative_orders
@@ -227,31 +229,69 @@ def conjugate(partition, length):
     return [sum(part > i for part in partition) for i in range(length)]
 
 
-def abelian_subgroup_counts(type_map):
-    """{order: number of subgroups} of the abelian group of type ``type_map``
-    ({p: partition}), in closed form, sharing no code with the lattice. An
-    abelian p-group of type lambda has prod_i p^(mu'_(i+1) (lambda'_i - mu'_i))
+def subgroup_types(p, lam):
+    """(mu, number of subgroups of type mu) for every partition mu inside
+    lam, zero-padded to its length, in the abelian p-group of type lam. It
+    has prod_i p^(mu'_(i+1) (lambda'_i - mu'_i))
     [lambda'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_p subgroups of type mu,
     primes ' the conjugate partitions (S. Delsarte, Ann. of Math. 49, 1948;
-    L. M. Butler, Mem. AMS 539, 1994), and the count is multiplicative over
-    the primes."""
+    L. M. Butler, Mem. AMS 539, 1994)."""
+    lam = sorted(lam, reverse=True)
+    columns = lam[0]
+    lam_c = conjugate(lam, columns)
+    for mu in product(*(range(part + 1) for part in lam)):
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        mu_c = conjugate(mu, columns + 1)
+        count = 1
+        for i in range(columns):
+            count *= (p ** (mu_c[i + 1] * (lam_c[i] - mu_c[i]))
+                      * gaussian_binomial(lam_c[i] - mu_c[i + 1], mu_c[i] - mu_c[i + 1], p))
+        yield mu, count
+
+
+def abelian_subgroup_counts(type_map):
+    """{order: number of subgroups} of the abelian group of type ``type_map``
+    ({p: partition}), in closed form, sharing no code with the lattice; the
+    count is multiplicative over the primes."""
     counts = {1: 1}
     for p, lam in type_map.items():
-        lam = sorted(lam, reverse=True)
-        columns = lam[0]
-        lam_c = conjugate(lam, columns)
         at_p = Counter()
-        for mu in product(*(range(part + 1) for part in lam)):
-            if any(a < b for a, b in zip(mu, mu[1:])):
-                continue
-            mu_c = conjugate(mu, columns + 1)
-            count = 1
-            for i in range(columns):
-                count *= (p ** (mu_c[i + 1] * (lam_c[i] - mu_c[i]))
-                          * gaussian_binomial(lam_c[i] - mu_c[i + 1], mu_c[i] - mu_c[i + 1], p))
+        for mu, count in subgroup_types(p, lam):
             at_p[p ** sum(mu)] += count
         counts = {a * b: ca * cb for a, ca in counts.items() for b, cb in at_p.items()}
     return counts
+
+
+def abelian_psi_h(type_map):
+    """Counter of (|H|, psi_H, largest relative order) over every subgroup H
+    of the abelian group of type ``type_map``, in closed form, sharing no
+    code with the lattice, the power table or `quotient`. By duality as many
+    H have G/H of type nu as there are subgroups of type nu. psi_H is
+    |H| * psi(G/H) and the largest relative order is the exponent of G/H; a
+    p-group of type nu has prod_i p^min(nu_i, k) elements of order dividing
+    p^k. Orders, psi and exponents are multiplicative over the primes."""
+    triples = Counter({(1, 1, 1): 1})
+    for p, lam in type_map.items():
+        at_p = Counter()
+        for nu, count in subgroup_types(p, lam):
+            top = max(nu)
+            dividing = [0] + [prod(p ** min(part, k) for part in nu) for k in range(top + 1)]
+            psi_nu = sum((dividing[k + 1] - dividing[k]) * p ** k for k in range(top + 1))
+            at_p[p ** (sum(lam) - sum(nu)), psi_nu, p ** top] += count
+        joined = Counter()
+        for (h, s, e), c in triples.items():
+            for (h_p, s_p, e_p), c_p in at_p.items():
+                joined[h * h_p, s * s_p, e * e_p] += c * c_p
+        triples = joined
+    return Counter({(h, h * s, e): c for (h, s, e), c in triples.items()})
+
+
+def lattice_psi_h(G, subs):
+    """Counter of (|H|, psi_H, largest relative order) over ``subs``, from
+    `lattice_order_sums`."""
+    sums, largest = lattice_order_sums(G, subs)
+    return Counter(zip((H.order for H in subs), sums, largest))
 
 
 def abelian_type(G):
@@ -323,6 +363,26 @@ class TestAbelianSubgroupCounts:
         assert len(abelian) == 123  # C1..C100 and 23 non-cyclic abelian groups
         for G, subs, type_map in abelian:
             assert Counter(H.order for H in subs) == abelian_subgroup_counts(type_map), G.name
+
+
+class TestAbelianPsiH:
+    """psi_H and the largest relative order over the whole lattice of an
+    abelian group against their closed form."""
+
+    @pytest.mark.parametrize("type_map", [{2: [1] * 5}, {2: [2, 2, 1, 1]}, {3: [1] * 4}],
+                             ids=["C2^5", "C4^2xC2^2", "C3^4"])
+    def test_named_groups(self, type_map, monkeypatch):
+        # small blocks, so the gather runs in several, the last one short
+        monkeypatch.setattr(order_sums, "_BLOCK", 1 << 10)
+        G = gc.abelian_of_type(type_map)
+        assert lattice_psi_h(G, all_subgroups(G)) == abelian_psi_h(type_map)
+
+    def test_catalog_abelian_groups(self, catalog_subgroups):
+        abelian = [(G, subs, abelian_type(G)) for G, subs in catalog_subgroups
+                   if abelian_type(G) is not None]
+        assert len(abelian) == 123
+        for G, subs, type_map in abelian:
+            assert lattice_psi_h(G, subs) == abelian_psi_h(type_map), G.name
 
 
 class TestLatticeCertificate:

@@ -84,6 +84,19 @@ class TestCounterexampleSpec:
         assert spec.group_order == 168
         assert spec.subgroup_order == 21
 
+    def test_value_semantics(self):
+        spec = CounterexampleSpec(7)
+        assert repr(spec) == "CounterexampleSpec(r=7, q=0)"
+        assert spec == CounterexampleSpec(7, 0) == CounterexampleSpec(r=7, q=0)
+        assert spec != CounterexampleSpec(7, 3) and spec != CounterexampleSpec(5)
+        assert hash(spec) == hash(CounterexampleSpec(7, 0))
+        assert len({spec, CounterexampleSpec(7, 0), CounterexampleSpec(7, 3)}) == 2
+        with pytest.raises(AttributeError):
+            spec.r = 5
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert (spec.r, spec.q) == (7, 0)
+
 
 class TestBuildCounterexample:
     def test_plain_r3(self):
