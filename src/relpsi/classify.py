@@ -32,6 +32,7 @@ def is_solvable(G: FiniteGroup) -> bool:
     the commutators that generated the step before below it."""
     if G.order > TABLE_CAP:
         raise ValueError(f"classification budget exceeded at order {G.order}")
+    G._table()  # every step's products are then table reads
     members = np.arange(G.order)
     gens = list(_greedy_generators(G.multiply_array, G.order))
     # the series strictly decreases, so log2(n) steps suffice

@@ -12,12 +12,14 @@ entry (i, j) = encoding of element_i * element_j and 0 the identity.
 
 Importing this module loads only ``numtheory`` and the standard library, so
 the closed forms start without numpy; a command that needs the group layer
-imports it when it runs.
+imports it when it runs. The argument parser is built on the first call of
+`main` and shared by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -322,7 +324,10 @@ def cmd_bijection(args) -> tuple[int, str, list]:
     return code, label, [doc]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="relpsi",
         description="Exact sums of element orders of finite groups relative to subgroups",

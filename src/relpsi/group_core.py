@@ -11,11 +11,12 @@ coordinates: exponents k + l are reduced by one compare-and-subtract, with
 no division. The array product on encodings, `_product_array`, is join,
 product and split, and the Cayley table, inverses, element orders and power
 table all come from it. A group of order at most TABLE_CAP builds one
-compact Cayley table on first use, from the array product, and caches it;
-`multiply_array` then reads that table, and the subgroup, classification and
-order-sum loops run on it. Above the cap `multiply_array` computes products
-arithmetically, so no table is built; a direct product multiplies its
-factors' coordinates, so a factor never builds a table for its parent.
+compact Cayley table, from the array product, when the power table, the
+subgroup lattice or the derived series first needs it, and caches it;
+`multiply_array` reads that table once it exists and otherwise computes
+products arithmetically, so a closure or inverse pass alone, or any pass
+above the cap, builds no table; a direct product multiplies its factors'
+coordinates, so a factor never builds a table for its parent.
 `first_powers_in` gives relative orders, and element orders above the cap,
 in one pass over the divisors of the group order up to the index, each
 power formed from stored squares that it keeps split, on every group's own
@@ -117,13 +118,17 @@ class FiniteGroup:
 
     @property
     def tabulated(self) -> bool:
-        """True when products are read from the cached Cayley table."""
+        """True when the element orders and the power table come from the
+        Cayley table: the group is at most TABLE_CAP or has its table."""
         return self.order <= TABLE_CAP or getattr(self, "_table_cache", None) is not None
 
     def multiply_array(self, x, y) -> np.ndarray:
-        """Elementwise products of two broadcastable int64 encoding arrays."""
-        if self.tabulated:
-            return self._table()[x, y].astype(np.int64)
+        """Elementwise products of two broadcastable int64 encoding arrays,
+        read from the Cayley table once it is built and multiplied on
+        coordinates before; this never builds the table."""
+        table = getattr(self, "_table_cache", None)
+        if table is not None:
+            return table[x, y].astype(np.int64)
         return self._product_array(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
 
     def _table(self) -> np.ndarray:

@@ -583,3 +583,59 @@ class TestJsonOutput:
 
 def test_unknown_command_exits_one():
     assert main(["no-such-command"]) == 1
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process and shares it: each call in
+    a sequence answers as the same command alone in a fresh process does."""
+
+    # (argv, whether the command writes a --json report)
+    COMMANDS = [
+        (["frobenius"], False),  # usage error: --r is required
+        (["--help"], False),
+        (["psi-cyclic", "0"], False),  # bad input
+        (["psi-cyclic", "360"], True),
+        (["frobenius", "--r", "7"], True),
+        (["scan", "--max-order", "12"], True),
+    ]
+
+    @staticmethod
+    def report(path):
+        """The --json report without its timing, or None when none was written."""
+        if not path.exists():
+            return None
+        doc = json.loads(path.read_text())
+        path.unlink()
+        assert isinstance(doc.pop("timing_ms"), int)
+        return doc
+
+    def test_each_call_answers_as_a_fresh_process(self, src_env, monkeypatch, capsys, tmp_path):
+        # --help wraps at the terminal width, so both sides get the same one
+        env = {**src_env, "COLUMNS": "80"}
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = {}
+        for argv, writes in self.COMMANDS:
+            path = tmp_path / "fresh.json"
+            proc = subprocess.run([sys.executable, "-m", "relpsi.cli", *argv,
+                                   *(["--json", str(path)] if writes else [])],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr, self.report(path))
+        assert [fresh[tuple(argv)][0] for argv, _ in self.COMMANDS] == [1, 0, 1, 0, 0, 0]
+        assert [fresh[tuple(argv)][3] is not None for argv, _ in self.COMMANDS] == \
+            [writes for _, writes in self.COMMANDS]
+        # twice through, so every command also follows every other one
+        for argv, writes in self.COMMANDS * 2:
+            path = tmp_path / "shared.json"
+            code = main([*argv, *(["--json", str(path)] if writes else [])])
+            out, err = capsys.readouterr()
+            assert (code, out, err, self.report(path)) == fresh[tuple(argv)], argv
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self, src_env):
+        code = ("import relpsi.cli as cli; "
+                "assert cli.build_parser.cache_info().currsize == 0; "
+                "assert cli.main(['psi-cyclic', '7']) == 0; "
+                "assert cli.build_parser.cache_info().currsize == 1")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env, timeout=60,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

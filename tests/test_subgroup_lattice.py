@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 
 import relpsi.group_core as gc
@@ -383,6 +384,38 @@ class TestAbelianPsiH:
         assert len(abelian) == 123
         for G, subs, type_map in abelian:
             assert lattice_psi_h(G, subs) == abelian_psi_h(type_map), G.name
+
+
+class TestConjugationInvariance:
+    """psi_H and the largest relative order over the lattice of a
+    non-abelian group against conjugation: x -> gxg^-1 is an automorphism
+    of G carrying H onto gHg^-1, so the conjugate is found too, with the
+    same pair."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.alternating(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+    ], ids=["S5", "A5", "D60", "Frob(2,3)xC3", "Frob(3,2)"])
+    def test_conjugates_carry_the_same_pair(self, make, monkeypatch):
+        # small blocks, so the gather runs in several, the last one short
+        monkeypatch.setattr(order_sums, "_BLOCK", 1 << 10)
+        G = make()
+        subs = all_subgroups(G)
+        sums, largest = lattice_order_sums(G, subs)
+        assert len(sums) == len(largest) == len(subs)
+        pairs = {H.members: pair for H, pair in zip(subs, zip(sums, largest))}
+        table, inv = G.cayley_table(), G.inverses()
+        moved = 0
+        for g in gc._greedy_generators(G.multiply_array, G.order):
+            for H in subs:
+                hs = np.array(H.elements())
+                conjugate = frozenset(table[table[g, hs], inv[g]].tolist())
+                assert pairs.get(conjugate) == pairs[H.members], (G.name, g, H.elements())
+                moved += conjugate != H.members
+        assert moved  # some subgroup is not normal
 
 
 class TestLatticeCertificate:

@@ -10,7 +10,7 @@ import sympy
 import relpsi.group_core as gc
 from relpsi.classify import is_nilpotent
 from relpsi.numtheory import frobenius_ratio_closed_form
-from relpsi.order_sums import psi_ratio, relative_orders
+from relpsi.order_sums import psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import generate
 from relpsi.verify import (
     CounterexampleSpec,
@@ -117,6 +117,16 @@ class TestBuildCounterexample:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             build_counterexample(CounterexampleSpec(6))
+
+    def test_brute_force_builds_no_table(self):
+        # Frob(2,5) x C3 has 2976 elements, under TABLE_CAP: the closure and
+        # the relative-order pass multiply on coordinates all the same
+        spec = CounterexampleSpec(5, 3)
+        G, H = build_counterexample(spec)
+        assert G.order == 2976 <= gc.TABLE_CAP
+        assert getattr(G, "_table_cache", None) is None
+        assert psi_relative(G, H) == spec.psi_h
+        assert [getattr(X, "_table_cache", None) for X in (G, *G.factors)] == [None] * 3
 
 
 class TestBijection:
