@@ -98,6 +98,7 @@ def load_cayley_file(path: str, check_order=None):
             pass
     if table is None or table.shape != (n, n):
         table = _scan_cayley_lines(path, data)
+    del data  # every body line as a str: more than the table itself
     return from_cayley_table(table, name=path)
 
 

@@ -368,7 +368,15 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     shape, entry range, Latin square, two-sided identity 0, and
     associativity by Light's test. Past the range check every check runs on
     the table in the smallest unsigned dtype that holds an encoding, which
-    is returned; it is the input itself when that had this dtype."""
+    is returned; it is the input itself when that had this dtype.
+
+    The columns are sorted only once the identity or associativity check
+    fails, and tested before that error is raised, so each error keeps its
+    precedence: rows, columns, identity, associativity. A table that passes
+    the other checks has permutation columns: each row a*- is onto, so every
+    a has a right inverse, and a finite associative monoid in which every
+    element has one is a group, where each column -*b is a bijection.
+    """
     if table.dtype.kind not in "iu":
         raise CayleyTableError("table entries must be integers")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -384,12 +392,16 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero((np.sort(table, axis=1, kind=kind) != ident).any(axis=1))
     if bad.size:
         raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
-    bad = np.flatnonzero((np.sort(table, axis=0, kind=kind) != ident[:, None]).any(axis=0))
-    if bad.size:
-        raise CayleyTableError(f"column {int(bad[0])} is not a permutation (not a Latin square)")
-    if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
-        raise CayleyTableError("element 0 is not a two-sided identity")
-    _check_associativity(table)
+    try:
+        if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
+            raise CayleyTableError("element 0 is not a two-sided identity")
+        _check_associativity(table)
+    except CayleyTableError:
+        bad = np.flatnonzero((np.sort(table, axis=0, kind=kind) != ident[:, None]).any(axis=0))
+        if bad.size:
+            message = f"column {int(bad[0])} is not a permutation (not a Latin square)"
+            raise CayleyTableError(message) from None
+        raise
     return table
 
 

@@ -4,6 +4,7 @@ and the isolated/malnormal tests used by the Frobenius construction."""
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -141,6 +142,11 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     subgroup already known. So the double cosets are labelled, by their
     least element, at the seeds alone. Each generator tuple is joined at
     most once.
+
+    A join <K, x> is walked from the larger of K and <x>, B, and is G with
+    no walk when B is strictly inside it and no proper subgroup order
+    above |B| is a multiple of k = lcm(|K|, |<x>|): by Lagrange |<K, x>|
+    is such a multiple, and it exceeds |B|.
     """
     _check_lattice_order(G.order)
     n = G.order
@@ -151,9 +157,12 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     # the largest proper subgroup order that k divides, for each divisor k of n
     largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
     whole = frozenset(G.elements())
+    cyclics: dict[int, frozenset] = {}
 
     def cyclic(x: int) -> frozenset:
-        return frozenset(powers[:orders[x], x].tolist())
+        if x not in cyclics:
+            cyclics[x] = frozenset(powers[:orders[x], x].tolist())
+        return cyclics[x]
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:
         """The subgroup J generated by ``gens`` and its subgroup ``base``,
@@ -168,6 +177,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         fits both, J is G.
         """
         inside = set(base)
+        coset = operator.itemgetter(*base)  # base is never trivial: this gives tuples
         reps = [G.identity]
         for r in reps:
             for t in gens:
@@ -176,8 +186,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     continue
                 if orders[rt] > len(base):
                     return join(cyclic(rt), gens, math.lcm(k, orders[rt]))
-                col = cols[rt]
-                inside.update([col[a] for a in base])
+                inside.update(coset(cols[rt]))
                 k = math.lcm(k, orders[rt])
                 if len(inside) > largest[k]:
                     return whole
@@ -209,7 +218,17 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 if joined_gens in tried:
                     continue
                 tried.add(joined_gens)
-                joined = join(members, joined_gens, len(members))
+                base, k = members, math.lcm(len(members), orders[x])
+                # x lies outside K, so K is strictly inside the join, and
+                # <x> is unless it holds K, which the generators of K tell
+                strict = True
+                if orders[x] > len(members):
+                    base = cyclic(x)
+                    strict = not all(g in base for g in gens)
+                if strict and largest[k] <= len(base):
+                    joined = whole
+                else:
+                    joined = join(base, joined_gens, k)
                 if joined not in known:
                     known[joined] = joined_gens
                     new_frontier.append((joined, joined_gens))

@@ -9,6 +9,7 @@ tests compare that engine against this independent one.
 
 import weakref
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -102,6 +103,37 @@ def validate(G):
     bad = np.flatnonzero(table[inv, np.arange(G.order)] != G.identity)
     if bad.size:
         raise CayleyTableError(f"inverse() disagrees with the table at {int(bad[0])}")
+
+
+def check_table_axioms(table):
+    """The group axioms of a Cayley table, checked on Python lists in the
+    order rows, columns, identity, associativity: raises CayleyTableError
+    with the message of the first that fails. Associativity is Light's test
+    over the same greedy generating set as the program's, built here by
+    scalar closures, so a failure names the same first triple."""
+    table = np.asarray(table)
+    if table.dtype.kind not in "iu":
+        raise CayleyTableError("table entries must be integers")
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise CayleyTableError(f"table is not square: shape {table.shape}")
+    n, rows = table.shape[0], table.tolist()
+    if any(not 0 <= v < n for row in rows for v in row):
+        raise CayleyTableError("table entries must lie in [0, n)")
+    everything = list(range(n))
+    for what, lines in (("row", rows), ("column", list(map(list, zip(*rows))))):
+        for i, line in enumerate(lines):
+            if sorted(line) != everything:
+                raise CayleyTableError(f"{what} {i} is not a permutation (not a Latin square)")
+    if rows[0] != everything or [row[0] for row in rows] != everything:
+        raise CayleyTableError("element 0 is not a two-sided identity")
+    magma, gens = SimpleNamespace(identity=0, multiply=lambda a, b: rows[a][b]), []
+    while len(reached := closure(magma, gens)) < n:
+        b = min(set(everything) - reached)
+        for a in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    raise CayleyTableError(f"associativity fails at ({a},{b},{c})")
+        gens.append(b)
 
 
 def is_nilpotent(G):

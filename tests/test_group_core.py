@@ -1,4 +1,5 @@
 import ast
+import random
 import tracemalloc
 from collections import Counter
 from math import gcd
@@ -13,7 +14,7 @@ from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
 from relpsi.order_sums import relative_orders
 from relpsi.verify import CounterexampleSpec, build_counterexample
-from reference import closure, element_order, power, validate
+from reference import check_table_axioms, closure, element_order, power, validate
 
 
 SMALL_GROUPS = [
@@ -223,6 +224,26 @@ def test_cayley_table_group_product_reads_its_table(G):
     assert np.array_equal(product, G.cayley_table())
 
 
+# rows and columns are Latin and 0 is a two-sided identity, but the
+# operation is not associative: an order-5 loop that is not a group
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def table_outcome(check, table):
+    """(error type, message) from ``check(table)``, or None if it passes."""
+    try:
+        check(table)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    return None
+
+
 class TestCayleyIngestion:
     def test_trivial(self):
         G = gc.from_cayley_table([[0]])
@@ -246,17 +267,57 @@ class TestCayleyIngestion:
             gc.from_cayley_table([[1, 0], [0, 1]])
 
     def test_associativity_failure(self):
-        # rows/columns are Latin and 0 is a two-sided identity, but the
-        # operation is not associative (order-5 loop that is not a group)
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
         with pytest.raises(CayleyTableError, match="associativity"):
-            gc.from_cayley_table(table)
+            gc.from_cayley_table(LOOP5)
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 1]], "column 1 is not a permutation (not a Latin square)"),
+        ([[1, 0], [1, 0]], "column 0 is not a permutation (not a Latin square)"),
+        ([[0, 0], [1, 1]], "row 0 is not a permutation (not a Latin square)"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation (not a Latin square)"),
+        ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+        (LOOP5, "associativity fails at (1,1,2)"),
+        ([[0, 1], [1, 2]], "table entries must lie in [0, n)"),
+        ([[0, 1, 2], [1, 2, 0]], "table is not square: shape (2, 3)"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], None),
+    ], ids=["latin-rows-identity", "latin-rows", "row-0", "row-1", "identity", "loop",
+            "range", "non-square", "C3"])
+    def test_errors_keep_their_precedence(self, table, message):
+        # rows, then columns, then identity, then associativity, although the
+        # columns are sorted only once the identity or associativity fails;
+        # the first table has permutation rows and a two-sided identity
+        assert table_outcome(check_table_axioms, table) == (
+            None if message is None else ("CayleyTableError", message))
+        assert table_outcome(gc.from_cayley_table, table) == table_outcome(check_table_axioms, table)
+
+    @pytest.mark.parametrize("name, make", [
+        ("S3", lambda: gc.symmetric(3).cayley_table()),
+        ("Q8", lambda: gc.quaternion8().cayley_table()),
+        ("C6", lambda: gc.cyclic(6).cayley_table()),
+        ("D5", lambda: gc.dihedral(5).cayley_table()),
+        ("loop5", lambda: np.array(LOOP5)),
+    ], ids=["S3", "Q8", "C6", "D5", "loop5"])
+    def test_seeded_corruptions_match_the_reference(self, name, make):
+        # a swap inside one row keeps the rows Latin and breaks two columns;
+        # a swap inside one column does the reverse; a swap anywhere and an
+        # overwrite with an encoding usually break both
+        table = make()
+        n, seen = len(table), Counter()
+        for seed in range(60):
+            rng = random.Random(f"{name}/{seed}")
+            bad = table.copy()
+            r, c, r2, c2 = (rng.randrange(n) for _ in range(4))
+            kind = seed % 4
+            if kind == 3:
+                bad[r, c] = rng.randrange(n)
+            else:
+                r2 = r if kind == 0 else r2
+                c2 = c if kind == 1 else c2
+                bad[[r, r2], [c, c2]] = bad[[r2, r], [c2, c]]
+            want = table_outcome(check_table_axioms, bad)
+            assert table_outcome(gc.from_cayley_table, bad) == want, (name, seed, bad.tolist())
+            seen[want[1].split()[0] if want else None] += 1
+        assert seen["row"] and seen["column"], seen
 
     def test_out_of_range_entries(self):
         with pytest.raises(CayleyTableError, match="entries"):

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import product
 from math import prod
@@ -323,6 +324,25 @@ class TestLatticeOracles:
         G = make()
         assert lattice(all_subgroups(G)) == join_by_generate(G)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+    ], ids=["S5", "D60", "Frob(2,3)xC3", "Frob(3,2)"])
+    def test_relabelled_matches_join_by_generate(self, make):
+        # renaming the elements by a permutation that fixes the identity 0
+        # reorders the seeds and so the generator tuples tried, and the walks
+        # and their shortcuts run in orders the constructors never give
+        G = make()
+        rng = np.random.default_rng(G.order)
+        perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+        table = G.cayley_table()
+        relabelled = np.empty_like(table)
+        relabelled[np.ix_(perm, perm)] = perm[table]
+        R = gc.from_cayley_table(relabelled)
+        assert lattice(all_subgroups(R)) == join_by_generate(R)
+
     @pytest.mark.parametrize("n", range(3, LATTICE_CAP // 2 + 1))
     def test_dihedral_count(self, n):
         # D_n of order 2n has tau(n) + sigma(n) subgroups: a cyclic one for
@@ -337,6 +357,35 @@ class TestLatticeOracles:
     ], ids=["S4", "S5", "A5"])
     def test_known_counts(self, make, count):
         assert len(all_subgroups(make())) == count
+
+
+class TestJoinCount:
+    """The calls of the nested `join` of `all_subgroups`, restarts included,
+    pinned per group. Which seeds each subgroup is joined with, where a walk
+    starts, when it restarts and when a join is answered with no walk each
+    move the count, even where they leave the lattice found the same."""
+
+    @pytest.mark.parametrize("make, calls", [
+        (lambda: gc.symmetric(5), 1928),
+        (lambda: gc.dihedral(60), 3949),
+        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 250),
+        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 488),
+    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3"])
+    def test_join_calls_are_pinned(self, make, calls):
+        join = next(c for c in all_subgroups.__code__.co_consts if getattr(c, "co_name", None) == "join")
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code is join
+
+        G = make()
+        sys.setprofile(profile)
+        try:
+            all_subgroups(G)
+        finally:
+            sys.setprofile(None)
+        assert count == calls
 
 
 class TestAbelianSubgroupCounts:
