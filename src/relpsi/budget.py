@@ -34,9 +34,9 @@ LATTICE_CAP = 200
 QUOTIENT_INDEX_CAP = 512
 # order of a group in the bijection decision: a table file of n^2 entries,
 # and one relative order and one witness image per element. `bijection` on
-# the 489 MB table file of C10000 takes 3.0-3.2 s at 700 MiB peak RSS in a
+# the 489 MB table file of C10000 takes 2.2-2.3 s at 413 MiB peak RSS in a
 # fresh process on a 2-vCPU VM, with --subgroup 0 or 5000; loading the file
-# alone takes 3.1 s and reaches that peak
+# alone takes 2.25 s and reaches that peak, the 191 MiB uint16 table twice
 BIJECTION_CAP = 10_000
 # size p^r of a finite field, whose log/exp tables hold one int64 per
 # element (8 MiB each) and are filled by array gathers over all elements

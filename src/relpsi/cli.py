@@ -61,6 +61,15 @@ def _approx(fr: Fraction) -> str:
     return f"{float(fr):.6g}"
 
 
+def _data_lines(path: str):
+    """(line number, stripped line) for each line of the file at ``path``
+    that is neither blank nor a ``#`` comment."""
+    with open(path) as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def load_cayley_file(path: str, check_order=None):
     """Parse and validate a Cayley-table file; raises ValueError with the
     offending line number on malformed input.
@@ -70,44 +79,39 @@ def load_cayley_file(path: str, check_order=None):
     group too large for it without parsing the table; a malformed order line
     is left to the line-by-line scan.
 
-    The table body is parsed by one vectorised ``np.loadtxt`` call straight
+    The table body streams from the file through one ``np.loadtxt`` call
     into the smallest unsigned dtype that holds an encoding, which the table
     is validated and kept in. That call rejects a negative or overflowing
-    token, so only such a file or one it cannot parse is scanned line by
+    token, so only such a file or one it cannot parse is read again, line by
     line, into Python ints, to name the first bad line or entry.
     """
     import numpy as np
 
     from .group_core import from_cayley_table
 
-    with open(path) as fh:
-        lines = ((lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
-                 if line and not line.startswith("#"))
-        data = list(itertools.islice(lines, 1))
-        head = data[0][1].split() if data else []
-        n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
-        if n >= 1 and check_order is not None:
-            check_order(n)
-        data.extend(lines)
+    lines = (line for _, line in _data_lines(path))
+    head = next(lines, "").split()
+    n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
+    if n >= 1 and check_order is not None:
+        check_order(n)
     table = None
-    if n >= 1 and len(data) == n + 1:
+    # the first row is peeked, because loadtxt warns on an empty body
+    if n >= 1 and (first := next(lines, None)) is not None:
         try:
-            table = np.loadtxt([line for _, line in data[1:]],
+            table = np.loadtxt(itertools.chain([first], lines),
                                dtype=np.min_scalar_type(n - 1), ndmin=2, comments=None)
         except ValueError:
             pass
     if table is None or table.shape != (n, n):
-        table = _scan_cayley_lines(path, data)
-    del data  # every body line as a str: more than the table itself
+        table = _scan_cayley_lines(path)
     return from_cayley_table(table, name=path)
 
 
-def _scan_cayley_lines(path: str, data) -> list[list[int]]:
-    """The table rows parsed token by token with ``int``; raises ValueError
-    naming the first malformed line."""
-    rows = []
-    n = None
-    for lineno, line in data:
+def _scan_cayley_lines(path: str) -> list[list[int]]:
+    """The table rows of the file at ``path``, parsed token by token with
+    ``int``; raises ValueError naming the first malformed line."""
+    rows, n = [], None
+    for lineno, line in _data_lines(path):
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:

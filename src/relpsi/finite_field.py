@@ -3,10 +3,10 @@
 An element with polynomial coefficients (c_0, c_1, ..., c_{r-1}) (constant
 term first) is encoded as the base-p integer sum(c_i * p^i), so encodings run
 over [0, p^r). Encoding 0 is the additive identity, encoding 1 the
-multiplicative identity. Multiplication and powers (inverses included, as
-``pow(a, -1)``) go through discrete log/exp tables over a fixed primitive
-element, so they are O(1) after construction. Fields are capped at
-p^r <= FIELD_SIZE_CAP.
+multiplicative identity. Multiplication goes through discrete log/exp
+tables over a fixed primitive element g, so it is O(1) after construction;
+``_exp[k]`` is g^k, which is how a Frobenius group reads its powers of g.
+Fields are capped at p^r <= FIELD_SIZE_CAP.
 
 Construction reads encodings as digit vectors over F_p, on which
 multiplication by a fixed b is linear: row i of its r x r matrix holds the
@@ -152,30 +152,10 @@ class FiniteField:
             place *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.r):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return int(self._exp[(self._log[a] + self._log[b]) % (self.size - 1)])
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of 0 in finite field")
-            return 0 if e else 1
-        return int(self._exp[int(self._log[a]) * e % (self.size - 1)])
-
-    def elements(self):
-        return range(self.size)
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"

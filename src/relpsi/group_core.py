@@ -21,9 +21,9 @@ coordinates, so a factor never builds a table for its parent.
 in one pass over the divisors of the group order up to the index, each
 power formed from stored squares that it keeps split, on every group's own
 `_product`, and holds one int64 array over the group, its result. Each
-class also keeps a scalar `multiply`/`inverse` that the program does not
-call: the tests check the array product against them and build their
-reference powers, element orders and relative orders on them.
+class also keeps a scalar `multiply` that the program does not call: the
+tests check the array product and `inverses()`, every class's one inverse,
+against it and build their reference arithmetic on it.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def row_blocks(rows: np.ndarray, width: int):
 
 class FiniteGroup:
     """Abstract finite group; concrete classes define the product `_product`
-    on coordinate tuples (a table group reads its table) and multiply/inverse,
-    and, when their coordinates are not the encoding itself, `_split`,
-    `_join` and the number of coordinate arrays `_width`."""
+    on coordinate tuples (a table group reads its table), a scalar `multiply`
+    for the tests and, when their coordinates are not the encoding itself,
+    `_split`, `_join` and the number of coordinate arrays `_width`."""
 
     order: int
     name: str = "G"
@@ -335,9 +335,6 @@ class CyclicGroup(FiniteGroup):
     def multiply(self, a, b):
         return (a + b) % self.order
 
-    def inverse(self, a):
-        return -a % self.order
-
     def _product(self, xs, ys):
         return (_reduce(xs[0] + ys[0], self.order),)
 
@@ -355,9 +352,6 @@ class CayleyTableGroup(FiniteGroup):
 
     def multiply(self, a, b):
         return int(self._table_cache[a, b])
-
-    def inverse(self, a):
-        return int(self.inverses()[a])
 
     def _product(self, xs, ys):
         return (self._table_cache[xs[0], ys[0]].astype(np.int64),)
@@ -389,9 +383,12 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     # numpy radix-sorts 8-bit integers under "stable", where its default
     # sort is several times slower than on wider types
     kind = "stable" if table.itemsize == 1 else None
-    bad = np.flatnonzero((np.sort(table, axis=1, kind=kind) != ident).any(axis=1))
-    if bad.size:
-        raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
+    step = max(1, _BLOCK // n)  # rows sorted in blocks: one block up to order 1024
+    for lo in range(0, n, step):
+        rows = np.sort(table[lo:lo + step], axis=1, kind=kind)
+        bad = lo + np.flatnonzero((rows != ident).any(axis=1))
+        if bad.size:
+            raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
     try:
         if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
             raise CayleyTableError("element 0 is not a two-sided identity")
@@ -503,13 +500,6 @@ class PermutationGroup(FiniteGroup):
         pa, pb = self.perms[a], self.perms[b]
         return self._index[tuple(pa[i] for i in pb)]
 
-    def inverse(self, a):
-        pa = self.perms[a]
-        inv = [0] * self.degree
-        for i, j in enumerate(pa):
-            inv[j] = i
-        return self._index[tuple(inv)]
-
     def _product(self, xs, ys):
         # a product is ranked by its images of a few base points: each base
         # point refines the classes of perms agreeing on the points before it,
@@ -563,7 +553,6 @@ class FrobeniusFieldGroup(FiniteGroup):
         self.q = q
         self.order = q * (q - 1)
         self.name = f"Frob({p},{r})"
-        self._g = field.primitive_element
         # g^k * b = exp[k + log b] for b != 0: exp stored twice takes
         # k + log b < 2(q - 1) unreduced, and the q - 1 zeros after it, where
         # log 0 points, give b = 0 its product 0
@@ -580,16 +569,7 @@ class FrobeniusFieldGroup(FiniteGroup):
         a, k = divmod(x, q1)
         b, l = divmod(y, q1)
         f = self.field
-        gb = f.mul(f.pow(self._g, k), b)
-        return (f.add(a, gb)) * q1 + (k + l) % q1
-
-    def inverse(self, x):
-        q1 = self.q - 1
-        a, k = divmod(x, q1)
-        f = self.field
-        g_inv_k = f.pow(self._g, (q1 - k) % q1)
-        b = f.neg(f.mul(g_inv_k, a))
-        return b * q1 + (q1 - k) % q1
+        return f.add(a, f.mul(f._exp[k], b)) * q1 + (k + l) % q1
 
     def _split(self, x):
         return tuple(np.divmod(x, self.q - 1))
@@ -600,14 +580,6 @@ class FrobeniusFieldGroup(FiniteGroup):
     def _product(self, xs, ys):
         (a, k), (b, l) = xs, ys
         return self.field.add(a, self._exp[k + self._log[b]]), _reduce(k + l, self.q - 1)
-
-    def kernel_elements(self) -> list[int]:
-        """Encodings of the normal elementary-abelian part {(a, 0)}."""
-        return [a * (self.q - 1) for a in range(self.q)]
-
-    def complement_elements(self) -> list[int]:
-        """Encodings of the cyclic part {(0, k)} of order p^r - 1."""
-        return list(range(self.q - 1))
 
 
 class DirectProductGroup(FiniteGroup):
@@ -642,9 +614,6 @@ class DirectProductGroup(FiniteGroup):
     def multiply(self, a, b):
         pa, pb = self.decode(a), self.decode(b)
         return self.encode(g.multiply(x, y) for g, x, y in zip(self.factors, pa, pb))
-
-    def inverse(self, a):
-        return self.encode(g.inverse(x) for g, x in zip(self.factors, self.decode(a)))
 
     def _split(self, x):
         # digits from the last factor up; what is left is the first one's

@@ -137,7 +137,7 @@ def above_cap_cases():
     odd_sub = generate(odd, [odd.encode((F34.encode(0, 1), 0)), odd.encode((0, 1))])
     return [
         ("Frob(2,7)/complement", F, frobenius_complement(F), range(0, F.order, 61)),
-        ("Frob(2,7)/kernel", F, generate(F, F.kernel_elements()), range(5, F.order, 67)),
+        ("Frob(2,7)/kernel", F, generate(F, [F.encode(a, 0) for a in range(F.q)]), range(5, F.order, 67)),
         ("S7/stabiliser", S7, stabiliser, range(0, S7.order, 17)),
         ("S8/7-cycle", S8, generate(S8, [perm(S8, [(0, 1, 2, 3, 4, 5, 6)])]), range(3, S8.order, 131)),
         ("Frob(2,5)xC11/paper", paper, paper_sub, range(1, paper.order, 43)),
@@ -193,7 +193,8 @@ def per_subgroup_sums(G, subgroups):
 def frobenius_subgroups(G):
     """The complement, the kernel and the cyclic subgroups of a spread of
     elements of an affine Frobenius group, all from `generate`."""
-    gens = [[G.encode(0, 1)], G.kernel_elements()] + [[x] for x in range(0, G.order, 31)]
+    kernel = [G.encode(a, 0) for a in range(G.q)]
+    gens = [[G.encode(0, 1)], kernel] + [[x] for x in range(0, G.order, 31)]
     return [generate(G, g) for g in gens]
 
 

@@ -85,7 +85,7 @@ def test_closed_forms_load_no_numpy(src_env):
 
 
 # perfbench's tracer test reads `verify.psi_relative`, which verify itself
-# no longer calls; retiring the scalar layer (ROADMAP item 3) removes it
+# no longer calls; the entry stays until that test stops reading it
 UNUSED_IMPORTS_ALLOWED = {("relpsi.verify", "psi_relative")}
 
 

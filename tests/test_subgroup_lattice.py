@@ -520,7 +520,7 @@ class TestQuotient:
 
     def test_frobenius_mod_kernel_is_c7(self):
         G = gc.frobenius_field(2, 3)
-        K = Subgroup(G, G.kernel_elements())
+        K = Subgroup(G, [G.encode(a, 0) for a in range(G.q)])
         Q = quotient(G, K)
         assert Q.order == 7
         assert Q.is_cyclic()
