@@ -26,17 +26,18 @@ CYCLIC_CAP = 1 << 16
 CLASSIFY_CAP = 1 << 16
 # order of a group whose whole subgroup lattice is enumerated, a Python
 # loop per subgroup; the largest lattice under it is C2^7's 29 212 subgroups,
-# on whose table file `ratios --json` takes 2.1 s at 163 MiB peak RSS (a
-# 10.9 MB report) and `check-bounds --json` 2.0 s at 132 MiB, in a fresh
+# on whose table file `ratios --json` takes 1.7 s at 162 MiB peak RSS (a
+# 10.9 MB report) and `check-bounds --json` 1.6 s at 122 MiB, in a fresh
 # process on a 2-vCPU VM
 LATTICE_CAP = 200
 # index of a quotient group, whose Cayley table has index^2 entries
 QUOTIENT_INDEX_CAP = 512
 # order of a group in the bijection decision: a table file of n^2 entries,
 # and one relative order and one witness image per element. `bijection` on
-# the 489 MB table file of C10000 takes 2.2-2.3 s at 413 MiB peak RSS in a
+# the 489 MB table file of C10000 takes 2.2-2.3 s at 233 MiB peak RSS in a
 # fresh process on a 2-vCPU VM, with --subgroup 0 or 5000; loading the file
-# alone takes 2.25 s and reaches that peak, the 191 MiB uint16 table twice
+# takes most of that time and sets the peak, the 191 MiB uint16 table kept
+# once, as parsed
 BIJECTION_CAP = 10_000
 # size p^r of a finite field, whose log/exp tables hold one int64 per
 # element (8 MiB each) and are filled by array gathers over all elements

@@ -80,14 +80,15 @@ def load_cayley_file(path: str, check_order=None):
     is left to the line-by-line scan.
 
     The table body streams from the file through one ``np.loadtxt`` call
-    into the smallest unsigned dtype that holds an encoding, which the table
-    is validated and kept in. That call rejects a negative or overflowing
-    token, so only such a file or one it cannot parse is read again, line by
-    line, into Python ints, to name the first bad line or entry.
+    into the smallest unsigned dtype that holds an encoding, and that array,
+    validated, becomes the group's own table, with no copy. That call
+    rejects a negative or overflowing token, so only such a file or one it
+    cannot parse is read again, line by line, into Python ints, to name the
+    first bad line or entry.
     """
     import numpy as np
 
-    from .group_core import from_cayley_table
+    from .group_core import CayleyTableGroup
 
     lines = (line for _, line in _data_lines(path))
     head = next(lines, "").split()
@@ -103,8 +104,9 @@ def load_cayley_file(path: str, check_order=None):
         except ValueError:
             pass
     if table is None or table.shape != (n, n):
-        table = _scan_cayley_lines(path)
-    return from_cayley_table(table, name=path)
+        table = np.asarray(_scan_cayley_lines(path))
+    # the parsed array is the group's own table: no copy of it is made
+    return CayleyTableGroup._take(table, name=path)
 
 
 def _scan_cayley_lines(path: str) -> list[list[int]]:

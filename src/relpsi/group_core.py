@@ -225,30 +225,33 @@ class FiniteGroup:
         """Fill the power-table and element-order caches by doubling.
 
         With the first L rows known, the next L rows are one table read,
-        P[L + k] = P[k] * P[L - 1], that is x^(k+1) * x^L. Only the new rows
-        are searched for the identity, and the doubling stops once every
-        column has met it, so the largest element order e takes about
-        log2(e) reads. The rows live in one buffer of at most n rows in the
-        table's dtype, never more than the Cayley table itself; rows past
-        e are cut off by the returned view. Reads go in blocks of about
-        _BLOCK entries, which bounds their int64 index temporaries.
+        P[L + k] = P[k] * P[L - 1], that is x^(k+1) * x^L. Each block of new
+        rows is tested for the identity once, and the doubling stops once
+        every column has met it, so the largest element order e takes about
+        log2(e) reads. The order of x divides |G|, so it is the least
+        divisor d of |G| with the identity in row d - 1 of column x: one
+        first-hit argmax over those rows alone reads every order. The rows
+        live in one buffer of at most n rows in the table's dtype, never
+        more than the Cayley table itself; rows past e are cut off by the
+        returned view. Reads go in blocks of about _BLOCK entries, which
+        bounds their int64 index temporaries.
         """
         table = self._table()
         n = self.order
         powers = np.empty((n, n), dtype=table.dtype)
         powers[0] = np.arange(n)
-        orders = np.zeros(n, dtype=np.int64)
-        orders[self.identity] = 1
+        done = powers[0] == self.identity
         rows, step = 1, max(1, _BLOCK // n)
-        while not orders.all():
+        while not done.all():
             last, new = powers[rows - 1], min(rows, n - rows)
             for lo in range(0, new, step):
                 block = powers[rows + lo:rows + min(lo + step, new)]
                 block[:] = table[powers[lo:lo + len(block)], last]
-                hit = block == self.identity
-                found = np.flatnonzero((orders == 0) & hit.any(axis=0))
-                orders[found] = rows + lo + 1 + hit[:, found].argmax(axis=0)
+                done |= (block == self.identity).any(axis=0)
             rows += new
+        divisors = np.arange(1, rows + 1)
+        divisors = divisors[n % divisors == 0]
+        orders = divisors[(powers[divisors - 1] == self.identity).argmax(axis=0)]
         powers = powers[:orders.max()]
         powers.setflags(write=False)
         orders.setflags(write=False)
@@ -346,7 +349,18 @@ class CayleyTableGroup(FiniteGroup):
         data = np.asarray(table)
         table = _validate_table(data)
         # the group owns its table: copy an input that had the compact dtype
-        self._table_cache = table.copy() if table is data else table
+        self._keep(table.copy() if table is data else table, name)
+
+    @classmethod
+    def _take(cls, table: np.ndarray, name: str) -> CayleyTableGroup:
+        """The group of ``table``, a fresh array that no caller keeps, such
+        as a parsed file: validated and then kept without __init__'s copy."""
+        group = cls.__new__(cls)
+        group._keep(_validate_table(table), name)
+        return group
+
+    def _keep(self, table: np.ndarray, name: str) -> None:
+        self._table_cache = table
         self.order = int(table.shape[0])
         self.name = name
 
@@ -364,12 +378,13 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     the table in the smallest unsigned dtype that holds an encoding, which
     is returned; it is the input itself when that had this dtype.
 
-    The columns are sorted only once the identity or associativity check
-    fails, and tested before that error is raised, so each error keeps its
-    precedence: rows, columns, identity, associativity. A table that passes
-    the other checks has permutation columns: each row a*- is onto, so every
-    a has a right inverse, and a finite associative monoid in which every
-    element has one is a group, where each column -*b is a bijection.
+    The columns are sorted, in the rows' blocks, only once the identity or
+    associativity check fails, and tested before that error is raised, so
+    each error keeps its precedence: rows, columns, identity, associativity.
+    A table that passes the other checks has permutation columns: each row
+    a*- is onto, so every a has a right inverse, and a finite associative
+    monoid in which every element has one is a group, where each column -*b
+    is a bijection.
     """
     if table.dtype.kind not in "iu":
         raise CayleyTableError("table entries must be integers")
@@ -379,27 +394,35 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     if table.min() < 0 or table.max() >= n:
         raise CayleyTableError("table entries must lie in [0, n)")
     table = table.astype(np.min_scalar_type(n - 1), copy=False)
-    ident = np.arange(n, dtype=table.dtype)
-    # numpy radix-sorts 8-bit integers under "stable", where its default
-    # sort is several times slower than on wider types
-    kind = "stable" if table.itemsize == 1 else None
-    step = max(1, _BLOCK // n)  # rows sorted in blocks: one block up to order 1024
-    for lo in range(0, n, step):
-        rows = np.sort(table[lo:lo + step], axis=1, kind=kind)
-        bad = lo + np.flatnonzero((rows != ident).any(axis=1))
-        if bad.size:
-            raise CayleyTableError(f"row {int(bad[0])} is not a permutation (not a Latin square)")
+    bad = _first_non_permutation(table)
+    if bad is not None:
+        raise CayleyTableError(f"row {bad} is not a permutation (not a Latin square)")
     try:
+        ident = np.arange(n, dtype=table.dtype)
         if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
             raise CayleyTableError("element 0 is not a two-sided identity")
         _check_associativity(table)
     except CayleyTableError:
-        bad = np.flatnonzero((np.sort(table, axis=0, kind=kind) != ident[:, None]).any(axis=0))
-        if bad.size:
-            message = f"column {int(bad[0])} is not a permutation (not a Latin square)"
-            raise CayleyTableError(message) from None
+        bad = _first_non_permutation(table.T)
+        if bad is not None:
+            raise CayleyTableError(f"column {bad} is not a permutation (not a Latin square)") from None
         raise
     return table
+
+
+def _first_non_permutation(lines: np.ndarray) -> int | None:
+    """Index of the first row of the square array ``lines`` (a table, or its
+    transpose for the columns) that is not a permutation of [0, n), or
+    None; rows are sorted in the blocks of `_table_blocks`."""
+    ident = np.arange(lines.shape[0], dtype=lines.dtype)
+    # numpy radix-sorts 8-bit integers under "stable", where its default
+    # sort is several times slower than on wider types
+    kind = "stable" if lines.itemsize == 1 else None
+    for lo, rows in _table_blocks(lines):
+        bad = np.flatnonzero((np.sort(rows, axis=1, kind=kind) != ident).any(axis=1))
+        if bad.size:
+            return lo + int(bad[0])
+    return None
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -409,17 +432,28 @@ def _check_associativity(table: np.ndarray) -> None:
     product, so checking b on a set S whose right-multiplication closure from
     the identity is the whole table proves associativity. For each b, rows
     of (a*b)*c are gathered whole from the table and rows of a*(b*c) are the
-    rows a with their columns permuted by row b, all in the table's dtype.
+    rows a with their columns permuted by row b, all in the table's dtype,
+    in the blocks of `_table_blocks`.
     """
     n = table.shape[0]
     for b in _greedy_generators(lambda x, y: table[x, y], n):
         right = table[b]
-        for block in row_blocks(np.arange(n), n):
-            rows = block[:, 0]
-            bad = table[table[rows, b]] != table[rows].take(right, axis=1)
+        for lo, rows in _table_blocks(table):
+            bad = table[rows[:, b]] != rows.take(right, axis=1)
             if bad.any():
                 i, c = np.argwhere(bad)[0]
-                raise CayleyTableError(f"associativity fails at ({int(rows[i])},{b},{int(c)})")
+                raise CayleyTableError(f"associativity fails at ({lo + int(i)},{b},{int(c)})")
+
+
+def _table_blocks(table: np.ndarray):
+    """(first row, view) of each block of rows of a square table in turn.
+    A block holds about _BLOCK / 8 entries, because each check on it keeps
+    a few arrays of its size alive: at order 2000 together they stay near
+    an eighth of the table, which keeps a loaded table's validation about
+    as small as its parse."""
+    step = max(1, (_BLOCK >> 3) // table.shape[0])
+    for lo in range(0, table.shape[0], step):
+        yield lo, table[lo:lo + step]
 
 
 def _greedy_generators(product, n: int):

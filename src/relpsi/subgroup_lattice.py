@@ -3,11 +3,13 @@ and the isolated/malnormal tests used by the Frobenius construction."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
 import numpy as np
 
+from . import group_core
 from .budget import ELEMENT_CAP, LATTICE_CAP, QUOTIENT_INDEX_CAP, power_text
 from .group_core import CayleyTableGroup, FiniteGroup, _close_right, check_element_budget, row_blocks
 
@@ -124,6 +126,45 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
     return _closed(G, frozenset(members.tolist()), tuple(gens))
 
 
+def _double_coset_labels(table: np.ndarray, seed_cols: np.ndarray, frontier):
+    """Yield (K, generators, labels) for each (K, generators) of a frontier
+    round, in order, where labels[i] is the least element of the double
+    coset KxK of the i-th seed x, and ``seed_cols[g, i]`` = x * g.
+
+    The round is labelled in blocks of K whose member lists, concatenated,
+    hold about _BLOCK / (8 |G|) entries, so a block's int64 index array has
+    at most about _BLOCK / 8 entries; a block holds at least one K.
+    """
+    limit = max(1, (group_core._BLOCK >> 3) // table.shape[0])
+    block, size = [], 0
+    for entry in frontier:
+        if block and size + len(entry[0]) > limit:
+            yield from _label_block(table, seed_cols, block, size)
+            block, size = [], 0
+        block.append(entry)
+        size += len(entry[0])
+    yield from _label_block(table, seed_cols, block, size)
+
+
+def _label_block(table: np.ndarray, seed_cols: np.ndarray, block: list, size: int):
+    """The labels of `_double_coset_labels` for one block of ``size``
+    members in all. One gather of the members' table rows and one reduceat
+    over each K's segment give the least element of every right coset K*y;
+    one gather of those minima at every x*k, k in K, and a second reduceat
+    give the least element of KxK, the minimum of K*(x*k) over k."""
+    n = table.shape[0]
+    sizes = [len(members) for members, _ in block]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    ks = np.fromiter(itertools.chain.from_iterable(members for members, _ in block),
+                     dtype=np.intp, count=size)
+    coset_min = np.minimum.reduceat(table[ks], starts, axis=0)
+    # row j of coset_min starts at j * n in its flat view
+    at = np.repeat(np.arange(0, n * len(block), n), sizes)[:, None] + seed_cols[ks]
+    labels = np.minimum.reduceat(coset_min.ravel()[at], starts, axis=0)
+    for (members, gens), row in zip(block, labels.tolist()):
+        yield members, gens, row
+
+
 def _check_lattice_order(n: int) -> None:
     """Raise ValueError for a group order above the enumeration cap."""
     if n > LATTICE_CAP:
@@ -140,8 +181,9 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     y in the double coset KxK, K is joined only with the first seed of each
     double coset other than K itself: any other seed could only find a
     subgroup already known. So the double cosets are labelled, by their
-    least element, at the seeds alone. Each generator tuple is joined at
-    most once.
+    least element, at the seeds alone, for all the K of one round of the
+    search together, in blocks of a few numpy calls each (see
+    `_double_coset_labels`). Each generator tuple is joined at most once.
 
     A join <K, x> is walked from the larger of K and <x>, B, and is G with
     no walk when B is strictly inside it and no proper subgroup order
@@ -194,23 +236,17 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         return frozenset(inside)
 
     seeds = G.cyclic_seeds()[0]
-    seed_rows = table[seeds]  # seed_rows[i, g] = seeds[i] * g
+    seed_cols = np.ascontiguousarray(table[seeds].T)  # seed_cols[g, i] = seeds[i] * g
     seeds = seeds.tolist()
     known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds}
-    frontier = list(known.items())
+    frontier = [(m, g) for m, g in known.items() if len(m) < n]
     tried = set()
     while frontier:
         new_frontier = []
-        for members, gens in frontier:
-            if len(members) == n:
-                continue
-            ks = np.fromiter(members, dtype=np.int64, count=len(members))
-            # the least element of KxK for every seed x: min over x*K of the
-            # least element of each right coset K*y
-            labels = table[ks].min(axis=0)[seed_rows[:, ks]].min(axis=1)
+        for members, gens, labels in _double_coset_labels(table, seed_cols, frontier):
             # the identity 0 labels K itself, whose seeds add nothing
             seen = {0}
-            for x, label in zip(seeds, labels.tolist()):
+            for x, label in zip(seeds, labels):
                 if label in seen:
                     continue
                 seen.add(label)
@@ -231,7 +267,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     joined = join(base, joined_gens, k)
                 if joined not in known:
                     known[joined] = joined_gens
-                    new_frontier.append((joined, joined_gens))
+                    if len(joined) < n:
+                        new_frontier.append((joined, joined_gens))
         frontier = new_frontier
     subs = [_closed(G, m, g) for m, g in known.items()]
     subs.sort(key=lambda s: (s.order, s.elements()))

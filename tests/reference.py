@@ -5,7 +5,8 @@ group-axiom check, each built on a group's scalar `multiply` alone and never
 on `multiply_array`, the power table or `first_powers_in`. The program
 computes these quantities with its vectorised engine only, so the tests
 compare that engine against this independent one. One inverse, a^(|G| - 1),
-serves every group class.
+serves every group class. A reader of the table file format, on string
+methods alone, stands beside the program's loader in the same way.
 """
 
 import weakref
@@ -139,6 +140,30 @@ def check_table_axioms(table):
                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                     raise CayleyTableError(f"associativity fails at ({a},{b},{c})")
         gens.append(b)
+
+
+def read_table_text(text):
+    """The rows of a Cayley table file's text, read by the README's "Cayley
+    table file format" with string methods alone: once stripped, blank lines
+    and lines starting with ``#`` are skipped; the first other line is one
+    positive order n, and exactly n lines of n integer tokens follow, each
+    digits after at most one sign. Raises ValueError on any other text; the
+    entry range and the group axioms are left to `check_table_axioms`."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    if not lines or len(lines[0].split()) != 1 or _integer(lines[0]) < 1:
+        raise ValueError("the first data line is not one positive order")
+    n = _integer(lines[0])
+    rows = [[_integer(token) for token in line.split()] for line in lines[1:]]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"the table is not {n} rows of {n} entries")
+    return rows
+
+
+def _integer(token):
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
 
 
 def is_nilpotent(G):

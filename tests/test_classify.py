@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -176,3 +177,66 @@ class TestAgainstSympy:
         assert is_solvable(G) == S.is_solvable
         assert is_nilpotent(G) == S.is_nilpotent
         assert Counter(G.element_orders().tolist()) == Counter(int(p.order()) for p in S.elements)
+
+
+class TestSeededPermutationCatalog:
+    """Subgroups of S7, S8 and the Sylow 2-subgroup of S8 and 3-subgroup of
+    S9, of order at most LATTICE_CAP, each generated by one to three seeded
+    words in the ambient group's generators, against sympy.combinatorics:
+    nilpotency, solvability and element orders agree; psi(G) <= psi(C_n),
+    with equality exactly when sympy calls G cyclic; and no subgroup of a
+    nilpotent G has a ratio above 1 against the cyclic reference. The
+    nilpotent draws reach orders 81 and 128, whose lattices have hundreds of
+    subgroups in one round of the search."""
+
+    def test_matches_sympy_and_the_nilpotent_bound(self):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        from relpsi.budget import LATTICE_CAP
+        from relpsi.numtheory import psi_cyclic
+        from relpsi.order_sums import psi
+        from relpsi.verify import subgroup_ratio_scan
+
+        def perm(degree, *cycles):
+            return Permutation([list(c) for c in cycles], size=degree)
+
+        ambients = {  # name: (generators, draws)
+            "Syl2(S8)": ([perm(8, (0, 1)), perm(8, (0, 2), (1, 3)),
+                          perm(8, (0, 4), (1, 5), (2, 6), (3, 7))], 120),
+            "Syl3(S9)": ([perm(9, (0, 1, 2)), perm(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))], 120),
+            "S7": ([perm(7, (0, 1)), perm(7, tuple(range(7)))], 480),
+            "S8": ([perm(8, (0, 1)), perm(8, tuple(range(8)))], 480),
+        }
+        seen, kinds = set(), Counter()
+        for name, (gens, draws) in ambients.items():
+            rng = random.Random(f"perm-catalog/{name}")
+            for _ in range(draws):
+                words = []
+                for _ in range(rng.randint(1, 3)):
+                    word = Permutation(gens[0].size - 1)
+                    for _ in range(rng.randint(1, 12)):
+                        word *= rng.choice(gens)
+                    words.append(word)
+                S = PermutationGroup(words)
+                if S.order() > LATTICE_CAP:
+                    continue
+                elements = frozenset(tuple(p.array_form) for p in S.elements)
+                if elements in seen:
+                    continue
+                seen.add(elements)
+                G = gc.PermutationGroup(elements, name=f"<{name} draw>")
+                nilpotent = S.is_nilpotent
+                assert G.order == S.order()
+                assert is_nilpotent(G) == nilpotent
+                assert is_solvable(G) == S.is_solvable
+                assert Counter(G.element_orders().tolist()) == Counter(int(p.order()) for p in S.elements)
+                assert psi(G) <= psi_cyclic(G.order)
+                assert (psi(G) == psi_cyclic(G.order)) == S.is_cyclic
+                if nilpotent:
+                    records = subgroup_ratio_scan(G)
+                    assert not any(rec.is_violation for rec in records), G.order
+                    kinds["nilpotent", G.order, len(records)] += 1
+                else:
+                    kinds["not nilpotent", G.order, S.is_solvable] += 1
+        assert ("nilpotent", 128, 576) in kinds and ("nilpotent", 81, 50) in kinds, kinds
+        assert ("not nilpotent", 168, False) in kinds and sum(k[0] == "not nilpotent" for k in kinds) >= 5, kinds

@@ -1,10 +1,12 @@
 import importlib
 import json
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -18,15 +20,15 @@ from relpsi.budget import BIJECTION_CAP, ELEMENT_CAP, LATTICE_CAP
 from relpsi.cli import load_cayley_file, main
 
 
+def table_text(rows, comment=None):
+    """The Cayley-table file of the table ``rows``, a list of lists."""
+    lines = [f"# {comment}"] if comment else []
+    lines += [str(len(rows)), *(" ".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def write_cayley_file(path, G, comment=None):
-    table = G.cayley_table()
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(str(G.order))
-    for row in table:
-        lines.append(" ".join(str(int(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(table_text(G.cayley_table().tolist(), comment))
     return str(path)
 
 
@@ -485,11 +487,12 @@ class TestCayleyLoader:
         assert loaded._table_cache.dtype == np.min_scalar_type(G.order - 1)
         assert loaded.cayley_table().dtype == np.int64
 
-    def test_peak_memory_stays_below_two_and_a_half_tables(self, tmp_path):
-        # the body streams from the file into the table, its rows are sorted
-        # in blocks and the columns of a valid table never: 2.15 tables at
-        # C2000, where the 17.8 MB file becomes a 7.6 MiB uint16 table, and
-        # the group's own copy of the parsed table sets the peak
+    def test_peak_memory_stays_below_one_and_a_third_tables(self, tmp_path):
+        # the body streams from the file into the table, which the group
+        # keeps as parsed; its rows are sorted in small blocks and the columns
+        # of a valid table never: 1.19 tables at C2000, where the 17.8 MB file
+        # becomes a 7.6 MiB uint16 table, and np.loadtxt's own buffers set
+        # the peak
         path = write_cayley_file(tmp_path / "c2000.txt", gc.cyclic(2000))
         tracemalloc.start()
         try:
@@ -497,7 +500,70 @@ class TestCayleyLoader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * G._table_cache.nbytes
+        assert peak < 1.33 * G._table_cache.nbytes
+
+
+# characters that seeded edits of table text are drawn from
+TEXT_EDITS = "0123456789 \n\t\r-+#.,x"
+
+
+def mutate_text(text, rng):
+    """``text`` after 1-4 seeded replacements, deletions or insertions of
+    one character."""
+    for _ in range(rng.randint(1, 4)):
+        at, char, edit = rng.randrange(len(text) + 1), rng.choice(TEXT_EDITS), rng.randrange(3)
+        if edit == 0:  # replace
+            text = text[:at] + char + text[at + 1:]
+        elif edit == 1:  # delete
+            text = text[:at] + text[at + 1:]
+        else:  # insert
+            text = text[:at] + char + text[at:]
+    return text
+
+
+class TestTableTextFuzz:
+    """Seeded edits of 1-4 characters of small table files, each run through
+    main(): it exits 1, with one error line, exactly when the reference
+    reader or the reference axiom check rejects the text; otherwise its
+    report, exit code and stdout are those of the reference's table written
+    out cleanly under the same path."""
+
+    def test_main_rejects_exactly_what_the_reference_rejects(self, tmp_path, capsys):
+        from reference import check_table_axioms, read_table_text
+
+        groups = [gc.symmetric(3), gc.quaternion8(), gc.cyclic(6), gc.dihedral(5), gc.alternating(4)]
+        texts = [table_text(G.cayley_table().tolist(), G.name) for G in groups]
+        path, report = tmp_path / "g.txt", tmp_path / "report.json"
+        outcomes = Counter()
+        for seed in range(600):
+            rng = random.Random(f"table-text/{seed}")
+            text = mutate_text(rng.choice(texts), rng)
+            try:
+                rows = read_table_text(text)
+                check_table_axioms(rows)
+            except ValueError:  # CayleyTableError is a ValueError
+                rows = None
+            command = ("ratios", "check-bounds", "bijection")[seed % 3]
+            argv = [command, str(path), "--json", str(report)]
+            if command == "bijection":
+                argv += ["--subgroup", "1" if rows is None or len(rows) > 1 else "0"]
+            path.write_text(text)
+            report.unlink(missing_ok=True)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            outcomes[command, rows is not None] += 1
+            if rows is None:
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (seed, text, err)
+                continue
+            assert code != 1, (seed, text, err)
+            got = json.loads(report.read_text())
+            path.write_text(table_text(rows))
+            assert main(argv) == code, (seed, text)
+            assert capsys.readouterr().out == out, (seed, text)
+            want = json.loads(report.read_text())
+            got.pop("timing_ms"), want.pop("timing_ms")
+            assert got == want, (seed, text)
+        assert all(outcomes[c, True] >= 3 and outcomes[c, False] for c in ("ratios", "check-bounds", "bijection")), outcomes
 
 
 class TestBijectionCommand:

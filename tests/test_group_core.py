@@ -320,10 +320,11 @@ class TestCayleyIngestion:
         assert seen["row"] and seen["column"], seen
 
     def test_latin_checks_in_blocks_name_the_first_bad_line(self, monkeypatch):
-        # rows checked in blocks of 3 of D5's 10: a bad row past the first
-        # block, and a bad column behind good rows, are named by their index
-        # in the table, as the reference names them
-        monkeypatch.setattr(gc, "_BLOCK", 30)
+        # rows, and columns behind good rows, checked in blocks of 3 of D5's
+        # 10 (blocks hold _BLOCK / 8 entries): a bad row or column past the
+        # first block is named by its index in the table, as the reference
+        # names it
+        monkeypatch.setattr(gc, "_BLOCK", 240)
         table, seen = gc.dihedral(5).cayley_table(), Counter()
         for seed in range(60):
             rng = random.Random(f"blocks/{seed}")

@@ -6,6 +6,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import relpsi as rp
 import relpsi.group_core as gc
 from relpsi import order_sums
 from relpsi.budget import LATTICE_CAP
@@ -359,6 +360,24 @@ class TestLatticeOracles:
         assert len(all_subgroups(make())) == count
 
 
+def lattice_with_join_calls(G):
+    """all_subgroups(G) and the calls of its nested `join`, restarts
+    included, counted by a profile hook."""
+    join = next(c for c in all_subgroups.__code__.co_consts if getattr(c, "co_name", None) == "join")
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is join
+
+    sys.setprofile(profile)
+    try:
+        subs = all_subgroups(G)
+    finally:
+        sys.setprofile(None)
+    return subs, count
+
+
 class TestJoinCount:
     """The calls of the nested `join` of `all_subgroups`, restarts included,
     pinned per group. Which seeds each subgroup is joined with, where a walk
@@ -372,20 +391,39 @@ class TestJoinCount:
         (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 488),
     ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3"])
     def test_join_calls_are_pinned(self, make, calls):
-        join = next(c for c in all_subgroups.__code__.co_consts if getattr(c, "co_name", None) == "join")
-        count = 0
+        assert lattice_with_join_calls(make())[1] == calls
 
-        def profile(frame, event, arg):
-            nonlocal count
-            count += event == "call" and frame.f_code is join
 
-        G = make()
-        sys.setprofile(profile)
-        try:
-            all_subgroups(G)
-        finally:
-            sys.setprofile(None)
-        assert count == calls
+class TestSmallBlocks:
+    """With group_core._BLOCK cut to a few dozen entries each frontier round
+    is labelled one subgroup a block, and each power-table doubling reads
+    one row a block; at 2^14 a label block holds up to 2^11 / |G| members,
+    several small subgroups, and a round spans many blocks. Every result
+    stays as with the default blocks."""
+
+    @pytest.mark.parametrize("block", [48, 1 << 14])
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.abelian_of_type({2: [1] * 5}),
+    ], ids=["S5", "D60", "C2^5"])
+    def test_lattice_and_join_calls_unchanged(self, make, block, monkeypatch):
+        def run():
+            subs, calls = lattice_with_join_calls(make())
+            return [(H.elements(), H.generators) for H in subs], calls
+
+        default = run()
+        monkeypatch.setattr(gc, "_BLOCK", block)
+        assert run() == default
+
+    def test_catalog_power_tables_unchanged(self, catalog100, monkeypatch):
+        def tables(groups):
+            return [(G.power_table().tolist(), G.element_orders().tolist(),
+                     [a.tolist() for a in G.cyclic_seeds()]) for G in groups]
+
+        default = tables(catalog100)
+        monkeypatch.setattr(gc, "_BLOCK", 48)
+        assert tables(rp.default_catalog(100, include_frobenius=True)) == default
 
 
 class TestAbelianSubgroupCounts:
