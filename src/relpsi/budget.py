@@ -24,11 +24,12 @@ CYCLIC_CAP = 1 << 16
 # order of a group whose nilpotency is decided: one power pass over its
 # elements, 512 KiB of element orders
 CLASSIFY_CAP = 1 << 16
-# order of a group whose whole subgroup lattice is enumerated, a Python
-# loop per subgroup; the largest lattice under it is C2^7's 29 212 subgroups,
-# on whose table file `ratios --json` takes 1.7 s at 162 MiB peak RSS (a
-# 10.9 MB report) and `check-bounds --json` 1.6 s at 122 MiB, in a fresh
-# process on a 2-vCPU VM
+# order of a group whose whole subgroup lattice is enumerated: a Python
+# loop per subgroup when the group is not cyclic, none when it is, since a
+# cyclic group's lattice is its seeds <x>; the largest lattice under it is
+# C2^7's 29 212 subgroups, on whose table file `ratios --json` takes 1.7 s
+# at 162 MiB peak RSS (a 10.9 MB report) and `check-bounds --json` 1.6 s at
+# 122 MiB, in a fresh process on a 2-vCPU VM
 LATTICE_CAP = 200
 # index of a quotient group, whose Cayley table has index^2 entries
 QUOTIENT_INDEX_CAP = 512

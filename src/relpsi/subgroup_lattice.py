@@ -171,19 +171,31 @@ def _check_lattice_order(n: int) -> None:
         raise ValueError(f"subgroup enumeration capped at order {LATTICE_CAP}, group has {n}")
 
 
+def _sorted_lattice(G: FiniteGroup, known: dict) -> list[Subgroup]:
+    """The subgroups of ``known`` ({members: generators}), sorted by
+    (order, element tuple)."""
+    subs = [_closed(G, m, g) for m, g in known.items()]
+    subs.sort(key=lambda s: (s.order, s.elements()))
+    return subs
+
+
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, each exactly once, sorted by (order, element tuple).
 
     Seeds with the distinct cyclic subgroups <x>, each under its smallest
-    generator x, read from the power table, and repeatedly joins each new
-    subgroup K other than G with the seeds until a fixpoint; correct because
-    every subgroup is a join of cyclic ones. Since <K, y> = <K, x> for every
-    y in the double coset KxK, K is joined only with the first seed of each
-    double coset other than K itself: any other seed could only find a
-    subgroup already known. So the double cosets are labelled, by their
-    least element, at the seeds alone, for all the K of one round of the
-    search together, in blocks of a few numpy calls each (see
-    `_double_coset_labels`). Each generator tuple is joined at most once.
+    generator x, read from the power table. When some element has order
+    |G|, G is cyclic, so is every subgroup, and the seeds are the whole
+    lattice: they are returned, each with generators (x,), and no join runs.
+
+    Otherwise repeatedly joins each new subgroup K other than G with the
+    seeds until a fixpoint; correct because every subgroup is a join of
+    cyclic ones. Since <K, y> = <K, x> for every y in the double coset KxK,
+    K is joined only with the first seed of each double coset other than K
+    itself: any other seed could only find a subgroup already known. So the
+    double cosets are labelled, by their least element, at the seeds alone,
+    for all the K of one round of the search together, in blocks of a few
+    numpy calls each (see `_double_coset_labels`). Each generator tuple is
+    joined at most once.
 
     A join <K, x> is walked from the larger of K and <x>, B, and is G with
     no walk when B is strictly inside it and no proper subgroup order
@@ -192,19 +204,25 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """
     _check_lattice_order(G.order)
     n = G.order
-    table = G._table()
-    cols = table.T.tolist()  # cols[g][x] = x*g
     powers, orders = G.power_table(), G.element_orders().tolist()
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    # the largest proper subgroup order that k divides, for each divisor k of n
-    largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
-    whole = frozenset(G.elements())
     cyclics: dict[int, frozenset] = {}
 
     def cyclic(x: int) -> frozenset:
         if x not in cyclics:
             cyclics[x] = frozenset(powers[:orders[x], x].tolist())
         return cyclics[x]
+
+    seeds = G.cyclic_seeds()[0]
+    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds.tolist()}
+    if max(orders) == n:
+        return _sorted_lattice(G, known)
+
+    table = G._table()
+    cols = table.T.tolist()  # cols[g][x] = x*g
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    # the largest proper subgroup order that k divides, for each divisor k of n
+    largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
+    whole = frozenset(G.elements())
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:
         """The subgroup J generated by ``gens`` and its subgroup ``base``,
@@ -235,11 +253,9 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 reps.append(rt)
         return frozenset(inside)
 
-    seeds = G.cyclic_seeds()[0]
     seed_cols = np.ascontiguousarray(table[seeds].T)  # seed_cols[g, i] = seeds[i] * g
     seeds = seeds.tolist()
-    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds}
-    frontier = [(m, g) for m, g in known.items() if len(m) < n]
+    frontier = list(known.items())  # G is not cyclic, so no seed is G
     tried = set()
     while frontier:
         new_frontier = []
@@ -270,9 +286,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     if len(joined) < n:
                         new_frontier.append((joined, joined_gens))
         frontier = new_frontier
-    subs = [_closed(G, m, g) for m, g in known.items()]
-    subs.sort(key=lambda s: (s.order, s.elements()))
-    return subs
+    return _sorted_lattice(G, known)
 
 
 def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:

@@ -566,6 +566,89 @@ class TestTableTextFuzz:
         assert all(outcomes[c, True] >= 3 and outcomes[c, False] for c in ("ratios", "check-bounds", "bijection")), outcomes
 
 
+def label_free(command, code, doc):
+    """What a `ratios` or `check-bounds` run reports that does not depend on
+    the element labels: its exit code and its sorted (order, psi_H, ratio)
+    or (order, index, psi_H, bound, all checks ok) rows."""
+    if command == "ratios":
+        rows = sorted((rec["subgroup_order"], rec["psi_h"], f"{rec['ratio']['num']}/{rec['ratio']['den']}")
+                      for rec in doc["results"])
+    else:
+        rows = sorted((row["subgroup_order"], row["index"], row["psi_h"], row["bound"],
+                       all(row["checks"].values())) for row in doc["results"])
+    return code, rows
+
+
+class TestRelabelledPermutationGroups:
+    """Subgroups of S7, S8 and the Sylow 2-subgroup of S8 and 3-subgroup of
+    S9, each generated by seeded words as in test_classify's seeded catalog,
+    written as table files twice: as built, and with the elements renamed by
+    a seeded permutation that keeps the identity at 0. `ratios` and
+    `check-bounds` through main() give the same label-free projection on
+    both files."""
+
+    # (ambient, seed of the draw, order, nilpotent, cyclic, subgroups)
+    DRAWS = [
+        ("Syl3(S9)", 0, 81, True, False, 50),
+        ("Syl2(S8)", 1, 128, True, False, 576),
+        ("S7", 8, 12, True, True, 6),
+        ("S7", 190, 120, False, False, 156),
+        ("S7", 192, 72, False, False, 70),
+        ("S8", 146, 36, False, False, 38),
+    ]
+
+    @staticmethod
+    def draw(ambient, seed):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        def perm(degree, *cycles):
+            return Permutation([list(c) for c in cycles], size=degree)
+
+        gens = {
+            "Syl2(S8)": [perm(8, (0, 1)), perm(8, (0, 2), (1, 3)), perm(8, (0, 4), (1, 5), (2, 6), (3, 7))],
+            "Syl3(S9)": [perm(9, (0, 1, 2)), perm(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))],
+            "S7": [perm(7, (0, 1)), perm(7, tuple(range(7)))],
+            "S8": [perm(8, (0, 1)), perm(8, tuple(range(8)))],
+        }[ambient]
+        rng = random.Random(f"relabel/{ambient}/{seed}")
+        words = []
+        for _ in range(rng.randint(1, 3)):
+            word = Permutation(gens[0].size - 1)
+            for _ in range(rng.randint(1, 12)):
+                word *= rng.choice(gens)
+            words.append(word)
+        return PermutationGroup(words), rng
+
+    @pytest.mark.parametrize("ambient, seed, order, nilpotent, cyclic, subgroups", DRAWS,
+                             ids=[f"{a}-{s}" for a, s, *_ in DRAWS])
+    def test_projection_survives_relabelling(self, ambient, seed, order, nilpotent, cyclic,
+                                             subgroups, tmp_path, capsys):
+        S, rng = self.draw(ambient, seed)
+        assert (S.order(), S.is_nilpotent, S.is_cyclic) == (order, nilpotent, cyclic)
+        G = gc.PermutationGroup([tuple(p.array_form) for p in S.elements], name=f"<{ambient} draw>")
+        rest = list(range(1, order))
+        rng.shuffle(rest)
+        perm = np.array([0, *rest])
+        table = G.cayley_table()
+        relabelled = np.empty_like(table)
+        relabelled[np.ix_(perm, perm)] = perm[table]
+        assert not (relabelled == table).all()
+        paths = [tmp_path / "as-built.txt", tmp_path / "relabelled.txt"]
+        for path, rows in zip(paths, (table, relabelled)):
+            path.write_text(table_text(rows.tolist()))
+        report = tmp_path / "report.json"
+        for command in ("ratios", "check-bounds"):
+            projections = []
+            for path in paths:
+                code = main([command, str(path), "--json", str(report)])
+                capsys.readouterr()
+                projections.append(label_free(command, code, json.loads(report.read_text())))
+            assert projections[0] == projections[1], command
+            assert len(projections[0][1]) == subgroups, command
+            if nilpotent:  # no subgroup of a nilpotent group is above its cyclic reference
+                assert projections[0][0] == 0, command
+
+
 class TestBijectionCommand:
     def test_cyclic_positive(self, capsys, tmp_path):
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))

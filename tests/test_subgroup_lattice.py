@@ -139,8 +139,14 @@ class TestAllSubgroups:
         assert sorted(H.order for H in subs) == [1, 2, 4, 4, 4, 8]
 
     def test_cyclic_count_is_divisor_count(self):
-        for n in range(1, 101):
-            assert len(all_subgroups(gc.cyclic(n))) == num_divisors(n)
+        # C_n has one subgroup of each order d dividing n, the multiples of
+        # n/d, whose smallest generator is n/d, or the identity 0 for d = 1
+        for n in range(1, LATTICE_CAP + 1):
+            subs = all_subgroups(gc.cyclic(n))
+            assert len(subs) == num_divisors(n)
+            assert [(H.elements(), H.generators) for H in subs] == [
+                (tuple(range(0, n, n // d)), (n // d,) if d > 1 else (0,))
+                for d in range(1, n + 1) if n % d == 0], n
 
     def test_every_subgroup_is_closed(self):
         for G in [gc.symmetric(4), gc.dihedral(6), gc.frobenius_field(2, 3)]:
@@ -309,6 +315,17 @@ def abelian_type(G):
     return type_map
 
 
+def relabelled_copy(G, seed):
+    """G rebuilt by from_cayley_table with its elements renamed by a seeded
+    permutation that keeps the identity at 0."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = G.cayley_table()
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return gc.from_cayley_table(relabelled)
+
+
 class TestLatticeOracles:
     def test_catalog_matches_join_by_generate(self, catalog_subgroups):
         for G, subs in catalog_subgroups:
@@ -336,12 +353,7 @@ class TestLatticeOracles:
         # reorders the seeds and so the generator tuples tried, and the walks
         # and their shortcuts run in orders the constructors never give
         G = make()
-        rng = np.random.default_rng(G.order)
-        perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-        table = G.cayley_table()
-        relabelled = np.empty_like(table)
-        relabelled[np.ix_(perm, perm)] = perm[table]
-        R = gc.from_cayley_table(relabelled)
+        R = relabelled_copy(G, G.order)
         assert lattice(all_subgroups(R)) == join_by_generate(R)
 
     @pytest.mark.parametrize("n", range(3, LATTICE_CAP // 2 + 1))
@@ -389,9 +401,37 @@ class TestJoinCount:
         (lambda: gc.dihedral(60), 3949),
         (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 250),
         (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 488),
-    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3"])
+        (lambda: gc.cyclic(120), 0),
+    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120"])
     def test_join_calls_are_pinned(self, make, calls):
         assert lattice_with_join_calls(make())[1] == calls
+
+
+class TestCyclicLattice:
+    """A group with an element of order |G| is cyclic, so every subgroup is
+    one of the seeds <x> and the lattice needs no join, however the group
+    is built; a group of the same order with no such element still joins."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.direct_product([gc.cyclic(3), gc.cyclic(4), gc.cyclic(5)]),
+        lambda: gc.abelian_of_type({2: [3], 3: [1], 5: [1]}),
+        lambda: relabelled_copy(gc.cyclic(60), 60),
+    ], ids=["C3xC4xC5", "C8xC3xC5", "C60-relabelled"])
+    def test_no_join_and_the_reference_lattice(self, make):
+        G = make()
+        subs, calls = lattice_with_join_calls(G)
+        assert calls == 0
+        assert lattice(subs) == join_by_generate(G)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.abelian_of_type({2: [1, 1], 3: [1], 5: [1]}),
+        lambda: gc.abelian_of_type({2: [2, 1], 3: [1], 5: [1]}),
+    ], ids=["C2xC2xC3xC5", "C4xC2xC3xC5"])
+    def test_non_cyclic_of_the_same_order_joins(self, make):
+        G = make()
+        subs, calls = lattice_with_join_calls(G)
+        assert calls > 0
+        assert lattice(subs) == join_by_generate(G)
 
 
 class TestSmallBlocks:
@@ -518,7 +558,8 @@ class TestLatticeCertificate:
         lambda: gc.direct_product([gc.quaternion8(), gc.cyclic(3)]),
         lambda: gc.frobenius_field(2, 3),
         lambda: gc.abelian_of_type({2: [2, 2, 1]}),
-    ], ids=["S4", "A5", "D12", "Q8xC3", "Frob(2,3)", "C4xC4xC2"])
+        lambda: gc.direct_product([gc.cyclic(3), gc.cyclic(4), gc.cyclic(5)]),
+    ], ids=["S4", "A5", "D12", "Q8xC3", "Frob(2,3)", "C4xC4xC2", "C3xC4xC5"])
     def test_closed_under_adding_an_element(self, make):
         G = make()
         found = {H.members for H in all_subgroups(G)}
