@@ -287,17 +287,19 @@ def cmd_ratios(args) -> tuple[int, str, list]:
     from .subgroup_lattice import _check_lattice_order
 
     G = load_cayley_file(args.group_file, _check_lattice_order)
-    records = verify.subgroup_ratio_scan(G)
-    for rec in records:
-        mark = " VIOLATES" if rec.is_violation else ""
-        ratio = rec.ratio
-        print(f"subgroup order {rec.subgroup_order:>4}: psi_H={rec.psi_h}  "
-              f"reference={rec.cyclic_reference}  "
-              f"ratio={ratio.numerator}/{ratio.denominator}{mark}")
-    violations = [rec for rec in records if rec.is_violation]
-    print(f"{len(violations)} violations over {len(records)} subgroups")
+    # each line prints from its record's report entry, which holds the one
+    # Fraction built for the ratio
+    docs = [rec.to_json_dict() for rec in verify.subgroup_ratio_scan(G)]
+    for doc in docs:
+        mark = " VIOLATES" if doc["is_violation"] else ""
+        ratio = doc["ratio"]
+        print(f"subgroup order {doc['subgroup_order']:>4}: psi_H={doc['psi_h']}  "
+              f"reference={doc['cyclic_reference']}  "
+              f"ratio={ratio['num']}/{ratio['den']}{mark}")
+    violations = sum(doc["is_violation"] for doc in docs)
+    print(f"{violations} violations over {len(docs)} subgroups")
     code = EXIT_VIOLATION if violations else EXIT_OK
-    return code, f"ratios {args.group_file}", [rec.to_json_dict() for rec in records]
+    return code, f"ratios {args.group_file}", docs
 
 
 def cmd_bijection(args) -> tuple[int, str, list]:

@@ -97,19 +97,22 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _fill(sub: Subgroup, parent: FiniteGroup, members: frozenset, generators: tuple) -> Subgroup:
+def _fill(sub: Subgroup, parent: FiniteGroup, members: frozenset, generators: tuple,
+          elements: tuple | None = None) -> Subgroup:
     sub.parent = parent
     sub.members = members
     sub.generators = generators
-    sub._sorted = None
+    sub._sorted = elements
     sub._mask = None
     return sub
 
 
-def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = ()) -> Subgroup:
-    """A Subgroup from a frozenset of ints already known to be closed and
-    its ascending generator tuple, both kept as given; no check."""
-    return _fill(Subgroup.__new__(Subgroup), parent, members, generators)
+def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = (),
+            elements: tuple | None = None) -> Subgroup:
+    """A Subgroup from a frozenset of ints already known to be closed, its
+    ascending generator tuple and, if known, its members sorted, all kept
+    as given; no check."""
+    return _fill(Subgroup.__new__(Subgroup), parent, members, generators, elements)
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
@@ -173,9 +176,10 @@ def _check_lattice_order(n: int) -> None:
 
 def _sorted_lattice(G: FiniteGroup, known: dict) -> list[Subgroup]:
     """The subgroups of ``known`` ({members: generators}), sorted by
-    (order, element tuple)."""
-    subs = [_closed(G, m, g) for m, g in known.items()]
-    subs.sort(key=lambda s: (s.order, s.elements()))
+    (order, element tuple); each element tuple is built once, as the
+    subgroup's ``elements()``."""
+    subs = [_closed(G, m, g, tuple(sorted(m))) for m, g in known.items()]
+    subs.sort(key=lambda s: (len(s.members), s._sorted))
     return subs
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    """Outcome of comparing one subgroup against its cyclic reference."""
+class ViolationRecord(NamedTuple):
+    """Outcome of comparing one subgroup against its cyclic reference; a
+    named tuple, so immutable and cheap to build once per subgroup."""
 
     group: str
     group_order: int
@@ -96,22 +97,11 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     solvable = nilpotent or is_solvable(G)
     subgroups = all_subgroups(G)
     sums, _ = lattice_order_sums(G, subgroups)
-    references = {m: cyclic_reference(G.order, m) for m in {H.order for H in subgroups}}
-    records = []
-    for H, value in zip(subgroups, sums):
-        records.append(
-            ViolationRecord(
-                group=G.name,
-                group_order=G.order,
-                subgroup_order=H.order,
-                subgroup_generators=H.generators,
-                psi_h=value,
-                cyclic_reference=references[H.order],
-                nilpotent=nilpotent,
-                solvable=solvable,
-            )
-        )
-    return records
+    n, name = G.order, G.name
+    sizes = [len(H.members) for H in subgroups]
+    references = {m: cyclic_reference(n, m) for m in set(sizes)}
+    return [ViolationRecord(name, n, m, H.generators, value, references[m], nilpotent, solvable)
+            for H, m, value in zip(subgroups, sizes, sums)]
 
 
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:

@@ -153,11 +153,22 @@ class TestAllSubgroups:
             for H in all_subgroups(G):
                 H.check()
 
-    def test_no_duplicates_and_sorted(self):
-        subs = all_subgroups(gc.dihedral(4))
+    @staticmethod
+    def assert_sorted_once(subs):
+        """Each subgroup's elements() are its members sorted, and the keys
+        (order, elements()) strictly increase, so none repeats."""
+        for H in subs:
+            assert H.elements() == tuple(sorted(H.members))
         keys = [(H.order, H.elements()) for H in subs]
-        assert keys == sorted(keys)
-        assert len({H.members for H in subs}) == len(subs)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_no_duplicates_and_sorted(self):
+        for G in [gc.dihedral(4), relabelled_copy(gc.symmetric(5), 5)]:
+            self.assert_sorted_once(all_subgroups(G))
+
+    def test_catalog_no_duplicates_and_sorted(self, catalog_subgroups):
+        for G, subs in catalog_subgroups:
+            self.assert_sorted_once(subs)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -402,7 +413,8 @@ class TestJoinCount:
         (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 250),
         (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 488),
         (lambda: gc.cyclic(120), 0),
-    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120"])
+        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 1488),
+    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120", "C2^5"])
     def test_join_calls_are_pinned(self, make, calls):
         assert lattice_with_join_calls(make())[1] == calls
 

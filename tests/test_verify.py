@@ -14,6 +14,7 @@ from relpsi.order_sums import psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import generate
 from relpsi.verify import (
     CounterexampleSpec,
+    ViolationRecord,
     bijection_exists,
     build_counterexample,
     check_bijection,
@@ -55,6 +56,32 @@ class TestSubgroupRatioScan:
         assert all(rec.subgroup_order == 7 for rec in violations)
         assert all(rec.ratio == Fraction(45, 43) for rec in violations)
         assert all(not rec.nilpotent and rec.solvable for rec in violations)
+
+
+class TestViolationRecord:
+    def test_keyword_record_and_report_keys(self):
+        # the scan's byte-identical reports rest on this key order
+        rec = ViolationRecord(group="G", group_order=56, subgroup_order=7,
+                              subgroup_generators=(3, 9), psi_h=90,
+                              cyclic_reference=86, nilpotent=False, solvable=True)
+        assert rec.ratio == Fraction(45, 43)
+        assert rec.is_violation
+        assert list(rec.to_json_dict().items()) == [
+            ("group", "G"),
+            ("group_order", 56),
+            ("subgroup_order", 7),
+            ("subgroup_generators", [3, 9]),
+            ("psi_h", "90"),
+            ("cyclic_reference", "86"),
+            ("ratio", {"num": "45", "den": "43"}),
+            ("is_violation", True),
+            ("nilpotent", False),
+            ("solvable", True),
+        ]
+        equal = ViolationRecord(group="G", group_order=56, subgroup_order=7,
+                                subgroup_generators=(3, 9), psi_h=86,
+                                cyclic_reference=86, nilpotent=False, solvable=True)
+        assert equal.ratio == 1 and not equal.is_violation
 
 
 class TestCounterexampleSpec:
