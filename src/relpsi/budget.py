@@ -9,21 +9,21 @@ module imports nothing, so every layer can read it, from `finite_field` up
 to the CLI, which loads no numpy at import.
 """
 
+# order of a constructed C_n or direct product: every encoding, and the sum
+# of two exponents that `_reduce` takes mod n, fits an int64
+ENCODING_CAP = 1 << 62
 # elements of a group that any per-element array is built over (orders,
 # inverses, relative orders, closure masks), and n of `psi-cyclic N
 # --brute-force`, whose C_n sieve is one such array: at most one int64
-# each, 128 MiB. The worst admitted brute force, `frobenius --r 7 --q 1031
-# --brute-force` (order 16 759 936), takes 2.3 s at 175 MiB peak RSS in a
-# fresh process on a 2-vCPU VM
+# each, 128 MiB. The worst admitted brute forces, `frobenius --r 7 --q 1031
+# --brute-force` (order 16 759 936) and `--r 3 --q 299569` (order
+# 16 775 864, whose subgroup's 2 096 983 members are kept as a frozenset),
+# take 2.0 s at 176 MiB and 1.4 s at 342 MiB peak RSS in a fresh process
+# on a 2-vCPU VM
 ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
 # bytes: 32 MiB; is_solvable, which reads that table, is refused above it
 TABLE_CAP = 4096
-# order of a constructed C_n, and so of each cyclic factor of a product
-CYCLIC_CAP = 1 << 16
-# order of a group whose nilpotency is decided: one power pass over its
-# elements, 512 KiB of element orders
-CLASSIFY_CAP = 1 << 16
 # order of a group whose whole subgroup lattice is enumerated: a Python
 # loop per subgroup when the group is not cyclic, none when it is, since a
 # cyclic group's lattice is its seeds <x>; the largest lattice under it is

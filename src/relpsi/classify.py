@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .budget import CLASSIFY_CAP, TABLE_CAP
 from .group_core import FiniteGroup, _greedy_generators, row_blocks
 from .numtheory import factorize
 from .subgroup_lattice import Subgroup, generate
@@ -29,9 +28,8 @@ def _derived_of_members(G: FiniteGroup, members: np.ndarray, gens) -> Subgroup:
 def is_solvable(G: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup. Each step takes the
     commutators of the members with a generating set: a greedy one for G,
-    the commutators that generated the step before below it."""
-    if G.order > TABLE_CAP:
-        raise ValueError(f"classification budget exceeded at order {G.order}")
+    the commutators that generated the step before below it. A group above
+    TABLE_CAP is refused by `_table`, before any product."""
     G._table()  # every step's products are then table reads
     members = np.arange(G.order)
     gens = list(_greedy_generators(G.multiply_array, G.order))
@@ -49,9 +47,8 @@ def is_solvable(G: FiniteGroup) -> bool:
 def is_nilpotent(G: FiniteGroup) -> bool:
     """True iff every Sylow subgroup is normal. For p^a exactly dividing n,
     the Sylow p-subgroup is unique iff exactly p^a elements have order
-    dividing p^a: two Sylow p-subgroups would hold more between them."""
-    if G.order > CLASSIFY_CAP:
-        raise ValueError(f"classification budget exceeded at order {G.order}")
+    dividing p^a: two Sylow p-subgroups would hold more between them. A
+    group above ELEMENT_CAP is refused by `element_orders`, before any array."""
     orders = G.element_orders()
     # element orders divide n, so the p-power orders are those dividing p^a
     return all(np.count_nonzero(p ** a % orders == 0) == p ** a for p, a in factorize(G.order))

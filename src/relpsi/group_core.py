@@ -33,9 +33,9 @@ import math
 
 import numpy as np
 
-from .budget import CYCLIC_CAP, DEGREE_CAP, DIHEDRAL_CAP, ELEMENT_CAP, TABLE_CAP, power_text
+from .budget import DEGREE_CAP, DIHEDRAL_CAP, ELEMENT_CAP, ENCODING_CAP, TABLE_CAP, power_text
 from .finite_field import FiniteField
-from .numtheory import factorize, is_prime
+from .numtheory import divisors, is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -249,9 +249,8 @@ class FiniteGroup:
                 block[:] = table[powers[lo:lo + len(block)], last]
                 done |= (block == self.identity).any(axis=0)
             rows += new
-        divisors = np.arange(1, rows + 1)
-        divisors = divisors[n % divisors == 0]
-        orders = divisors[(powers[divisors - 1] == self.identity).argmax(axis=0)]
+        ds = np.array([d for d in divisors(n) if d <= rows])
+        orders = ds[(powers[ds - 1] == self.identity).argmax(axis=0)]
         powers = powers[:orders.max()]
         powers.setflags(write=False)
         orders.setflags(write=False)
@@ -288,10 +287,7 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     """
     check_element_budget(G.order)
     limit = G.order // np.count_nonzero(inside)
-    divisors = [1]
-    for p, a in factorize(G.order):
-        divisors = [d * p ** i for d in divisors for i in range(a + 1)]
-    divisors = sorted(d for d in divisors if 1 < d <= limit)
+    ds = [d for d in divisors(G.order) if 1 < d <= limit]
     split, join, product = G._split, G._join, G._product
     orders = np.ones(G.order, dtype=np.int64)
     step = max(1, _BLOCK >> 5)
@@ -301,7 +297,7 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
             continue
         squares = [split(todo)]
         power, prev = squares[0], 1
-        for d in divisors:
+        for d in ds:
             gap = d - prev
             for j in range(gap.bit_length()):
                 if len(squares) == j:
@@ -330,8 +326,8 @@ class CyclicGroup(FiniteGroup):
     """C_n, written additively: multiply(a, b) = (a + b) mod n."""
 
     def __init__(self, n: int):
-        if not 1 <= n <= CYCLIC_CAP:
-            raise ValueError(f"cyclic order must be in [1, {power_text(CYCLIC_CAP)}], got {n}")
+        if not 1 <= n <= ENCODING_CAP:
+            raise ValueError(f"cyclic order must be in [1, {power_text(ENCODING_CAP)}], got {n}")
         self.order = n
         self.name = f"C{n}"
 
@@ -625,8 +621,11 @@ class DirectProductGroup(FiniteGroup):
         factors = list(factors)
         if not factors:
             raise ValueError("direct product needs at least one factor")
-        self.factors = factors
         self.order = math.prod(g.order for g in factors)
+        if self.order > ENCODING_CAP:
+            raise ValueError(f"direct product of order {self.order} exceeds the encoding "
+                             f"cap {power_text(ENCODING_CAP)}")
+        self.factors = factors
         self.name = "x".join(g.name for g in factors)
         ends = list(itertools.accumulate(g._width for g in factors))
         self._slices = [slice(end - g._width, end) for g, end in zip(factors, ends)]

@@ -59,6 +59,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, built from ``factorize(n)``."""
+    ds = [1]
+    for p, a in factorize(n):
+        ds = [d * p ** i for d in ds for i in range(a + 1)]
+    return sorted(ds)
+
+
 def is_prime(n: int) -> bool:
     """Exact primality: True only for a proved prime.
 

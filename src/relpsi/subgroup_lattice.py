@@ -10,8 +10,9 @@ import operator
 import numpy as np
 
 from . import group_core
-from .budget import ELEMENT_CAP, LATTICE_CAP, QUOTIENT_INDEX_CAP, power_text
+from .budget import LATTICE_CAP, QUOTIENT_INDEX_CAP
 from .group_core import CayleyTableGroup, FiniteGroup, _close_right, check_element_budget, row_blocks
+from .numtheory import divisors
 
 __all__ = [
     "Subgroup",
@@ -36,7 +37,8 @@ class Subgroup:
     __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members):
-        _fill(self, parent, frozenset(map(int, members)), ())
+        self.parent, self.members, self.generators = parent, frozenset(map(int, members)), ()
+        self._sorted = self._mask = None
         self.check()
 
     @property
@@ -97,36 +99,30 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _fill(sub: Subgroup, parent: FiniteGroup, members: frozenset, generators: tuple,
-          elements: tuple | None = None) -> Subgroup:
-    sub.parent = parent
-    sub.members = members
-    sub.generators = generators
-    sub._sorted = elements
-    sub._mask = None
-    return sub
-
-
 def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = (),
-            elements: tuple | None = None) -> Subgroup:
+            elements: tuple | None = None, mask: np.ndarray | None = None) -> Subgroup:
     """A Subgroup from a frozenset of ints already known to be closed, its
-    ascending generator tuple and, if known, its members sorted, all kept
-    as given; no check."""
-    return _fill(Subgroup.__new__(Subgroup), parent, members, generators, elements)
+    ascending generator tuple and, if known, its members sorted and its
+    read-only member mask, all kept as given; no check."""
+    sub = Subgroup.__new__(Subgroup)
+    sub.parent, sub.members, sub.generators = parent, members, generators
+    sub._sorted, sub._mask = elements, mask
+    return sub
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing ``gens``, closed by vectorised steps
-    over a member mask of G; refuses a G of more than ELEMENT_CAP elements."""
+    over a member mask of G, which the subgroup keeps with its members in
+    ascending order; refuses a G of more than ELEMENT_CAP elements."""
     gens = list(gens)
     for g in gens:  # in the order given, so an error names the first bad one
         G.check_encoding(g)
     gens = sorted(set(map(int, gens)))
-    if G.order > ELEMENT_CAP:
-        raise ValueError(f"subgroup closure capped at group order {power_text(ELEMENT_CAP)}, "
-                         f"{G.name} has {G.order}")
-    members = np.flatnonzero(_close_right(G.multiply_array, G.order, gens))
-    return _closed(G, frozenset(members.tolist()), tuple(gens))
+    check_element_budget(G.order)
+    mask = _close_right(G.multiply_array, G.order, gens)
+    mask.setflags(write=False)
+    members = np.flatnonzero(mask).tolist()
+    return _closed(G, frozenset(members), tuple(gens), tuple(members), mask)
 
 
 def _double_coset_labels(table: np.ndarray, seed_cols: np.ndarray, frontier):
@@ -223,9 +219,9 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
     table = G._table()
     cols = table.T.tolist()  # cols[g][x] = x*g
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    ds = divisors(n)
     # the largest proper subgroup order that k divides, for each divisor k of n
-    largest = {k: max((d for d in divisors[:-1] if d % k == 0), default=0) for k in divisors}
+    largest = {k: max((d for d in ds[:-1] if d % k == 0), default=0) for k in ds}
     whole = frozenset(G.elements())
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:

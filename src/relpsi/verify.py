@@ -21,14 +21,12 @@ from .numtheory import (
     factorize,
     frobenius_ratio_closed_form,
     is_mersenne_exponent,
-    psi_cyclic,
     rational_json,
 )
 from .order_sums import (
     cyclic_orders,
     cyclic_reference,
     lattice_order_sums,
-    psi,
     relative_orders,
 )
 # unused here, but perfbench's tracer test asserts that `verify.psi_relative`
@@ -283,16 +281,17 @@ def scan_catalog(groups) -> CatalogReport:
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
             records = subgroup_ratio_scan(G)
-            # every group has the trivial subgroup, so records carry the flags
-            nilpotent, solvable = records[0].nilpotent, records[0].solvable
+            # records[0] is the trivial subgroup's: it carries the flags, and
+            # psi of G and of C_n are its psi_H and cyclic reference
+            trivial = records[0]
             result = GroupScanResult(
                 group=G.name,
                 group_order=G.order,
-                nilpotent=nilpotent,
-                solvable=solvable,
+                nilpotent=trivial.nilpotent,
+                solvable=trivial.solvable,
                 cyclic=G.is_cyclic(),
-                psi_value=psi(G),
-                psi_cyclic_value=psi_cyclic(G.order),
+                psi_value=trivial.psi_h,
+                psi_cyclic_value=trivial.cyclic_reference,
                 records=records,
             )
             report.results.append(result)

@@ -6,6 +6,7 @@ is otherwise shown to get past the check. The command-line edges of the
 lattice, bijection and `psi-cyclic --brute-force` caps are in test_cli.py."""
 
 import ast
+import math
 import re
 import time
 import tracemalloc
@@ -20,11 +21,10 @@ import relpsi.group_core as gc
 from relpsi import classify, order_sums, subgroup_lattice, verify
 from relpsi.budget import (
     BIJECTION_CAP,
-    CLASSIFY_CAP,
-    CYCLIC_CAP,
     DEGREE_CAP,
     DIHEDRAL_CAP,
     ELEMENT_CAP,
+    ENCODING_CAP,
     FIELD_SIZE_CAP,
     LATTICE_CAP,
     QUOTIENT_INDEX_CAP,
@@ -74,6 +74,12 @@ def module_level_targets(tree):
             yield node.target
 
 
+def budget_caps():
+    tree = ast.parse((SRC / "budget.py").read_text())
+    return {target.id for target in module_level_targets(tree)
+            if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+
+
 def test_only_the_budget_module_defines_caps():
     defined = {}
     for path in sorted(SRC.glob("*.py")):
@@ -87,9 +93,7 @@ def test_only_the_budget_module_defines_caps():
 
 
 def test_every_cap_is_read_by_another_module():
-    tree = ast.parse((SRC / "budget.py").read_text())
-    caps = {target.id for target in module_level_targets(tree)
-            if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    caps = budget_caps()
     imported = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name != "budget.py":
@@ -97,6 +101,16 @@ def test_every_cap_is_read_by_another_module():
                             if isinstance(node, ast.ImportFrom) and node.module == "budget"
                             for alias in node.names)
     assert caps and caps <= imported
+
+
+def test_every_cap_is_read_by_a_test_here():
+    # read inside a test of this file, not only imported, so no cap lands
+    # without its edge test
+    tests = [node for node in ast.parse(Path(__file__).read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith(("test_", "Test"))]
+    read = {node.id for test in tests for node in ast.walk(test) if isinstance(node, ast.Name)}
+    assert budget_caps() <= read
 
 
 def test_budget_module_imports_nothing():
@@ -121,7 +135,7 @@ class TestElementCap:
         monkeypatch.setattr(G, "multiply_array", refuse)
         monkeypatch.setattr(G, "_product_array", refuse)
         monkeypatch.setattr(G, "_product", refuse)
-        monkeypatch.setattr(gc, "factorize", refuse)
+        monkeypatch.setattr(gc, "divisors", refuse)
         return G, _closed(G, frozenset({G.identity}))
 
     @pytest.mark.parametrize("entry_point", [
@@ -134,8 +148,10 @@ class TestElementCap:
         lambda G, H: psi(G),
         lambda G, H: relative_orders(G, H),
         lambda G, H: Subgroup(G, [G.identity]),
+        lambda G, H: is_nilpotent(G),
     ], ids=["element_orders", "is_cyclic", "inverses", "first_powers_in", "is_normal",
-            "conjugates_intersect_trivially", "psi", "relative_orders", "Subgroup"])
+            "conjugates_intersect_trivially", "psi", "relative_orders", "Subgroup",
+            "is_nilpotent"])
     def test_refused_before_any_per_element_work(self, huge, entry_point):
         G, H = huge
         message = f"group of order {G.order} exceeds the brute-force budget 2^24"
@@ -154,11 +170,13 @@ class TestElementCap:
         lambda G: psi(G),
         lambda G: G.is_cyclic(),
         lambda G: Subgroup(G, [G.identity]),
-    ], ids=["element_orders", "psi", "is_cyclic", "Subgroup"])
+        lambda G: is_nilpotent(G),
+        lambda G: generate(G, []),
+    ], ids=["element_orders", "psi", "is_cyclic", "Subgroup", "is_nilpotent", "generate"])
     def test_refused_before_allocating(self, entry_point):
         # C65536^3 is far too large for any array over its elements, so one
         # built before the check raises MemoryError, not the budget's message
-        G = gc.direct_product([gc.cyclic(CYCLIC_CAP)] * 3)
+        G = gc.direct_product([gc.cyclic(1 << 16)] * 3)
         with pytest.raises(ValueError, match=exactly(
                 f"group of order {2 ** 48} exceeds the brute-force budget 2^24")):
             entry_point(G)
@@ -175,7 +193,7 @@ class TestElementCap:
         with pytest.raises(Reached):
             generate(Edge(), [1])
         with pytest.raises(ValueError, match=exactly(
-                f"subgroup closure capped at group order 2^24, past has {ELEMENT_CAP + 1}")):
+                f"group of order {ELEMENT_CAP + 1} exceeds the brute-force budget 2^24")):
             generate(Past(), [1])
 
     def test_cyclic_orders_past_cap(self, monkeypatch):
@@ -192,32 +210,37 @@ def test_table_cap_edge(monkeypatch):
     monkeypatch.setattr(past, "_product_array", refuse)
     monkeypatch.setattr(classify, "_greedy_generators", refuse)
     n = TABLE_CAP + 1
+    for refused in (past.cayley_table, lambda: is_solvable(past)):
+        with pytest.raises(ValueError, match=exactly(
+                f"refusing to materialize {n}x{n} table (cap 4096)")):
+            refused()
+
+
+def test_encoding_cap_edge(monkeypatch):
+    # exact at the top: the exponent sum 2^63 - 2 fits an int64
+    top = ENCODING_CAP - 1
+    C = gc.cyclic(ENCODING_CAP)
+    assert int(C.multiply_array(top, top)) == C.multiply(top, top) == top - 1
+    half = gc.cyclic(1 << 31)
+    G = gc.direct_product([half, half])
+    assert G.order == ENCODING_CAP
+    assert int(G.multiply_array(top, top)) == G.multiply(top, top) == G.encode(((1 << 31) - 2,) * 2)
+    monkeypatch.setattr(gc, "itertools", SimpleNamespace(accumulate=refuse))
     with pytest.raises(ValueError, match=exactly(
-            f"refusing to materialize {n}x{n} table (cap 4096)")):
-        past.cayley_table()
-    with pytest.raises(ValueError, match=exactly(f"classification budget exceeded at order {n}")):
-        is_solvable(past)
+            f"cyclic order must be in [1, 2^62], got {ENCODING_CAP + 1}")):
+        gc.cyclic(ENCODING_CAP + 1)
+    # C65536^4 and C2^31 x C(2^31 + 1): their encodings would pass 2^62
+    for factors in ([gc.cyclic(1 << 16)] * 4, [half, gc.cyclic((1 << 31) + 1)]):
+        order = math.prod(g.order for g in factors)
+        with pytest.raises(ValueError, match=exactly(
+                f"direct product of order {order} exceeds the encoding cap 2^62")):
+            gc.direct_product(factors)
 
 
-def test_cyclic_cap_edge():
-    assert gc.cyclic(CYCLIC_CAP).is_cyclic()
-    with pytest.raises(ValueError, match=exactly(
-            f"cyclic order must be in [1, 2^16], got {CYCLIC_CAP + 1}")):
-        gc.cyclic(CYCLIC_CAP + 1)
-
-
-def test_classify_cap_edge():
-    assert is_nilpotent(gc.cyclic(CLASSIFY_CAP))
-
-    class Past(gc.FiniteGroup):
-        order = CLASSIFY_CAP + 1
-
-        def element_orders(self):
-            refuse()
-
-    with pytest.raises(ValueError, match=exactly(
-            f"classification budget exceeded at order {CLASSIFY_CAP + 1}")):
-        is_nilpotent(Past())
+def test_frobenius_brute_force_is_bounded_by_the_element_cap_alone(capsys):
+    # Frob(2,3) x C65537, 3 670 072 elements, well inside ELEMENT_CAP
+    assert main(["frobenius", "--r", "3", "--q", "65537", "--brute-force"]) == 0
+    assert "psi_H (brute force)  = 20644155 OK" in capsys.readouterr().out
 
 
 def test_lattice_cap_edge(monkeypatch):

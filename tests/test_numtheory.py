@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from relpsi import numtheory
 from relpsi.numtheory import (
+    divisors,
     factorize,
     frobenius_ratio_closed_form,
     index_ratio_bound,
@@ -50,6 +51,21 @@ class TestFactorize:
             prev = p
             value *= p ** a
         assert value == n
+
+
+class TestDivisors:
+    def test_against_trial_division(self):
+        for n in range(1, 2001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    @pytest.mark.parametrize("n", [
+        1_000_003 * 1_000_033,
+        2 ** 3 * 3 * sympy.nextprime(10 ** 6) ** 2,
+        12 * sympy.nextprime(2 ** 40),
+    ])
+    def test_prime_factor_above_trial_bound_squared(self, n):
+        assert max(p for p, _ in factorize(n)) > numtheory._TRIAL_BOUND ** 2
+        assert divisors(n) == sorted(sympy.divisors(n))
 
 
 # Below this bound a strong probable prime to the bases 2..41 is prime

@@ -63,8 +63,21 @@ class TestGenerate:
             order = (1 << 24) + 1
             name = "huge"
 
-        with pytest.raises(ValueError, match="capped at group order 2"):
+        with pytest.raises(ValueError, match="exceeds the brute-force budget 2\\^24"):
             generate(Huge(), [1])
+
+    @pytest.mark.parametrize("make, gens", [
+        (lambda: gc.cyclic(12), lambda G: [4]),
+        (lambda: gc.symmetric(4), lambda G: [1, 5]),
+        (lambda: frobenius_with_cofactor(5, 7), lambda G: [G.encode((1, 0)), G.encode((0, 1))]),
+    ], ids=["C12", "S4", "Frob(2,5)xC7"])
+    def test_hands_over_its_mask_and_sorted_members(self, make, gens):
+        G = make()
+        H = generate(G, gens(G))
+        rebuilt = Subgroup(G, H.members)
+        assert H.elements() == rebuilt.elements() == tuple(sorted(H.members))
+        assert np.array_equal(H.mask(), rebuilt.mask())
+        assert not H.mask().flags.writeable
 
 
 def frobenius_with_cofactor(r, q):

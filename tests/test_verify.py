@@ -9,8 +9,8 @@ import sympy
 
 import relpsi.group_core as gc
 from relpsi.classify import is_nilpotent
-from relpsi.numtheory import frobenius_ratio_closed_form
-from relpsi.order_sums import psi_ratio, psi_relative, relative_orders
+from relpsi.numtheory import frobenius_ratio_closed_form, psi_cyclic
+from relpsi.order_sums import psi, psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import generate
 from relpsi.verify import (
     CounterexampleSpec,
@@ -286,9 +286,19 @@ class TestScanCatalog:
         assert report.total_violations == 0
         assert not report.errors
         for res in report.results:
-            from relpsi.numtheory import psi_cyclic
-
             assert res.psi_value <= psi_cyclic(res.group_order)
+
+    def test_summary_is_psi_of_the_group_and_of_c_n(self, catalog100):
+        # read off the trivial subgroup's record, against psi(G) and the
+        # closed form psi(C_n) computed here
+        report = scan_catalog(catalog100)
+        assert not report.errors
+        groups = {G.name: G for G in catalog100}
+        assert len(report.results) == len(groups)
+        for res in report.results:
+            G = groups[res.group]
+            assert res.psi_value == psi(G)
+            assert res.psi_cyclic_value == psi_cyclic(G.order)
 
     def test_catalog_with_frobenius_flags_exactly_one_group(self):
         report = scan_catalog(default_catalog(56, include_frobenius=True))
