@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 
 __all__ = [
@@ -31,10 +31,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Exact factorization of n >= 1 into certified primes: the pairs (p, a)
     with p^a exactly dividing n, primes ascending (none for n = 1).
 
-    Trial division strips the prime factors below ``_TRIAL_BOUND``, which
-    factors every n below ``_TRIAL_BOUND ** 2`` completely. A larger
-    cofactor is split by an exact square-root check and Pollard-Brent rho,
-    and each prime it yields is proved prime as in ``is_prime``. Raises
+    Trial division by the primes below ``_TRIAL_BOUND`` strips their
+    factors, which factors every n below ``_TRIAL_BOUND ** 2`` completely. A
+    larger cofactor is split by an exact square-root check and Pollard-Brent
+    rho, and each prime it yields is proved prime as in ``is_prime``. Raises
     ValueError when a factor cannot be certified or rho finds no divisor
     within its fixed budget, which is sized to split every composite below
     ``_MR_PROOF_BOUND``.
@@ -43,16 +43,16 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     m = n
     factors = []
-    p = 2
-    while p * p <= m and p < _TRIAL_BOUND:
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             factors.append((p, a))
-        p += 1 if p == 2 else 2
-    if p * p <= m:
+    if m >= _TRIAL_BOUND ** 2:  # no prime below _TRIAL_BOUND divides m
         factors += sorted(Counter(_large_prime_factors(m)).items())
     elif m > 1:
         factors.append((m, 1))
@@ -70,21 +70,22 @@ def divisors(n: int) -> list[int]:
 def is_prime(n: int) -> bool:
     """Exact primality: True only for a proved prime.
 
-    Trial division below ``_TRIAL_BOUND`` decides every n below its square.
-    Above that, n = 2^k - 1 is decided by Lucas-Lehmer at any size, and any
-    other n by strong-probable-prime tests to the first 13 prime bases,
-    which prove primality below ``_MR_PROOF_BOUND``. At or above it a
-    witness still proves n composite, but an n with no witness raises
-    ValueError instead of being called prime.
+    Trial division by the primes below ``_TRIAL_BOUND`` decides every n
+    below its square. Above that, n = 2^k - 1 is decided by Lucas-Lehmer at
+    any size, and any other n by strong-probable-prime tests to the prime
+    bases 2, 3, 5, ..., 41 in turn, which prove n prime once it passes k of
+    them and lies below A014233(k), and so every n below ``_MR_PROOF_BOUND``.
+    At or above that bound a witness still proves n composite, but an n with
+    no witness raises ValueError instead of being called prime.
     """
     if n < 2:
         return False
-    p = 2
-    while p * p <= n and p < _TRIAL_BOUND:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
         if n % p == 0:
             return False
-        p += 1 if p == 2 else 2
-    return p * p > n or _certified_prime(n)
+    return n < _TRIAL_BOUND ** 2 or _certified_prime(n)
 
 
 def is_mersenne_exponent(r: int) -> bool:
@@ -94,14 +95,46 @@ def is_mersenne_exponent(r: int) -> bool:
     return is_prime((1 << r) - 1)
 
 
-# Trial division tries 2 and the odd numbers below this bound, so a cofactor
-# left below its square is prime.
+# Trial division tries the primes below this bound, so a cofactor left below
+# its square is prime.
 _TRIAL_BOUND = 1000
-# A strong probable prime to the first 13 prime bases below this bound is
-# prime (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86 (2017)).
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by a sieve of Eratosthenes over a bytearray."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+# _MR_BOUNDS[k - 1] is A014233(k), the least odd composite that is a strong
+# probable prime to each of the first k prime bases, so an odd n below it
+# that passes those k bases is prime (Jaeschke, "On strong pseudoprimes to
+# several bases", Math. Comp. 61 (1993), for k <= 8; Jiang and Deng, Math.
+# Comp. 83 (2014), for k = 9..11; Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017), for k = 12, 13). The last
+# is the proof bound of all 13 bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BOUNDS = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_PROOF_BOUND = _MR_BOUNDS[-1]
 # Pollard-Brent rho: steps per gcd, and the steps tried on one cofactor below
 # _MR_PROOF_BOUND before giving up (rounds of r = 1, 2, ..., 2^22). Rho needs
 # about 2 sqrt(p) steps to find a prime factor p, and no composite below
@@ -120,23 +153,24 @@ _RHO_WORK = 1 << 39
 
 
 def _certified_prime(n: int) -> bool:
-    """Primality of an odd n > 41 with no prime factor below ``_TRIAL_BOUND``."""
+    """Primality of an odd n > 41 with no prime factor below ``_TRIAL_BOUND``:
+    the bases of ``_MR_BASES`` are tried in turn until one is a witness or n
+    lies below A014233 of the bases passed so far."""
     if n & (n + 1) == 0:  # n = 2^k - 1: Lucas-Lehmer, exact for every k >= 3
         return is_prime(n.bit_length()) and _lucas_lehmer(n)
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a, bound in zip(_MR_BASES, _MR_BOUNDS):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False  # a is a witness: n is composite
-    if n < _MR_PROOF_BOUND:
-        return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False  # a is a witness: n is composite
+        if n < bound:
+            return True
     raise ValueError(f"cannot certify primality of {n}")
 
 
@@ -266,8 +300,12 @@ class CounterexampleSpec(namedtuple("CounterexampleSpec", "r q", defaults=(0,)))
         if self.r < 3:
             raise ValueError(f"need r >= 3, got {self.r}")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # psi_H >= M^3 >= 2^(3r - 3), so a large r is refused before psi_H is multiplied out
-        if limit and (3 * self.r - 3 >= (10 ** limit).bit_length() or self.psi_h >= 10 ** limit):
+        # psi_H >= M^3 >= 2^(3r - 3), so a large r is refused before psi_H is
+        # multiplied out; since 10^limit >= 2^(3 limit), neither test can hold
+        # unless r > limit or psi_H has more than 3 limit bits, so 10^limit is
+        # built only then
+        if limit and (self.r > limit or self.psi_h.bit_length() > 3 * limit) and (
+                3 * self.r - 3 >= (10 ** limit).bit_length() or self.psi_h >= 10 ** limit):
             raise ValueError(f"psi_H for r = {self.r} has more than {limit} digits, "
                              "the most Python converts to a decimal string")
         if not is_mersenne_exponent(self.r):

@@ -69,7 +69,7 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     _check_parent(G, *subgroups)
     seeds, weights = G.cyclic_seeds()
     powers = G.power_table()[:, seeds]
-    sizes = [len(H.members) for H in subgroups]
+    sizes = [H.order for H in subgroups]
     members = np.fromiter(chain.from_iterable(H.members for H in subgroups), dtype=np.int64,
                           count=sum(sizes))
     masks = np.zeros((len(subgroups), G.order), dtype=bool)

@@ -31,19 +31,23 @@ class Subgroup:
     The constructor checks that ``members`` form a subgroup of ``parent``
     and raises ValueError otherwise; closures built here skip that check.
     Only ``generate`` and ``all_subgroups`` record ``generators``; a
-    subgroup built from its members alone has none.
+    subgroup built from its members alone has none. A subgroup that
+    ``generate`` closes keeps only its member mask and its order, and
+    builds ``members`` and ``elements()`` from the mask on first use.
     """
 
-    __slots__ = ("parent", "members", "_sorted", "generators", "_mask")
+    __slots__ = ("parent", "order", "_members", "_sorted", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members):
-        self.parent, self.members, self.generators = parent, frozenset(map(int, members)), ()
-        self._sorted = self._mask = None
+        self.parent, self._members, self.generators = parent, frozenset(map(int, members)), ()
+        self.order, self._sorted, self._mask = len(self._members), None, None
         self.check()
 
     @property
-    def order(self) -> int:
-        return len(self.members)
+    def members(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(self.elements())
+        return self._members
 
     @property
     def index(self) -> int:
@@ -54,7 +58,11 @@ class Subgroup:
 
     def elements(self) -> tuple[int, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.members))
+            # a closure from `generate` has only its mask to read them from
+            if self._mask is None:
+                self._sorted = tuple(sorted(self._members))
+            else:
+                self._sorted = tuple(np.flatnonzero(self._mask).tolist())
         return self._sorted
 
     def mask(self) -> np.ndarray:
@@ -99,21 +107,22 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _closed(parent: FiniteGroup, members: frozenset, generators: tuple = (),
+def _closed(parent: FiniteGroup, members: frozenset | None, generators: tuple = (),
             elements: tuple | None = None, mask: np.ndarray | None = None) -> Subgroup:
-    """A Subgroup from a frozenset of ints already known to be closed, its
-    ascending generator tuple and, if known, its members sorted and its
-    read-only member mask, all kept as given; no check."""
+    """A Subgroup already known to be closed, from its ascending generator
+    tuple and either a frozenset of its member ints or its read-only member
+    mask, with, if known, its members sorted; all kept as given, no check."""
     sub = Subgroup.__new__(Subgroup)
-    sub.parent, sub.members, sub.generators = parent, members, generators
+    sub.parent, sub._members, sub.generators = parent, members, generators
     sub._sorted, sub._mask = elements, mask
+    sub.order = len(members) if members is not None else int(np.count_nonzero(mask))
     return sub
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing ``gens``, closed by vectorised steps
-    over a member mask of G, which the subgroup keeps with its members in
-    ascending order; refuses a G of more than ELEMENT_CAP elements."""
+    over a member mask of G, which the subgroup keeps in place of its
+    members; refuses a G of more than ELEMENT_CAP elements."""
     gens = list(gens)
     for g in gens:  # in the order given, so an error names the first bad one
         G.check_encoding(g)
@@ -121,8 +130,7 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
     check_element_budget(G.order)
     mask = _close_right(G.multiply_array, G.order, gens)
     mask.setflags(write=False)
-    members = np.flatnonzero(mask).tolist()
-    return _closed(G, frozenset(members), tuple(gens), tuple(members), mask)
+    return _closed(G, None, tuple(gens), mask=mask)
 
 
 def _double_coset_labels(table: np.ndarray, seed_cols: np.ndarray, frontier):
@@ -175,7 +183,7 @@ def _sorted_lattice(G: FiniteGroup, known: dict) -> list[Subgroup]:
     (order, element tuple); each element tuple is built once, as the
     subgroup's ``elements()``."""
     subs = [_closed(G, m, g, tuple(sorted(m))) for m, g in known.items()]
-    subs.sort(key=lambda s: (len(s.members), s._sorted))
+    subs.sort(key=lambda s: (s.order, s._sorted))
     return subs
 
 

@@ -96,7 +96,7 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     subgroups = all_subgroups(G)
     sums, _ = lattice_order_sums(G, subgroups)
     n, name = G.order, G.name
-    sizes = [len(H.members) for H in subgroups]
+    sizes = [H.order for H in subgroups]
     references = {m: cyclic_reference(n, m) for m in set(sizes)}
     return [ViolationRecord(name, n, m, H.generators, value, references[m], nilpotent, solvable)
             for H, m, value in zip(subgroups, sizes, sums)]

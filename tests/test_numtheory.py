@@ -1,14 +1,17 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
 from relpsi import numtheory
 from relpsi.numtheory import (
+    CounterexampleSpec,
     divisors,
     factorize,
     frobenius_ratio_closed_form,
@@ -127,6 +130,82 @@ class TestCertifiedAgainstSympy:
             factorize(7 * n)
 
 
+def strong_probable_prime(n, a):
+    """Whether the odd n > 2 is a strong probable prime to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestMillerRabinBounds:
+    """`_MR_BOUNDS[k - 1]` is A014233(k), below which k bases prove primality."""
+
+    # [A014233(k - 1), A014233(k)) for each k whose band is not empty
+    BANDS = [(lo, hi) for lo, hi in zip((3,) + numtheory._MR_BOUNDS, numtheory._MR_BOUNDS) if lo < hi]
+
+    def test_bases_are_the_first_13_primes_and_the_last_bound_is_the_proof_bound(self):
+        assert numtheory._MR_BASES == tuple(sympy.primerange(2, 42))
+        assert len(numtheory._MR_BOUNDS) == len(numtheory._MR_BASES)
+        assert numtheory._MR_BOUNDS[-1] == numtheory._MR_PROOF_BOUND == PROOF_BOUND
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_each_bound_is_a_strong_pseudoprime_to_its_bases(self, k):
+        bounds, bases = numtheory._MR_BOUNDS, numtheory._MR_BASES
+        n = bounds[k - 1]
+        assert n % 2 == 1 and not sympy.isprime(n)
+        assert all(strong_probable_prime(n, a) for a in bases[:k])
+        # the least such n: unless the next bound is the same number, base
+        # k + 1 is a witness for it
+        if k < 13:
+            assert strong_probable_prime(n, bases[k]) == (bounds[k] == n)
+
+    def test_is_prime_rejects_each_bound(self):
+        *certified, last = numtheory._MR_BOUNDS
+        assert not any(is_prime(n) for n in certified)
+        with pytest.raises(ValueError, match=f"cannot certify primality of {last}"):
+            is_prime(last)
+
+    def test_agrees_with_a_sieve_where_trial_division_leaves_the_decision(self):
+        # every n in the range with no prime factor below the trial bound goes
+        # to the strong-probable-prime tests; 2284453 = 1069 * 2137 among them
+        # passes the bases 2 and 3 and lies below A014233(3)
+        lo, hi = 1009 ** 2, 3 * 10 ** 6
+        prime = np.ones(hi, dtype=bool)
+        prime[:2] = False
+        for p in range(2, isqrt(hi - 1) + 1):
+            if prime[p]:
+                prime[p * p::p] = False
+        rough = np.ones(hi, dtype=bool)
+        for p in numtheory._SMALL_PRIMES:
+            rough[::p] = False
+        assert numtheory._SMALL_PRIMES == tuple(np.flatnonzero(prime[:1000]).tolist())
+        candidates = np.flatnonzero(rough[lo:]) + lo
+        assert 2284453 in candidates
+        assert strong_probable_prime(2284453, 2) and strong_probable_prime(2284453, 3)
+        assert [is_prime(n) for n in candidates.tolist()] == prime[candidates].tolist()
+
+    @pytest.mark.parametrize("lo, hi", BANDS, ids=str)
+    def test_seeded_primes_and_semiprimes_in_each_band(self, lo, hi):
+        rng = random.Random(f"mr-band/{lo}")
+        for _ in range(5):
+            p = sympy.nextprime(rng.randrange(lo, hi))
+            if p < hi:
+                assert is_prime(p) and factorize(p) == ((p, 1),)
+            if isqrt(hi) <= 1009:
+                continue  # no semiprime in the band escapes trial division
+            p = sympy.nextprime(rng.randrange(1000, isqrt(hi)))
+            q = sympy.nextprime(rng.randrange(max(p, lo // p), hi // p))
+            if q <= hi // p:
+                assert lo <= p * q < hi and not is_prime(p * q)
+                assert factorize(p * q) == ((p, 1), (q, 1))
+
+
 class TestMersenne:
     def test_examples(self):
         assert is_mersenne_exponent(3)
@@ -229,3 +308,44 @@ class TestIndexRatioBound:
     def test_rejects_one(self):
         with pytest.raises(ValueError):
             index_ratio_bound(1)
+
+
+def unguarded_digit_refusal(spec, limit):
+    """The digit test of `CounterexampleSpec.validate` with no guard."""
+    return limit and (3 * spec.r - 3 >= (10 ** limit).bit_length() or spec.psi_h >= 10 ** limit)
+
+
+class TestDigitGuard:
+    """`validate` builds 10^limit only when r > limit or psi_H has more than
+    3 limit bits; it must refuse exactly when the unguarded test does."""
+
+    @pytest.fixture
+    def limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield 640
+        sys.set_int_max_str_digits(saved)
+
+    # with the Mersenne prime 2^521 - 1 as cofactor, psi_H passes 10^640 from
+    # r = 536 on, below the limit, where only its bit length opens the guard
+    @pytest.mark.parametrize("q", [0, 3, 2 ** 521 - 1], ids=["q0", "q3", "q2^521-1"])
+    def test_refuses_exactly_where_the_unguarded_test_does(self, limit, q):
+        message = "psi_H for r = {} has more than 640 digits, the most Python converts to a decimal string"
+        refused = []
+        for r in range(3, 701):
+            spec = CounterexampleSpec(r, q)
+            try:
+                spec.validate()
+                error = None
+            except ValueError as e:
+                error = str(e)
+            if unguarded_digit_refusal(spec, limit):
+                assert error == message.format(r), r
+                refused.append(r)
+            else:
+                assert error is None or "digits" not in error, r
+        assert refused == (list(range(536, 701)) if q > 3 else [])
+
+    def test_a_huge_cofactor_is_refused(self):
+        with pytest.raises(ValueError, match="psi_H for r = 3 has more than 4300 digits"):
+            CounterexampleSpec(3, q=10 ** 4400 + 1).validate()

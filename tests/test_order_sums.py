@@ -151,7 +151,7 @@ class TestDivisorSteps:
     index, in blocks; checked here against the scalar walks of reference.py."""
 
     def test_matches_reference_above_table_cap(self, monkeypatch):
-        # then again in blocks of 128 elements, on fresh groups: every array
+        # then again in blocks of 64 elements, on fresh groups: every array
         # must equal the one-block pass
         one_block = []
         for label, G, H, sample in above_cap_cases():

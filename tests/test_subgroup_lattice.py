@@ -79,6 +79,18 @@ class TestGenerate:
         assert np.array_equal(H.mask(), rebuilt.mask())
         assert not H.mask().flags.writeable
 
+    def test_keeps_only_its_mask_until_its_members_are_read(self):
+        # the brute force reads the mask alone, so a closure of millions of
+        # members builds no member set or tuple unless asked
+        G = frobenius_with_cofactor(5, 7)
+        H = generate(G, [G.encode((1, 0)), G.encode((0, 1))])
+        assert H._members is None and H._sorted is None
+        assert H.order == H.mask().sum() == 31 * 7
+        assert H.index == 32
+        assert G.encode((1, 0)) in H
+        assert H.members == frozenset(np.flatnonzero(H.mask()).tolist())
+        assert H == Subgroup(G, H.members) and hash(H) == hash(Subgroup(G, H.members))
+
 
 def frobenius_with_cofactor(r, q):
     return gc.direct_product([gc.frobenius_field(2, r), gc.cyclic(q)])
