@@ -40,7 +40,7 @@ def is_solvable(G: FiniteGroup) -> bool:
         nxt = _derived_of_members(G, members, gens)
         if nxt.order == len(members):
             return False
-        members, gens = np.array(nxt.elements()), nxt.generators
+        members, gens = np.flatnonzero(nxt.mask()), nxt.generators
     raise AssertionError("derived series failed to stabilize")
 
 

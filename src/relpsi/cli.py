@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success / no violated claim, 1 bad input or parse error,
-2 brute-force cross-check mismatch or a bijection certificate that fails
-its check, 3 a scanned claim was violated (for ``scan`` this is the
-expected outcome once the catalog contains the affine Frobenius groups; for
-``bijection`` it means no bijection exists).
+2 brute-force cross-check mismatch, a bijection certificate that fails
+its check, or a ``scan`` catalog group that raised, 3 a scanned claim was
+violated (for ``scan`` this is the expected outcome once the catalog
+contains the affine Frobenius groups; for ``bijection`` it means no
+bijection exists).
 
 Cayley-table file format: optional ``#`` comment lines; first data line is
 the order n; then n lines of n whitespace-separated encodings in [0, n) with
-entry (i, j) = encoding of element_i * element_j and 0 the identity.
+entry (i, j) = encoding of element_i * element_j and 0 the identity. The
+order and every entry are ASCII decimal digits after at most one sign.
 
 Importing this module loads only ``numtheory`` and the standard library, so
 the closed forms start without numpy; a command that needs the group layer
@@ -22,6 +24,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +38,9 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_VIOLATION = 3
+
+# one token of the order line and of each row; compiled on first use, not at import
+_INTEGER = r"[+-]?[0-9]+"
 
 
 def __getattr__(name: str):
@@ -53,8 +59,12 @@ def _emit_json(path: str, command: str, results, started: float) -> None:
         "results": results,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
+    # a block of chunks per write: no copy of the whole text, as fast as json.dumps
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        while block := list(itertools.islice(chunks, 1 << 12)):
+            fh.write("".join(block))
+        fh.write("\n")
 
 
 def _approx(fr: Fraction) -> str:
@@ -92,7 +102,7 @@ def load_cayley_file(path: str, check_order=None):
 
     lines = (line for _, line in _data_lines(path))
     head = next(lines, "").split()
-    n = int(head[0]) if len(head) == 1 and head[0].isdecimal() else 0
+    n = int(head[0]) if len(head) == 1 and re.fullmatch(_INTEGER, head[0]) else 0
     if n >= 1 and check_order is not None:
         check_order(n)
     table = None
@@ -110,14 +120,14 @@ def load_cayley_file(path: str, check_order=None):
 
 
 def _scan_cayley_lines(path: str) -> list[list[int]]:
-    """The table rows of the file at ``path``, parsed token by token with
-    ``int``; raises ValueError naming the first malformed line."""
+    """The table rows of the file at ``path``, parsed token by token;
+    raises ValueError naming the first malformed line."""
     rows, n = [], None
     for lineno, line in _data_lines(path):
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError:
+        tokens = line.split()
+        if not all(re.fullmatch(_INTEGER, tok) for tok in tokens):
             raise ValueError(f"{path}:{lineno}: non-integer token")
+        values = list(map(int, tokens))
         if n is None:
             if len(values) != 1 or values[0] < 1:
                 raise ValueError(f"{path}:{lineno}: expected a single positive order")
@@ -228,19 +238,15 @@ def cmd_scan(args) -> tuple[int, str, list]:
     report = verify.scan_catalog(catalog)
     for res in report.results:
         mark = " VIOLATES" if res.violations else ""
-        flags = "".join(
-            [
-                "N" if res.nilpotent else "-",
-                "S" if res.solvable else "-",
-                "C" if res.cyclic else "-",
-            ]
-        )
+        flags = "".join(flag if on else "-" for flag, on in
+                        zip("NSC", (res.nilpotent, res.solvable, res.cyclic)))
         print(f"{res.group:>14}  order {res.group_order:>4}  [{flags}]  "
               f"psi={res.psi_value}  psi(C_n)={res.psi_cyclic_value}{mark}")
     for name, err in report.errors:
         print(f"{name}: error: {err}", file=sys.stderr)
     print(f"{report.total_violations} violations across {len(report.results)} groups")
-    code = EXIT_VIOLATION if report.total_violations else EXIT_OK
+    code = (EXIT_MISMATCH if report.errors
+            else EXIT_VIOLATION if report.total_violations else EXIT_OK)
     return code, f"scan --max-order {args.max_order}", [report.to_json_dict()]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -58,26 +57,22 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     since y^m and x^m generate the same subgroup for every m. So the pass
     reads only the seed columns of the power table P, one per cyclic
     subgroup, and weights each seed's relative order by its number of
-    generators. Row i of the membership matrix M marks the i-th subgroup,
-    so M[i, P] marks which powers x^(k+1) of each seed x lie in it, and the
-    first true entry down column x gives the relative order of x. The
-    gather runs in blocks of subgroups of at most _BLOCK entries. The
-    subgroups must be closed, as ``all_subgroups`` and ``generate`` build
-    them: unlike `relative_orders` this pass does not check that each is a
-    subgroup.
+    generators. Row i of the membership matrix M is the i-th subgroup's
+    mask, so M[i, P] marks which powers x^(k+1) of each seed x lie in it,
+    and the first true entry down column x gives the relative order of x.
+    The masks are stacked, and gathered, in blocks of subgroups of at most
+    _BLOCK entries. The subgroups must be closed, as ``all_subgroups`` and
+    ``generate`` build them: unlike `relative_orders` this pass does not
+    check that each is a subgroup.
     """
     _check_parent(G, *subgroups)
     seeds, weights = G.cyclic_seeds()
     powers = G.power_table()[:, seeds]
-    sizes = [H.order for H in subgroups]
-    members = np.fromiter(chain.from_iterable(H.members for H in subgroups), dtype=np.int64,
-                          count=sum(sizes))
-    masks = np.zeros((len(subgroups), G.order), dtype=bool)
-    masks[np.repeat(np.arange(len(subgroups)), sizes), members] = True
     step = max(1, _BLOCK // powers.size)
     sums, largest = [], []
-    for lo in range(0, len(masks), step):
-        rel = masks[lo:lo + step][:, powers].argmax(axis=1) + 1
+    for lo in range(0, len(subgroups), step):
+        masks = np.array([H.mask() for H in subgroups[lo:lo + step]])
+        rel = masks[:, powers].argmax(axis=1) + 1
         sums += (rel @ weights).tolist()
         largest += rel.max(axis=1).tolist()
     return sums, largest

@@ -26,103 +26,90 @@ __all__ = [
 
 
 class Subgroup:
-    """Immutable element set inside a parent group.
+    """Immutable subgroup of a parent group, held as one read-only boolean
+    member mask over the parent's encodings; ``members``, ``elements()``,
+    ``in``, ``==`` and ``hash`` are read off that mask.
 
     The constructor checks that ``members`` form a subgroup of ``parent``
-    and raises ValueError otherwise; closures built here skip that check.
-    Only ``generate`` and ``all_subgroups`` record ``generators``; a
-    subgroup built from its members alone has none. A subgroup that
-    ``generate`` closes keeps only its member mask and its order, and
-    builds ``members`` and ``elements()`` from the mask on first use.
+    and raises ValueError otherwise, each member through
+    ``parent.check_encoding`` and a parent above ELEMENT_CAP before the mask
+    is built; closures built here skip that check. Only ``generate`` and
+    ``all_subgroups`` record ``generators``; a subgroup built from its
+    members alone has none.
     """
 
-    __slots__ = ("parent", "order", "_members", "_sorted", "generators", "_mask")
+    __slots__ = ("parent", "order", "generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members):
-        self.parent, self._members, self.generators = parent, frozenset(map(int, members)), ()
-        self.order, self._sorted, self._mask = len(self._members), None, None
+        members = list(members)
+        try:
+            for x in members:
+                parent.check_encoding(x)
+        except ValueError as exc:
+            raise ValueError(f"subgroup member outside the encodings of {parent.name}") from exc
+        check_element_budget(parent.order)
+        mask = np.zeros(parent.order, dtype=bool)
+        mask[np.array(members, dtype=np.int64)] = True
+        mask.setflags(write=False)
+        self.parent, self.order, self.generators, self._mask = (
+            parent, int(np.count_nonzero(mask)), (), mask)
         self.check()
 
     @property
     def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.elements())
-        return self._members
+        return frozenset(self.elements())
 
     @property
     def index(self) -> int:
         return self.parent.order // self.order
 
     def __contains__(self, x) -> bool:
-        return x in self.members
+        return isinstance(x, (int, np.integer)) and 0 <= x < self.parent.order and bool(self._mask[x])
 
     def elements(self) -> tuple[int, ...]:
-        if self._sorted is None:
-            # a closure from `generate` has only its mask to read them from
-            if self._mask is None:
-                self._sorted = tuple(sorted(self._members))
-            else:
-                self._sorted = tuple(np.flatnonzero(self._mask).tolist())
-        return self._sorted
+        return tuple(np.flatnonzero(self._mask).tolist())
 
     def mask(self) -> np.ndarray:
         """Read-only boolean membership array over the parent's encodings."""
-        if self._mask is None:
-            mask = np.zeros(self.parent.order, dtype=bool)
-            mask[list(self.members)] = True
-            mask.setflags(write=False)
-            self._mask = mask
         return self._mask
 
     def check(self) -> None:
-        """Exhaustive identity/encoding/order/closure check; raises
-        ValueError on the first that fails. A finite set closed under the
-        product holds each inverse x^-1 = x^(k-1), k the order of x. A
-        parent above ELEMENT_CAP is refused before the member mask is built."""
-        G = self.parent
-        if G.identity not in self.members:
+        """Exhaustive identity/order/closure check; raises ValueError on the
+        first that fails. A finite set closed under the product holds each
+        inverse x^-1 = x^(k-1), k the order of x."""
+        G, inside = self.parent, self._mask
+        if not inside[G.identity]:
             raise ValueError("subgroup misses the identity")
-        elems = self.elements()
-        if elems[0] < 0 or elems[-1] >= G.order:
-            raise ValueError(f"subgroup member outside the encodings of {G.name}")
         if G.order % self.order != 0:
             raise ValueError("subgroup order does not divide group order")
-        check_element_budget(G.order)
-        inside, elems = self.mask(), np.array(elems)
+        elems = np.flatnonzero(inside)
         for rows in row_blocks(elems, len(elems)):
             if not inside[G.multiply_array(rows, elems)].all():
                 raise ValueError("subgroup not closed under the product")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and other.parent is self.parent
-            and other.members == self.members
-        )
+        return (isinstance(other, Subgroup) and other.parent is self.parent
+                and np.array_equal(other._mask, self._mask))
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self._mask.tobytes()))
 
     def __repr__(self):
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _closed(parent: FiniteGroup, members: frozenset | None, generators: tuple = (),
-            elements: tuple | None = None, mask: np.ndarray | None = None) -> Subgroup:
-    """A Subgroup already known to be closed, from its ascending generator
-    tuple and either a frozenset of its member ints or its read-only member
-    mask, with, if known, its members sorted; all kept as given, no check."""
+def _closed(parent: FiniteGroup, mask: np.ndarray, order: int, generators: tuple = ()) -> Subgroup:
+    """A Subgroup already known to be closed, from its read-only member mask,
+    its order and its ascending generator tuple, all kept as given; no check."""
     sub = Subgroup.__new__(Subgroup)
-    sub.parent, sub._members, sub.generators = parent, members, generators
-    sub._sorted, sub._mask = elements, mask
-    sub.order = len(members) if members is not None else int(np.count_nonzero(mask))
+    sub.parent, sub.order, sub.generators, sub._mask = parent, order, generators, mask
     return sub
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup of G containing ``gens``, closed by vectorised steps
-    over a member mask of G, which the subgroup keeps in place of its
-    members; refuses a G of more than ELEMENT_CAP elements."""
+    over a member mask of G, which the subgroup keeps; refuses a G of more
+    than ELEMENT_CAP elements."""
     gens = list(gens)
     for g in gens:  # in the order given, so an error names the first bad one
         G.check_encoding(g)
@@ -130,7 +117,7 @@ def generate(G: FiniteGroup, gens) -> Subgroup:
     check_element_budget(G.order)
     mask = _close_right(G.multiply_array, G.order, gens)
     mask.setflags(write=False)
-    return _closed(G, None, tuple(gens), mask=mask)
+    return _closed(G, mask, int(np.count_nonzero(mask)), tuple(gens))
 
 
 def _double_coset_labels(table: np.ndarray, seed_cols: np.ndarray, frontier):
@@ -179,12 +166,22 @@ def _check_lattice_order(n: int) -> None:
 
 
 def _sorted_lattice(G: FiniteGroup, known: dict) -> list[Subgroup]:
-    """The subgroups of ``known`` ({members: generators}), sorted by
-    (order, element tuple); each element tuple is built once, as the
-    subgroup's ``elements()``."""
-    subs = [_closed(G, m, g, tuple(sorted(m))) for m, g in known.items()]
-    subs.sort(key=lambda s: (s.order, s._sorted))
-    return subs
+    """The subgroups of ``known`` ({members: generators}), sorted by (order,
+    element tuple), their masks the rows of one read-only matrix. Of two
+    sets of one size, the one whose sorted tuple comes first holds the
+    smaller element where they differ, so its complement row sorts first
+    as bytes."""
+    sizes, n = [len(m) for m in known], G.order
+    outside = bytearray(b"\1") * (len(sizes) * n)
+    for start, members in zip(range(0, len(outside), n), known):
+        for x in members:
+            outside[start + x] = 0
+    masks = ~np.frombuffer(outside, dtype=bool).reshape(-1, n)
+    masks.setflags(write=False)
+    rows = (outside[i:i + n] for i in range(0, len(outside), n))
+    gens = list(known.values())
+    return [_closed(G, masks[i], m, gens[i])
+            for m, _, i in sorted(zip(sizes, rows, itertools.count()))]
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -294,6 +291,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     if len(joined) < n:
                         new_frontier.append((joined, joined_gens))
         frontier = new_frontier
+    del tried  # as large as ``known`` on C2^7, so freed before the masks are built
     return _sorted_lattice(G, known)
 
 
@@ -308,7 +306,7 @@ def _conjugates(G: FiniteGroup, H: Subgroup, outside: bool = False):
     """g*h*g^-1 for h in H and every g in G, or every g outside H, in
     blocks of rows (one per g). The inverses come first, so a G above
     ELEMENT_CAP is refused before any array over its elements is built."""
-    hs, inv = np.array(H.elements()), G.inverses()
+    hs, inv = np.flatnonzero(H.mask()), G.inverses()
     gs = np.flatnonzero(~H.mask()) if outside else np.arange(G.order)
     return (G.multiply_array(G.multiply_array(rows, hs), inv[rows])
             for rows in row_blocks(gs, len(hs)))
@@ -329,7 +327,7 @@ def quotient(G: FiniteGroup, K: Subgroup) -> CayleyTableGroup:
         raise ValueError(f"quotient index {index} exceeds cap {QUOTIENT_INDEX_CAP}")
     if not is_normal(G, K):
         raise ValueError(f"subgroup of order {K.order} is not normal in {G.name}")
-    ks = np.array(K.elements())
+    ks = np.flatnonzero(K.mask())
     rep = np.concatenate([G.multiply_array(rows, ks).min(axis=1)
                           for rows in row_blocks(np.arange(G.order), len(ks))])
     reps = np.unique(rep)

@@ -136,7 +136,9 @@ class TestElementCap:
         monkeypatch.setattr(G, "_product_array", refuse)
         monkeypatch.setattr(G, "_product", refuse)
         monkeypatch.setattr(gc, "divisors", refuse)
-        return G, _closed(G, frozenset({G.identity}))
+        trivial = np.zeros(G.order, dtype=bool)
+        trivial[G.identity] = True
+        return G, _closed(G, trivial, 1)
 
     @pytest.mark.parametrize("entry_point", [
         lambda G, H: G.element_orders(),

@@ -337,6 +337,25 @@ class TestScan:
         assert len(commands) == 8
         run_benchmark_commands(commands)
 
+    def test_group_that_raises_exits_2_ahead_of_violations(self, monkeypatch, capsys, tmp_path):
+        scan = verify.subgroup_ratio_scan
+
+        def fail_on_q8(G):
+            if G.name == "Q8":
+                raise RuntimeError("injected")
+            return scan(G)
+        monkeypatch.setattr(verify, "subgroup_ratio_scan", fail_on_q8)
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "56", "--include-frobenius",
+                     "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "Q8: error: RuntimeError: injected\n"
+        assert "VIOLATES" in out
+        doc = json.loads(path.read_text())["results"][0]
+        assert doc["errors"] == [{"group": "Q8", "error": "RuntimeError: injected"}]
+        assert doc["flagged_groups"] == ["Frob(2,3)"]
+        assert "Q8" not in [r["group"] for r in doc["results"]]
+
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"
         assert main(["scan", "--max-order", "56", "--include-frobenius",
@@ -395,6 +414,27 @@ class TestCayleyIngestion:
         assert main([argv[0], str(path), *argv[1:]]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, order, message", [
+        (["ratios"], LATTICE_CAP + 1,
+         "subgroup enumeration capped at order 200, group has 201"),
+        (["check-bounds"], LATTICE_CAP + 1,
+         "subgroup enumeration capped at order 200, group has 201"),
+        (["bijection", "--subgroup", "1"], BIJECTION_CAP + 1,
+         "bijection decision capped at order 10000"),
+    ], ids=["ratios", "check-bounds", "bijection"])
+    def test_signed_order_past_cap_refused_before_parsing(self, argv, order, message,
+                                                          monkeypatch, capsys, tmp_path):
+        # the order line takes a sign as every entry does, and is refused
+        # from that line alike, whatever malformed body follows
+        def refuse(*args, **kwargs):
+            raise AssertionError("table body parsed")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(cli, "_scan_cayley_lines", refuse)
+        path = tmp_path / "g.txt"
+        path.write_text(f"+{order}\n0 1 x\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_ratios_c6(self, capsys, tmp_path):
         path = write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))
         assert main(["ratios", path]) == 0
@@ -436,7 +476,7 @@ class TestCayleyLoader:
     @pytest.mark.parametrize("body, message", [
         ("3\n0 1 2\n1 1.0 0\n2 0 1\n", "{path}:3: non-integer token"),
         ("3\n0 1 2\n1 +1 0\n2 0 1\n", "row 1 is not a permutation (not a Latin square)"),
-        ("3\n0 1 2\n1 1_0 0\n2 0 1\n", "table entries must lie in [0, n)"),
+        ("3\n0 1 2\n1 1_0 0\n2 0 1\n", "{path}:3: non-integer token"),
         ("3\n0 1 2\n1 -1 0\n2 0 1\n", "table entries must lie in [0, n)"),
         (f"3\n0 1 2\n1 {2 ** 64} 0\n2 0 1\n", "table entries must be integers"),
         ("3\n0 1 2\n1 2\n2 0 1\n", "{path}:3: expected 3 entries, got 2"),
@@ -448,8 +488,13 @@ class TestCayleyLoader:
         # and uint16 dtypes the table is parsed into
         (cyclic_table_text(3, bump=256), "table entries must lie in [0, n)"),
         (cyclic_table_text(300, bump=65536), "table entries must lie in [0, n)"),
+        # digits are ASCII, as np.loadtxt reads them: int() alone would take these
+        ("3\n0 1 2\n1 \u0662 0\n2 0 1\n", "{path}:3: non-integer token"),
+        ("3\n0 1 2\n1 2 0\n2 0 \uff11\n", "{path}:4: non-integer token"),
+        ("\u0663\n0 1 2\n1 2 0\n2 0 1\n", "{path}:1: non-integer token"),
     ], ids=["float", "plus-sign", "underscore", "negative", "2^64", "short-row",
-            "missing-row", "extra-row", "no-rows", "empty", "C3+256", "C300+65536"])
+            "missing-row", "extra-row", "no-rows", "empty", "C3+256", "C300+65536",
+            "arabic-indic-entry", "fullwidth-entry", "arabic-indic-order"])
     def test_bad_input_message(self, capsys, tmp_path, body, message):
         # through bijection, whose cap admits order 300; ratios would refuse
         # that table from its order line before reading the body
@@ -717,6 +762,21 @@ class TestJsonOutput:
         text = json_path.read_text()
         doc = json.loads(text)
         assert json.dumps(doc, indent=2) + "\n" == text
+
+    def test_report_is_streamed_to_its_file(self, tmp_path):
+        # a large report is written as it is encoded, with no copy of its
+        # whole text in memory, and reads back as the same text
+        path = tmp_path / "out.json"
+        results = [{"subgroup_order": i, "psi_h": str(i * i)} for i in range(30_000)]
+        tracemalloc.start()
+        try:
+            cli._emit_json(str(path), "ratios big.txt", results, time.monotonic())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        assert peak < len(text) / 4
 
     def test_schema_and_rational_encoding(self, tmp_path):
         json_path = tmp_path / "out.json"

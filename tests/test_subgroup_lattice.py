@@ -81,10 +81,11 @@ class TestGenerate:
 
     def test_keeps_only_its_mask_until_its_members_are_read(self):
         # the brute force reads the mask alone, so a closure of millions of
-        # members builds no member set or tuple unless asked
+        # members builds no member set or tuple unless asked, and keeps none
+        # when asked: a subgroup holds its members as its mask alone
+        assert Subgroup.__slots__ == ("parent", "order", "generators", "_mask")
         G = frobenius_with_cofactor(5, 7)
         H = generate(G, [G.encode((1, 0)), G.encode((0, 1))])
-        assert H._members is None and H._sorted is None
         assert H.order == H.mask().sum() == 31 * 7
         assert H.index == 32
         assert G.encode((1, 0)) in H
@@ -149,6 +150,21 @@ class TestSubgroupConstructor:
         with pytest.raises(ValueError, match=message):
             Subgroup(gc.cyclic(6), members)
 
+    @pytest.mark.parametrize("members", [
+        [0, 2.7, 4.2], ["0", "3"], [0, 3.0], [0, None],
+    ], ids=["floats", "strings", "integral-float", "None"])
+    def test_members_are_encodings_not_coerced(self, members):
+        # each member goes through check_encoding, as each generator of
+        # `generate` does, so 2.7 is never read as 2
+        with pytest.raises(ValueError, match="^subgroup member outside the encodings of C6$"):
+            Subgroup(gc.cyclic(6), members)
+        with pytest.raises(ValueError, match="not a valid element encoding of C6"):
+            generate(gc.cyclic(6), members)
+
+    def test_numpy_integers_are_encodings(self):
+        H = Subgroup(gc.cyclic(6), np.array([0, 3, 3]))
+        assert H.elements() == (0, 3) and H.order == 2
+
 
 class TestAllSubgroups:
     def test_c6(self):
@@ -180,10 +196,12 @@ class TestAllSubgroups:
 
     @staticmethod
     def assert_sorted_once(subs):
-        """Each subgroup's elements() are its members sorted, and the keys
-        (order, elements()) strictly increase, so none repeats."""
+        """Each subgroup's elements() are its members sorted, its mask is
+        read-only, and the keys (order, elements()) strictly increase, so
+        none repeats."""
         for H in subs:
             assert H.elements() == tuple(sorted(H.members))
+            assert not H.mask().flags.writeable
         keys = [(H.order, H.elements()) for H in subs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
