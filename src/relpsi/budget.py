@@ -25,11 +25,14 @@ ELEMENT_CAP = 1 << 24
 # bytes: 32 MiB; is_solvable, which reads that table, is refused above it
 TABLE_CAP = 4096
 # order of a group whose whole subgroup lattice is enumerated: a Python
-# loop per subgroup when the group is not cyclic, none when it is, since a
-# cyclic group's lattice is its seeds <x>; the largest lattice under it is
-# C2^7's 29 212 subgroups, on whose table file `ratios --json` (a 10.9 MB
-# report, streamed to its file) and `check-bounds --json` each take 1.6 s
-# at 102 MiB peak RSS, set by the search, in a fresh process on a 2-vCPU VM
+# loop per conjugacy class of subgroups when the group is not cyclic, none
+# when it is, since a cyclic group's lattice is its seeds <x>; the largest
+# lattice under it is C2^7's 29 212 subgroups, each its own class, on whose
+# table file `ratios --json` (a 10.9 MB report, streamed to its file, with
+# every subgroup's canonical generators) takes 3.8 s at 92 MiB peak RSS and
+# `check-bounds --json` 3.0 s at 88 MiB, medians of five fresh processes on
+# a 2-vCPU VM that ran the previous search, which kept a memo of joined
+# generator tuples, in 3.3 s and 3.6 s at 102 MiB
 LATTICE_CAP = 200
 # index of a quotient group, whose Cayley table has index^2 entries
 QUOTIENT_INDEX_CAP = 512

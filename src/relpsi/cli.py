@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / no violated claim, 1 bad input or parse error,
 2 brute-force cross-check mismatch, a bijection certificate that fails
-its check, or a ``scan`` catalog group that raised, 3 a scanned claim was
+its check, a violating or failing subgroup whose psi_H (or largest
+relative order) `relative_orders` does not confirm, or a ``scan`` catalog
+group that raised, 3 a scanned claim was
 violated (for ``scan`` this is the expected outcome once the catalog
 contains the affine Frobenius groups; for ``bijection`` it means no
 bijection exists).
@@ -250,7 +252,13 @@ def cmd_scan(args) -> tuple[int, str, list]:
     return code, f"scan --max-order {args.max_order}", [report.to_json_dict()]
 
 
+def _mismatch(label: str, problem: str) -> tuple[int, str, list]:
+    print(f"MISMATCH: {problem}")
+    return EXIT_MISMATCH, label, [{"mismatch": problem}]
+
+
 def cmd_check_bounds(args) -> tuple[int, str, list]:
+    from . import verify
     from .order_sums import (
         cyclic_reference,
         lattice_order_sums,
@@ -260,6 +268,7 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
     from .subgroup_lattice import _check_lattice_order, all_subgroups
 
     G = load_cayley_file(args.group_file, _check_lattice_order)
+    label = f"check-bounds {args.group_file}"
     failures = []
     rows = []
     subgroups = all_subgroups(G)
@@ -276,16 +285,20 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
             checks["product_bound"] = ratio < bounds.product
             checks["spread_bound"] = ratio < bounds.spread
         checks["relative_order_le_index"] = largest <= q
-        ok = all(checks.values())
-        if not ok:
-            failures.append((m, checks))
+        if not all(checks.values()):
+            failures.append((H, value, largest))
         rows.append({"subgroup_order": m, "index": q, "psi_h": str(value),
                      "bound": str(bound), "checks": checks})
-        status = "ok" if ok else "FAIL"
-        print(f"subgroup order {m:>4} index {q:>4}: psi_H={value} <= {bound} [{status}]")
+    problem = verify.order_sum_mismatch(G, failures)
+    if problem is not None:
+        return _mismatch(label, problem)
+    for row in rows:
+        status = "ok" if all(row["checks"].values()) else "FAIL"
+        print(f"subgroup order {row['subgroup_order']:>4} index {row['index']:>4}: "
+              f"psi_H={row['psi_h']} <= {row['bound']} [{status}]")
     print(f"{len(failures)} bound failures over {len(rows)} subgroups")
     code = EXIT_VIOLATION if failures else EXIT_OK
-    return code, f"check-bounds {args.group_file}", rows
+    return code, label, rows
 
 
 def cmd_ratios(args) -> tuple[int, str, list]:
@@ -293,9 +306,15 @@ def cmd_ratios(args) -> tuple[int, str, list]:
     from .subgroup_lattice import _check_lattice_order
 
     G = load_cayley_file(args.group_file, _check_lattice_order)
+    label = f"ratios {args.group_file}"
+    records = verify.subgroup_ratio_scan(G)
+    problem = verify.order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
+                                            for rec in records if rec.is_violation))
+    if problem is not None:
+        return _mismatch(label, problem)
     # each line prints from its record's report entry, which holds the one
     # Fraction built for the ratio
-    docs = [rec.to_json_dict() for rec in verify.subgroup_ratio_scan(G)]
+    docs = [rec.to_json_dict() for rec in records]
     for doc in docs:
         mark = " VIOLATES" if doc["is_violation"] else ""
         ratio = doc["ratio"]
@@ -305,7 +324,7 @@ def cmd_ratios(args) -> tuple[int, str, list]:
     violations = sum(doc["is_violation"] for doc in docs)
     print(f"{violations} violations over {len(docs)} subgroups")
     code = EXIT_VIOLATION if violations else EXIT_OK
-    return code, f"ratios {args.group_file}", docs
+    return code, label, docs
 
 
 def cmd_bijection(args) -> tuple[int, str, list]:

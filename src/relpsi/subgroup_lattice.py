@@ -33,12 +33,17 @@ class Subgroup:
     The constructor checks that ``members`` form a subgroup of ``parent``
     and raises ValueError otherwise, each member through
     ``parent.check_encoding`` and a parent above ELEMENT_CAP before the mask
-    is built; closures built here skip that check. Only ``generate`` and
-    ``all_subgroups`` record ``generators``; a subgroup built from its
-    members alone has none.
+    is built; closures built here skip that check.
+
+    ``generators``: a subgroup from ``generate`` keeps the ascending tuple
+    it was given, and one built from its members alone has none. Every
+    other subgroup, each of ``all_subgroups``, reads its generators off its
+    mask on the first read and keeps them: repeatedly the least element of
+    largest order outside the closure of those before, so they depend on
+    the subgroup alone; the trivial subgroup has (0,).
     """
 
-    __slots__ = ("parent", "order", "generators", "_mask")
+    __slots__ = ("parent", "order", "_generators", "_mask")
 
     def __init__(self, parent: FiniteGroup, members):
         members = list(members)
@@ -51,9 +56,18 @@ class Subgroup:
         mask = np.zeros(parent.order, dtype=bool)
         mask[np.array(members, dtype=np.int64)] = True
         mask.setflags(write=False)
-        self.parent, self.order, self.generators, self._mask = (
+        self.parent, self.order, self._generators, self._mask = (
             parent, int(np.count_nonzero(mask)), (), mask)
         self.check()
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        if self._generators is None:
+            memo = getattr(self.parent, "_generators_cache", None)
+            if memo is None:
+                memo = self.parent._generators_cache = _CanonicalGenerators(self.parent)
+            self._generators = memo(self._mask, self.order)
+        return self._generators
 
     @property
     def members(self) -> frozenset:
@@ -98,12 +112,67 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name}, order {self.order}>"
 
 
-def _closed(parent: FiniteGroup, mask: np.ndarray, order: int, generators: tuple = ()) -> Subgroup:
+def _closed(parent: FiniteGroup, mask: np.ndarray, order: int, generators: tuple | None = None) -> Subgroup:
     """A Subgroup already known to be closed, from its read-only member mask,
-    its order and its ascending generator tuple, all kept as given; no check."""
+    its order and its generator tuple, all kept as given, or with its
+    canonical generators read off the mask when first asked; no check."""
     sub = Subgroup.__new__(Subgroup)
-    sub.parent, sub.order, sub.generators, sub._mask = parent, order, generators, mask
+    sub.parent, sub.order, sub._generators, sub._mask = parent, order, generators, mask
     return sub
+
+
+class _CanonicalGenerators:
+    """The canonical generators of the subgroups of one tabulated group,
+    each from its member mask and order: the elements ranked by descending
+    order, least encoding first within one order, are read in that rank, and
+    each one outside the closure of those taken before is taken next.
+
+    The closure of every generator prefix taken is kept by its tuple. A
+    prefix of a subgroup's tuple is the tuple of its own closure, since its
+    closure holds each element the rank met before, so every kept closure
+    is a different subgroup, and a lattice's tuples take at most one walk
+    per subgroup.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        trivial = np.zeros(G.order, dtype=bool)
+        trivial[G.identity] = True
+        self.table, self.powers, self.orders = G._table(), G.power_table(), G.element_orders()
+        self.ranked = np.argsort(-self.orders, kind="stable")
+        self.closures = {(): (trivial, 1)}
+
+    def __call__(self, mask: np.ndarray, order: int) -> tuple[int, ...]:
+        gens, (closed, size) = (), self.closures[()]
+        for x in self.ranked[mask[self.ranked]].tolist():
+            if size == order:
+                break
+            if not closed[x]:
+                gens += (x,)
+                if gens not in self.closures:
+                    self.closures[gens] = self._extend(closed, size, gens)
+                closed, size = self.closures[gens]
+        return gens or (0,)
+
+    def _extend(self, closed: np.ndarray, size: int, gens: tuple) -> tuple[np.ndarray, int]:
+        """The mask and order of <gens>, from those of <gens[:-1]>: a union
+        of right cosets of the larger B of that subgroup and <gens[-1]>,
+        each new product r*t of a coset representative r and a generator t
+        adding its coset B*(r*t) in one table gather."""
+        x = gens[-1]
+        base = self.powers[:self.orders[x], x]
+        if len(base) > size:
+            inside = np.zeros(len(closed), dtype=bool)
+            inside[base] = True
+        else:
+            inside, base = closed.copy(), np.flatnonzero(closed)
+        reps = [0]
+        for r in reps:
+            for t in gens:
+                rt = self.table[r, t]
+                if not inside[rt]:
+                    inside[self.table[base, rt]] = True
+                    reps.append(rt)
+        return inside, len(base) * len(reps)
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
@@ -165,23 +234,19 @@ def _check_lattice_order(n: int) -> None:
         raise ValueError(f"subgroup enumeration capped at order {LATTICE_CAP}, group has {n}")
 
 
-def _sorted_lattice(G: FiniteGroup, known: dict) -> list[Subgroup]:
-    """The subgroups of ``known`` ({members: generators}), sorted by (order,
-    element tuple), their masks the rows of one read-only matrix. Of two
-    sets of one size, the one whose sorted tuple comes first holds the
+def _sorted_lattice(G: FiniteGroup, masks: np.ndarray) -> list[Subgroup]:
+    """The subgroups whose masks are the rows of ``masks``, sorted by
+    (order, element tuple), their masks the rows of one read-only matrix. Of
+    two sets of one size, the one whose sorted tuple comes first holds the
     smaller element where they differ, so its complement row sorts first
     as bytes."""
-    sizes, n = [len(m) for m in known], G.order
-    outside = bytearray(b"\1") * (len(sizes) * n)
-    for start, members in zip(range(0, len(outside), n), known):
-        for x in members:
-            outside[start + x] = 0
-    masks = ~np.frombuffer(outside, dtype=bool).reshape(-1, n)
+    n = G.order
+    sizes = np.count_nonzero(masks, axis=1).tolist()
+    outside = (~masks).tobytes()
+    keys = sorted(zip(sizes, (outside[i:i + n] for i in range(0, len(outside), n)), itertools.count()))
+    masks = masks[[i for _, _, i in keys]]
     masks.setflags(write=False)
-    rows = (outside[i:i + n] for i in range(0, len(outside), n))
-    gens = list(known.values())
-    return [_closed(G, masks[i], m, gens[i])
-            for m, _, i in sorted(zip(sizes, rows, itertools.count()))]
+    return [_closed(G, mask, m) for (m, _, _), mask in zip(keys, masks)]
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -190,17 +255,30 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     Seeds with the distinct cyclic subgroups <x>, each under its smallest
     generator x, read from the power table. When some element has order
     |G|, G is cyclic, so is every subgroup, and the seeds are the whole
-    lattice: they are returned, each with generators (x,), and no join runs.
+    lattice: they are returned, and no join runs.
 
-    Otherwise repeatedly joins each new subgroup K other than G with the
-    seeds until a fixpoint; correct because every subgroup is a join of
-    cyclic ones. Since <K, y> = <K, x> for every y in the double coset KxK,
-    K is joined only with the first seed of each double coset other than K
-    itself: any other seed could only find a subgroup already known. So the
-    double cosets are labelled, by their least element, at the seeds alone,
-    for all the K of one round of the search together, in blocks of a few
-    numpy calls each (see `_double_coset_labels`). Each generator tuple is
-    joined at most once.
+    Otherwise joins one representative K of each conjugacy class of
+    subgroups other than G with the seeds, until no join finds a new class
+    (after Neubüser, Numer. Math. 2, 1960). This is exact. Every subgroup J
+    that is not cyclic is <K', x'> for a smaller subgroup K' and some x',
+    and K' = gKg^-1 for a representative K found before, by induction on
+    |J|. Then g^-1 J g = <K, g^-1 x' g> = <K, s>, where s is the seed of the
+    cyclic subgroup <g^-1 x' g>: joining every representative with every
+    seed reaches a conjugate of every subgroup. So each subgroup found that
+    is not yet known is a new class, and it becomes the class's
+    representative: one gather of the conjugation table conj[g, h] =
+    g*h*g^-1 at its members gives every conjugate as a row, and once each
+    row is sorted, one row of each distinct conjugate is listed as known. A
+    normal subgroup, which one mask test finds, is its own class; an
+    abelian G, whose table equals its transpose, builds no conjugation
+    table, and every class is one subgroup.
+
+    Since <K, y> = <K, x> for every y in the double coset KxK, K is joined
+    only with the first seed of each double coset other than K itself: any
+    other seed could only find the same subgroup. So the double cosets are
+    labelled, by their least element, at the seeds alone, for all the K of
+    one round of the search together, in blocks of a few numpy calls each
+    (see `_double_coset_labels`).
 
     A join <K, x> is walked from the larger of K and <x>, B, and is G with
     no walk when B is strictly inside it and no proper subgroup order
@@ -210,17 +288,12 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     _check_lattice_order(G.order)
     n = G.order
     powers, orders = G.power_table(), G.element_orders().tolist()
-    cyclics: dict[int, frozenset] = {}
-
-    def cyclic(x: int) -> frozenset:
-        if x not in cyclics:
-            cyclics[x] = frozenset(powers[:orders[x], x].tolist())
-        return cyclics[x]
-
     seeds = G.cyclic_seeds()[0]
-    known: dict[frozenset, tuple] = {cyclic(x): (x,) for x in seeds.tolist()}
     if max(orders) == n:
-        return _sorted_lattice(G, known)
+        # row i marks <x> for the i-th seed x: every power of x lies in it
+        masks = np.zeros((len(seeds), n), dtype=bool)
+        masks[np.arange(len(seeds))[:, None], powers[:, seeds].T] = True
+        return _sorted_lattice(G, masks)
 
     table = G._table()
     cols = table.T.tolist()  # cols[g][x] = x*g
@@ -228,6 +301,12 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     # the largest proper subgroup order that k divides, for each divisor k of n
     largest = {k: max((d for d in ds[:-1] if d % k == 0), default=0) for k in ds}
     whole = frozenset(G.elements())
+    cyclics: dict[int, frozenset] = {}
+
+    def cyclic(x: int) -> frozenset:
+        if x not in cyclics:
+            cyclics[x] = frozenset(powers[:orders[x], x].tolist())
+        return cyclics[x]
 
     def join(base: frozenset, gens: tuple, k: int) -> frozenset:
         """The subgroup J generated by ``gens`` and its subgroup ``base``,
@@ -258,10 +337,33 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 reps.append(rt)
         return frozenset(inside)
 
+    conj = None if np.array_equal(table, table.T) else table[table, G.inverses()[:, None]]
+    known = {whole}  # every subgroup of a listed class
+
+    def listed(members: frozenset) -> bool:
+        """Whether the subgroup with these members is new, listing its whole
+        conjugacy class as known when it is."""
+        if members in known:
+            return False
+        if conj is not None:
+            ks = np.fromiter(members, dtype=np.intp, count=len(members))
+            conjugates = conj[:, ks]  # row g holds g*K*g^-1
+            inside = np.zeros(n, dtype=bool)
+            inside[ks] = True
+            if not inside[conjugates].all():
+                conjugates.sort(axis=1)
+                rows, width = conjugates.tobytes(), conjugates.itemsize * len(ks)
+                # one row of each conjugate, told apart by its sorted members
+                distinct = {rows[i:i + width]: g for g, i in enumerate(range(0, len(rows), width))}
+                known.update(map(frozenset, conjugates[list(distinct.values())].tolist()))
+                return True
+        known.add(members)
+        return True
+
     seed_cols = np.ascontiguousarray(table[seeds].T)  # seed_cols[g, i] = seeds[i] * g
     seeds = seeds.tolist()
-    frontier = list(known.items())  # G is not cyclic, so no seed is G
-    tried = set()
+    # G is not cyclic, so no seed is G
+    frontier = [(cyclic(x), (x,)) for x in seeds if listed(cyclic(x))]
     while frontier:
         new_frontier = []
         for members, gens, labels in _double_coset_labels(table, seed_cols, frontier):
@@ -271,10 +373,6 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 if label in seen:
                     continue
                 seen.add(label)
-                joined_gens = tuple(sorted(gens + (x,)))
-                if joined_gens in tried:
-                    continue
-                tried.add(joined_gens)
                 base, k = members, math.lcm(len(members), orders[x])
                 # x lies outside K, so K is strictly inside the join, and
                 # <x> is unless it holds K, which the generators of K tell
@@ -283,16 +381,17 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     base = cyclic(x)
                     strict = not all(g in base for g in gens)
                 if strict and largest[k] <= len(base):
-                    joined = whole
-                else:
-                    joined = join(base, joined_gens, k)
-                if joined not in known:
-                    known[joined] = joined_gens
-                    if len(joined) < n:
-                        new_frontier.append((joined, joined_gens))
+                    continue  # the join is G
+                joined_gens = tuple(sorted(gens + (x,)))
+                joined = join(base, joined_gens, k)
+                if len(joined) < n and listed(joined):
+                    new_frontier.append((joined, joined_gens))
         frontier = new_frontier
-    del tried  # as large as ``known`` on C2^7, so freed before the masks are built
-    return _sorted_lattice(G, known)
+    sizes = [len(members) for members in known]
+    masks = np.zeros((len(sizes), n), dtype=bool)
+    masks[np.repeat(np.arange(len(sizes)), sizes),
+          np.fromiter(itertools.chain.from_iterable(known), dtype=np.intp, count=sum(sizes))] = True
+    return _sorted_lattice(G, masks)
 
 
 def _check_parent(G: FiniteGroup, *subgroups: Subgroup) -> None:

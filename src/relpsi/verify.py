@@ -42,6 +42,7 @@ __all__ = [
     "GroupScanResult",
     "CatalogReport",
     "subgroup_ratio_scan",
+    "order_sum_mismatch",
     "build_counterexample",
     "bijection_exists",
     "check_bijection",
@@ -53,16 +54,21 @@ __all__ = [
 
 class ViolationRecord(NamedTuple):
     """Outcome of comparing one subgroup against its cyclic reference; a
-    named tuple, so immutable and cheap to build once per subgroup."""
+    named tuple, so immutable and cheap to build once per subgroup. It keeps
+    the subgroup, whose generators are read only when the record is
+    reported."""
 
     group: str
     group_order: int
-    subgroup_order: int
-    subgroup_generators: tuple[int, ...]
+    subgroup: Subgroup
     psi_h: int
     cyclic_reference: int
     nilpotent: bool
     solvable: bool
+
+    @property
+    def subgroup_order(self) -> int:
+        return self.subgroup.order
 
     @property
     def ratio(self) -> Fraction:
@@ -76,8 +82,8 @@ class ViolationRecord(NamedTuple):
         return {
             "group": self.group,
             "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "subgroup_generators": list(self.subgroup_generators),
+            "subgroup_order": self.subgroup.order,
+            "subgroup_generators": list(self.subgroup.generators),
             "psi_h": str(self.psi_h),
             "cyclic_reference": str(self.cyclic_reference),
             "ratio": rational_json(self.ratio),
@@ -96,10 +102,25 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     subgroups = all_subgroups(G)
     sums, _ = lattice_order_sums(G, subgroups)
     n, name = G.order, G.name
-    sizes = [H.order for H in subgroups]
-    references = {m: cyclic_reference(n, m) for m in set(sizes)}
-    return [ViolationRecord(name, n, m, H.generators, value, references[m], nilpotent, solvable)
-            for H, m, value in zip(subgroups, sizes, sums)]
+    references = {m: cyclic_reference(n, m) for m in {H.order for H in subgroups}}
+    return [ViolationRecord(name, n, H, value, references[H.order], nilpotent, solvable)
+            for H, value in zip(subgroups, sums)]
+
+
+def order_sum_mismatch(G: FiniteGroup, verdicts) -> str | None:
+    """Recompute psi_H, and the largest relative order where one is given,
+    for each (H, psi_H, largest or None) of ``verdicts`` through
+    `relative_orders`, a path apart from the seed gather of
+    `lattice_order_sums`; return the first disagreement, or None."""
+    for H, psi_h, largest in verdicts:
+        rel = relative_orders(G, H)
+        if int(rel.sum()) != psi_h:
+            return (f"psi_H of the subgroup of order {H.order} is {psi_h} from the lattice "
+                    f"pass and {int(rel.sum())} from relative_orders")
+        if largest is not None and int(rel.max()) != largest:
+            return (f"the largest relative order over the subgroup of order {H.order} is "
+                    f"{largest} from the lattice pass and {int(rel.max())} from relative_orders")
+    return None
 
 
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:
@@ -276,11 +297,17 @@ class CatalogReport:
 def scan_catalog(groups) -> CatalogReport:
     """Scan every group: classification flags, the plain order-sum comparison
     against C_n, and the per-subgroup ratio records. Per-group failures are
-    collected and the scan continues."""
+    collected and the scan continues; so is a violation whose psi_H
+    `order_sum_mismatch` does not confirm, in place of the group's result."""
     report = CatalogReport()
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
             records = subgroup_ratio_scan(G)
+            problem = order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
+                                             for rec in records if rec.is_violation))
+            if problem is not None:
+                report.errors.append((G.name, f"MISMATCH: {problem}"))
+                continue
             # records[0] is the trivial subgroup's: it carries the flags, and
             # psi of G and of C_n are its psi_H and cyclic reference
             trivial = records[0]

@@ -1,7 +1,7 @@
 """Scalar reference arithmetic for the tests.
 
-Powers, element orders, relative orders, subgroup closure, nilpotency and the
-group-axiom check, each built on a group's scalar `multiply` alone and never
+Powers, element orders, relative orders, subgroup closure, the canonical
+generators of a subgroup, nilpotency and the group-axiom check, each built on a group's scalar `multiply` alone and never
 on `multiply_array`, the power table or `first_powers_in`. The program
 computes these quantities with its vectorised engine only, so the tests
 compare that engine against this independent one. One inverse, a^(|G| - 1),
@@ -99,6 +99,20 @@ def closure(G, gens):
                 members.add(y)
                 todo.append(y)
     return frozenset(members)
+
+
+def canonical_generators(G, members):
+    """The generators a subgroup with these members reports: repeatedly the
+    least member of largest order outside the closure of those taken
+    before, (identity,) for the trivial subgroup; each order is the size
+    of the member's closure, and each closure is taken afresh by `closure`."""
+    members = frozenset(members)
+    orders = {x: len(closure(G, [x])) for x in members}
+    gens, closed = [], closure(G, [])
+    while closed != members:
+        gens.append(min(members - closed, key=lambda x: (-orders[x], x)))
+        closed = closure(G, gens)
+    return tuple(gens) or (G.identity,)
 
 
 def validate(G):

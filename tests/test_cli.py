@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -692,6 +693,77 @@ class TestRelabelledPermutationGroups:
             assert len(projections[0][1]) == subgroups, command
             if nilpotent:  # no subgroup of a nilpotent group is above its cyclic reference
                 assert projections[0][0] == 0, command
+
+
+class TestOrderSumCrossCheck:
+    """Each violating or failing subgroup's psi_H, and for check-bounds its
+    largest relative order, is computed again through `relative_orders`;
+    a disagreement with the lattice pass exits 2 in place of the verdict."""
+
+    @pytest.fixture
+    def rechecked(self, monkeypatch):
+        """The subgroup orders that the cross-check recomputed, in order."""
+        orders, recompute = [], verify.relative_orders
+
+        def counted(G, H):
+            orders.append(H.order)
+            return recompute(G, H)
+        monkeypatch.setattr(verify, "relative_orders", counted)
+        return orders
+
+    @pytest.fixture
+    def wrong_seed_weight(self, monkeypatch):
+        # the recorded mutant of `lattice_order_sums`: the last seed weighs
+        # one element more than generate its cyclic subgroup
+        seeds = gc.FiniteGroup.cyclic_seeds
+
+        def mutant(G):
+            s, w = seeds(G)
+            return s, w + (np.arange(len(w)) == len(w) - 1)
+        monkeypatch.setattr(gc.FiniteGroup, "cyclic_seeds", mutant)
+
+    def test_agreement_keeps_the_verdicts(self, rechecked, capsys, tmp_path):
+        assert main(["scan", "--max-order", "100", "--include-frobenius"]) == 3
+        assert rechecked == [7] * 8
+        rechecked.clear()
+        G = gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)])
+        assert main(["ratios", write_cayley_file(tmp_path / "f.txt", G)]) == 3
+        assert len(rechecked) == 16
+        assert "16 violations over 50 subgroups" in capsys.readouterr().out
+
+    def test_scan_with_a_wrong_seed_weight_exits_2(self, wrong_seed_weight, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "56", "--include-frobenius", "--json", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        pattern = (r"\S+: error: MISMATCH: psi_H of the subgroup of order \d+ is \d+ from the "
+                   r"lattice pass and \d+ from relative_orders")
+        assert err and all(re.fullmatch(pattern, line) for line in err)
+        doc = json.loads(path.read_text())["results"][0]
+        assert "Frob(2,3)" in [e["group"] for e in doc["errors"]]
+        assert doc["total_violations"] == 0
+
+    def test_ratios_with_a_wrong_seed_weight_exits_2(self, wrong_seed_weight, capsys, tmp_path):
+        G = gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)])
+        path, json_path = write_cayley_file(tmp_path / "f.txt", G), tmp_path / "out.json"
+        assert main(["ratios", path, "--json", str(json_path)]) == 2
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"MISMATCH: psi_H of the subgroup of order \d+ is \d+ from the "
+                            r"lattice pass and \d+ from relative_orders\n", out)
+        assert json.loads(json_path.read_text())["results"] == [{"mismatch": out[10:-1]}]
+
+    def test_check_bounds_with_a_wrong_largest_order_exits_2(self, monkeypatch, capsys, tmp_path):
+        passes = order_sums.lattice_order_sums
+
+        def mutant(G, subgroups):
+            sums, largest = passes(G, subgroups)
+            return sums, [value + 1 for value in largest]
+        monkeypatch.setattr(order_sums, "lattice_order_sums", mutant)
+        path = write_cayley_file(tmp_path / "c12.txt", gc.cyclic(12))
+        assert main(["check-bounds", path]) == 2
+        # only the trivial subgroup, with relative order 12 at index 12, fails
+        assert capsys.readouterr().out == (
+            "MISMATCH: the largest relative order over the subgroup of order 1 is 13 "
+            "from the lattice pass and 12 from relative_orders\n")
 
 
 class TestBijectionCommand:

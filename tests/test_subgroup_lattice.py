@@ -14,6 +14,7 @@ from relpsi.numtheory import factorize
 from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import (
     Subgroup,
+    _CanonicalGenerators,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -28,7 +29,7 @@ from relpsi.verify import (
     build_counterexample,
     check_bijection,
 )
-from reference import closure, element_order
+from reference import canonical_generators, closure, element_order
 
 
 def num_divisors(n):
@@ -83,7 +84,7 @@ class TestGenerate:
         # the brute force reads the mask alone, so a closure of millions of
         # members builds no member set or tuple unless asked, and keeps none
         # when asked: a subgroup holds its members as its mask alone
-        assert Subgroup.__slots__ == ("parent", "order", "generators", "_mask")
+        assert Subgroup.__slots__ == ("parent", "order", "_generators", "_mask")
         G = frobenius_with_cofactor(5, 7)
         H = generate(G, [G.encode((1, 0)), G.encode((0, 1))])
         assert H.order == H.mask().sum() == 31 * 7
@@ -249,9 +250,10 @@ class TestCyclicSeeds:
 
 
 def join_by_generate(G):
-    """Reference enumeration: the same seeds, frontier and first-found
-    generators as all_subgroups, with every join re-closed from the
-    identity by generate."""
+    """Reference enumeration: the member sets of every subgroup, sorted by
+    (order, element tuple), found by joining every found subgroup with every
+    cyclic subgroup until nothing new appears, each join closed afresh from
+    the identity by generate."""
     seeds = {}
     for x in G.elements():
         sub = generate(G, [x])
@@ -270,11 +272,11 @@ def join_by_generate(G):
                     known[joined.members] = joined.generators
                     new_frontier.append((joined.members, joined.generators))
         frontier = new_frontier
-    return sorted(known.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+    return sorted(known, key=lambda members: (len(members), sorted(members)))
 
 
 def lattice(subs):
-    return [(H.members, H.generators) for H in subs]
+    return [H.members for H in subs]
 
 
 def gaussian_binomial(n, k, p):
@@ -426,40 +428,106 @@ class TestLatticeOracles:
         assert len(all_subgroups(make())) == count
 
 
-def lattice_with_join_calls(G):
-    """all_subgroups(G) and the calls of its nested `join`, restarts
-    included, counted by a profile hook."""
-    join = next(c for c in all_subgroups.__code__.co_consts if getattr(c, "co_name", None) == "join")
-    count = 0
+class TestCanonicalGenerators:
+    """Each subgroup of a lattice reports the generators that
+    `reference.canonical_generators` picks with scalar closures alone, they
+    generate it, and they are read off its mask only when asked for."""
+
+    @staticmethod
+    def assert_canonical(G, subs):
+        for H in subs:
+            assert H.generators == canonical_generators(G, H.members), (G.name, H.elements())
+            assert generate(G, H.generators) == H, (G.name, H.elements())
+
+    def test_catalog(self, catalog_subgroups):
+        for G, subs in catalog_subgroups:
+            self.assert_canonical(G, subs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: relabelled_copy(gc.symmetric(5), 5),
+        lambda: gc.abelian_of_type({2: [1] * 5}),
+    ], ids=["S5", "D60", "S5-relabelled", "C2^5"])
+    def test_named_groups(self, make):
+        G = make()
+        self.assert_canonical(G, all_subgroups(G))
+
+    def test_read_on_first_use_with_one_walk_per_subgroup(self, monkeypatch):
+        walks = 0
+
+        def counted(self, *args, _extend=_CanonicalGenerators._extend):
+            nonlocal walks
+            walks += 1
+            return _extend(self, *args)
+
+        monkeypatch.setattr(_CanonicalGenerators, "_extend", counted)
+        G = gc.symmetric(5)
+        subs = all_subgroups(G)
+        assert all(H._generators is None for H in subs)
+        first = {H: H.generators for H in reversed(subs)}
+        # each walk closes a different prefix, itself a subgroup other than {e}
+        assert 0 < walks < len(subs)
+        assert all(H.generators is first[H] for H in subs)
+
+
+def lattice_with_search_counts(G):
+    """all_subgroups(G), the calls of its nested `join`, restarts included,
+    and the conjugacy classes its nested `listed` found new, counted by a
+    profile hook."""
+    nested = {c.co_name: c for c in all_subgroups.__code__.co_consts if hasattr(c, "co_name")}
+    join, listed = nested["join"], nested["listed"]
+    calls = classes = 0
 
     def profile(frame, event, arg):
-        nonlocal count
-        count += event == "call" and frame.f_code is join
+        nonlocal calls, classes
+        calls += event == "call" and frame.f_code is join
+        classes += event == "return" and frame.f_code is listed and arg is True
 
     sys.setprofile(profile)
     try:
         subs = all_subgroups(G)
     finally:
         sys.setprofile(None)
-    return subs, count
+    return subs, calls, classes
+
+
+def conjugacy_classes(G, subs):
+    """The number of classes of ``subs`` under conjugation, from the Cayley
+    table and the inverses, sharing no code with the search."""
+    table, inv = G.cayley_table(), G.inverses()
+    seen, classes = set(), 0
+    for H in subs:
+        if H.members in seen:
+            continue
+        classes += 1
+        hs = np.array(H.elements())
+        seen.update(frozenset(table[table[g, hs], inv[g]].tolist()) for g in G.elements())
+    return classes
 
 
 class TestJoinCount:
     """The calls of the nested `join` of `all_subgroups`, restarts included,
-    pinned per group. Which seeds each subgroup is joined with, where a walk
-    starts, when it restarts and when a join is answered with no walk each
-    move the count, even where they leave the lattice found the same."""
+    and the conjugacy classes of subgroups it lists, pinned per group. Which
+    seeds each representative is joined with, where a walk starts, when it
+    restarts and when a join is answered with no walk each move the first
+    count, even where they leave the lattice found the same. The second is
+    the number of conjugacy classes of subgroups other than G, which the
+    lattice itself gives; a cyclic group lists none."""
 
-    @pytest.mark.parametrize("make, calls", [
-        (lambda: gc.symmetric(5), 1928),
-        (lambda: gc.dihedral(60), 3949),
-        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 250),
-        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 488),
-        (lambda: gc.cyclic(120), 0),
-        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 1488),
+    @pytest.mark.parametrize("make, calls, classes", [
+        (lambda: gc.symmetric(5), 239, 18),
+        (lambda: gc.dihedral(60), 489, 31),
+        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 288, 53),
+        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 116, 11),
+        (lambda: gc.cyclic(120), 0, 0),
+        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 2046, 373),
     ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120", "C2^5"])
-    def test_join_calls_are_pinned(self, make, calls):
-        assert lattice_with_join_calls(make())[1] == calls
+    def test_join_calls_are_pinned(self, make, calls, classes):
+        G = make()
+        subs, *counts = lattice_with_search_counts(G)
+        assert counts == [calls, classes]
+        assert classes == (0 if G.is_cyclic() else conjugacy_classes(G, subs) - 1)
 
 
 class TestCyclicLattice:
@@ -474,8 +542,8 @@ class TestCyclicLattice:
     ], ids=["C3xC4xC5", "C8xC3xC5", "C60-relabelled"])
     def test_no_join_and_the_reference_lattice(self, make):
         G = make()
-        subs, calls = lattice_with_join_calls(G)
-        assert calls == 0
+        subs, calls, classes = lattice_with_search_counts(G)
+        assert calls == classes == 0
         assert lattice(subs) == join_by_generate(G)
 
     @pytest.mark.parametrize("make", [
@@ -484,8 +552,8 @@ class TestCyclicLattice:
     ], ids=["C2xC2xC3xC5", "C4xC2xC3xC5"])
     def test_non_cyclic_of_the_same_order_joins(self, make):
         G = make()
-        subs, calls = lattice_with_join_calls(G)
-        assert calls > 0
+        subs, calls, classes = lattice_with_search_counts(G)
+        assert calls > 0 and classes == len(subs) - 1
         assert lattice(subs) == join_by_generate(G)
 
 
@@ -504,8 +572,8 @@ class TestSmallBlocks:
     ], ids=["S5", "D60", "C2^5"])
     def test_lattice_and_join_calls_unchanged(self, make, block, monkeypatch):
         def run():
-            subs, calls = lattice_with_join_calls(make())
-            return [(H.elements(), H.generators) for H in subs], calls
+            subs, *counts = lattice_with_search_counts(make())
+            return [(H.elements(), H.generators) for H in subs], counts
 
         default = run()
         monkeypatch.setattr(gc, "_BLOCK", block)

@@ -60,17 +60,19 @@ class TestSubgroupRatioScan:
 
 class TestViolationRecord:
     def test_keyword_record_and_report_keys(self):
-        # the scan's byte-identical reports rest on this key order
-        rec = ViolationRecord(group="G", group_order=56, subgroup_order=7,
-                              subgroup_generators=(3, 9), psi_h=90,
+        # the scan's byte-identical reports rest on this key order; the
+        # record keeps its subgroup and reports the subgroup's generators
+        H = generate(gc.frobenius_field(2, 3), [2, 1])
+        assert (H.order, H.generators) == (7, (1, 2))
+        rec = ViolationRecord(group="G", group_order=56, subgroup=H, psi_h=90,
                               cyclic_reference=86, nilpotent=False, solvable=True)
         assert rec.ratio == Fraction(45, 43)
-        assert rec.is_violation
+        assert rec.is_violation and rec.subgroup_order == 7
         assert list(rec.to_json_dict().items()) == [
             ("group", "G"),
             ("group_order", 56),
             ("subgroup_order", 7),
-            ("subgroup_generators", [3, 9]),
+            ("subgroup_generators", [1, 2]),
             ("psi_h", "90"),
             ("cyclic_reference", "86"),
             ("ratio", {"num": "45", "den": "43"}),
@@ -78,8 +80,7 @@ class TestViolationRecord:
             ("nilpotent", False),
             ("solvable", True),
         ]
-        equal = ViolationRecord(group="G", group_order=56, subgroup_order=7,
-                                subgroup_generators=(3, 9), psi_h=86,
+        equal = ViolationRecord(group="G", group_order=56, subgroup=H, psi_h=86,
                                 cyclic_reference=86, nilpotent=False, solvable=True)
         assert equal.ratio == 1 and not equal.is_violation
 
