@@ -10,13 +10,15 @@ itself. Each class defines exactly one product, `_product`, on those
 coordinates: exponents k + l are reduced by one compare-and-subtract, with
 no division. The array product on encodings, `_product_array`, is join,
 product and split, and the Cayley table, inverses, element orders and power
-table all come from it. A group of order at most TABLE_CAP builds one
-compact Cayley table, from the array product, when the power table, the
-subgroup lattice or the derived series first needs it, and caches it;
-`multiply_array` reads that table once it exists and otherwise computes
-products arithmetically, so a closure or inverse pass alone, or any pass
-above the cap, builds no table; a direct product multiplies its factors'
-coordinates, so a factor never builds a table for its parent.
+table all come from it, except C_n's power table: its rows are k*x mod n,
+which is arithmetic and needs no Cayley table. A group of order at most
+TABLE_CAP builds one compact Cayley table, from the array product, when
+the power table of a class other than C_n, the subgroup lattice or the
+derived series first needs it, and caches it; `multiply_array` reads that
+table once it exists and otherwise computes products arithmetically, so a
+closure or inverse pass alone, or any pass above the cap, builds no table;
+a direct product multiplies its factors' coordinates, so a factor never
+builds a table for its parent.
 `first_powers_in` gives relative orders, and element orders above the cap,
 in one pass over the divisors of the group order up to the index, each
 power formed from stored squares that it keeps split, on every group's own
@@ -72,6 +74,12 @@ def check_element_budget(n: int, advice: str = "") -> None:
                          f"{power_text(ELEMENT_CAP)}{advice}")
 
 
+def _check_table_cap(n: int) -> None:
+    """Raise ValueError for an n x n table with n above TABLE_CAP."""
+    if n > TABLE_CAP:
+        raise ValueError(f"refusing to materialize {n}x{n} table (cap {TABLE_CAP})")
+
+
 def _reduce(s: np.ndarray, n: int) -> np.ndarray:
     """s mod n, in place, for an int64 array s with entries in [0, 2n): n is
     subtracted, and s >> 63, all ones exactly where that left s negative,
@@ -118,8 +126,10 @@ class FiniteGroup:
 
     @property
     def tabulated(self) -> bool:
-        """True when the element orders and the power table come from the
-        Cayley table: the group is at most TABLE_CAP or has its table."""
+        """True when the element orders come from the power table, which C_n
+        reads off k*x mod n with no Cayley table and every other class
+        builds from its table: the group is at most TABLE_CAP or has its
+        table."""
         return self.order <= TABLE_CAP or getattr(self, "_table_cache", None) is not None
 
     def multiply_array(self, x, y) -> np.ndarray:
@@ -137,8 +147,7 @@ class FiniteGroup:
         table = getattr(self, "_table_cache", None)
         if table is None:
             n = self.order
-            if n > TABLE_CAP:
-                raise ValueError(f"refusing to materialize {n}x{n} table (cap {TABLE_CAP})")
+            _check_table_cap(n)
             table = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
             cols = np.arange(n, dtype=np.int64)
             for rows in row_blocks(cols, n):
@@ -222,19 +231,32 @@ class FiniteGroup:
         return self._seed_cache
 
     def _build_powers(self) -> None:
-        """Fill the power-table and element-order caches by doubling.
+        """Fill the power-table and element-order caches from the rows of
+        `_power_rows`. The order of x divides |G|, so it is the least
+        divisor d of |G| with the identity in row d - 1 of column x: one
+        first-hit argmax over those rows alone reads every order. Rows past
+        the largest element order e are cut off by the cached view."""
+        powers = self._power_rows()
+        ds = np.array([d for d in divisors(self.order) if d <= len(powers)])
+        orders = ds[(powers[ds - 1] == self.identity).argmax(axis=0)]
+        powers = powers[:orders.max()]
+        powers.setflags(write=False)
+        orders.setflags(write=False)
+        self._power_cache, self._order_cache = powers, orders
+
+    def _power_rows(self) -> np.ndarray:
+        """The first rows P[k] = x^(k+1) of the power table, in the Cayley
+        table's dtype, enough that every column meets the identity in them;
+        built by doubling through the Cayley table, which C_n overrides with
+        arithmetic.
 
         With the first L rows known, the next L rows are one table read,
         P[L + k] = P[k] * P[L - 1], that is x^(k+1) * x^L. Each block of new
         rows is tested for the identity once, and the doubling stops once
         every column has met it, so the largest element order e takes about
-        log2(e) reads. The order of x divides |G|, so it is the least
-        divisor d of |G| with the identity in row d - 1 of column x: one
-        first-hit argmax over those rows alone reads every order. The rows
-        live in one buffer of at most n rows in the table's dtype, never
-        more than the Cayley table itself; rows past e are cut off by the
-        returned view. Reads go in blocks of about _BLOCK entries, which
-        bounds their int64 index temporaries.
+        log2(e) reads. The rows live in one buffer of at most n rows, never
+        more than the Cayley table itself. Reads go in blocks of about
+        _BLOCK entries, which bounds their int64 index temporaries.
         """
         table = self._table()
         n = self.order
@@ -249,12 +271,7 @@ class FiniteGroup:
                 block[:] = table[powers[lo:lo + len(block)], last]
                 done |= (block == self.identity).any(axis=0)
             rows += new
-        ds = np.array([d for d in divisors(n) if d <= rows])
-        orders = ds[(powers[ds - 1] == self.identity).argmax(axis=0)]
-        powers = powers[:orders.max()]
-        powers.setflags(write=False)
-        orders.setflags(write=False)
-        self._power_cache, self._order_cache = powers, orders
+        return powers[:rows]
 
     def is_cyclic(self) -> bool:
         return int(self.element_orders().max()) == self.order
@@ -339,6 +356,22 @@ class CyclicGroup(FiniteGroup):
 
     def _product(self, xs, ys):
         return (_reduce(xs[0] + ys[0], self.order),)
+
+    def _power_rows(self):
+        """All n rows x^k = k*x mod n, k = 1..n, in the table's dtype: the
+        power table of C_n is arithmetic and needs no Cayley table. Rows go
+        in blocks of at most _BLOCK >> 3 int64 entries, so building it holds
+        little more than the rows themselves."""
+        n = self.order
+        _check_table_cap(n)
+        powers = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+        x = np.arange(n, dtype=np.int64)
+        step = max(1, (_BLOCK >> 3) // n)
+        for lo in range(0, n, step):
+            block = np.arange(lo + 1, min(lo + step, n) + 1, dtype=np.int64)[:, None] * x
+            block %= n
+            powers[lo:lo + len(block)] = block
+        return powers
 
 
 class CayleyTableGroup(FiniteGroup):

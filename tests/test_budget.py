@@ -212,7 +212,7 @@ def test_table_cap_edge(monkeypatch):
     monkeypatch.setattr(past, "_product_array", refuse)
     monkeypatch.setattr(classify, "_greedy_generators", refuse)
     n = TABLE_CAP + 1
-    for refused in (past.cayley_table, lambda: is_solvable(past)):
+    for refused in (past.cayley_table, past.power_table, lambda: is_solvable(past)):
         with pytest.raises(ValueError, match=exactly(
                 f"refusing to materialize {n}x{n} table (cap 4096)")):
             refused()

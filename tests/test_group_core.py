@@ -10,9 +10,10 @@ import pytest
 
 import relpsi as rp
 import relpsi.group_core as gc
+from relpsi.budget import LATTICE_CAP
 from relpsi.group_core import CayleyTableError
 from relpsi.numtheory import psi_cyclic
-from relpsi.order_sums import relative_orders
+from relpsi.order_sums import cyclic_orders, relative_orders
 from relpsi.verify import CounterexampleSpec, build_counterexample
 from reference import check_table_axioms, closure, element_order, power, validate
 
@@ -439,7 +440,11 @@ def test_element_orders_match_scalar_element_order(G):
     assert G.element_orders().tolist() == [element_order(G, x) for x in G.elements()]
 
 
-@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS + [gc.frobenius_field(2, 5), gc.cyclic(4096)],
+# C_n for every n up to LATTICE_CAP, past the catalog's C1..C100, and C4096
+CYCLIC_PAST_CATALOG = [gc.cyclic(n) for n in range(101, LATTICE_CAP + 1)] + [gc.cyclic(4096)]
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS + [gc.frobenius_field(2, 5)] + CYCLIC_PAST_CATALOG,
                          ids=lambda g: g.name)
 def test_power_table_matches_scalar_power(G):
     P, orders = G.power_table(), G.element_orders()
@@ -450,6 +455,19 @@ def test_power_table_matches_scalar_power(G):
     cols = range(0, G.order, 257 if G.order > 1000 else 1)
     expected = [[power(G, x, k + 1) for x in cols] for k in range(len(P))]
     assert P[:, cols].tolist() == expected
+
+
+@pytest.mark.parametrize("n", [*range(1, LATTICE_CAP + 1), 4096])
+def test_cyclic_power_table_matches_doubling_and_sieve(n):
+    # the arithmetic rows k*x mod n against the doubling through C_n's own
+    # table, taken as a table group, and the divisor sieve of cyclic_orders
+    G, doubled = gc.cyclic(n), gc.CayleyTableGroup(gc.cyclic(n).cayley_table())
+    P, orders = G.power_table(), G.element_orders()
+    assert P.dtype == doubled.power_table().dtype
+    assert np.array_equal(P, doubled.power_table())
+    assert np.array_equal(orders, doubled.element_orders())
+    assert np.array_equal(orders, cyclic_orders(n))
+    assert getattr(G, "_table_cache", None) is None
 
 
 def test_power_table_stays_within_one_cayley_table():

@@ -301,6 +301,15 @@ class TestScanCatalog:
             assert res.psi_value == psi(G)
             assert res.psi_cyclic_value == psi_cyclic(G.order)
 
+    def test_cyclic_groups_build_no_table(self):
+        # C_n reads its power table off k*x mod n, and its lattice off the
+        # seed columns of that table
+        catalog = default_catalog(100, include_frobenius=True)
+        scan_catalog(catalog)
+        cyclic = [G for G in catalog if isinstance(G, gc.CyclicGroup)]
+        assert len(cyclic) == 100
+        assert [getattr(G, "_table_cache", None) for G in cyclic] == [None] * 100
+
     def test_catalog_with_frobenius_flags_exactly_one_group(self):
         report = scan_catalog(default_catalog(56, include_frobenius=True))
         assert report.flagged_groups == ["Frob(2,3)"]
