@@ -24,15 +24,15 @@ ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
 # bytes: 32 MiB; is_solvable, which reads that table, is refused above it
 TABLE_CAP = 4096
-# order of a group whose whole subgroup lattice is enumerated: a Python
-# loop per conjugacy class of subgroups when the group is not cyclic, none
-# when it is, since a cyclic group's lattice is its seeds <x>; the largest
-# lattice under it is C2^7's 29 212 subgroups, each its own class, on whose
-# table file `ratios --json` (a 10.9 MB report, streamed to its file, with
-# every subgroup's canonical generators) takes 3.8 s at 92 MiB peak RSS and
-# `check-bounds --json` 3.0 s at 88 MiB, medians of five fresh processes on
-# a 2-vCPU VM that ran the previous search, which kept a memo of joined
-# generator tuples, in 3.3 s and 3.6 s at 102 MiB
+# order of a group whose whole subgroup lattice is enumerated: no search
+# when the group is cyclic, since its lattice is its seeds <x>, numpy
+# rounds by prime index in blocks when it is abelian, and a Python loop per
+# conjugacy class of subgroups otherwise; the largest lattice under it is
+# C2^7's 29 212 subgroups, on whose table file `ratios --json` (a 10.9 MB
+# report, streamed to its file, with every subgroup's canonical
+# generators) takes 1.8 s at 80 MiB peak RSS and `check-bounds --json`
+# 1.4 s at 61 MiB, medians of five fresh processes on a 2-vCPU VM that
+# ran the class search on it in 3.0 s at 92 MiB and 2.6 s at 88 MiB
 LATTICE_CAP = 200
 # index of a quotient group, whose Cayley table has index^2 entries
 QUOTIENT_INDEX_CAP = 512

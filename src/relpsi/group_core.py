@@ -37,7 +37,7 @@ import numpy as np
 
 from .budget import DEGREE_CAP, DIHEDRAL_CAP, ELEMENT_CAP, ENCODING_CAP, TABLE_CAP, power_text
 from .finite_field import FiniteField
-from .numtheory import divisors, is_prime
+from .numtheory import divisors, factorize, is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -372,6 +372,30 @@ class CyclicGroup(FiniteGroup):
             block %= n
             powers[lo:lo + len(block)] = block
         return powers
+
+    def cyclic_seeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """`FiniteGroup.cyclic_seeds` in closed form, with no power table:
+        C_n has one cyclic subgroup of each order d dividing n, the
+        multiples of n/d, whose smallest generator is n/d, or 0 for d = 1,
+        and which phi(d) elements generate. The identity's 0 comes first,
+        then n/d ascends as d descends."""
+        if getattr(self, "_seed_cache", None) is None:
+            n = self.order
+            primes = [p for p, _ in factorize(n)]
+            ds = [1] + divisors(n)[:0:-1]  # 1 for the identity, then each d > 1 descending
+            weights = []
+            for d in ds:
+                phi = d
+                for p in primes:
+                    if d % p == 0:
+                        phi -= phi // p
+                weights.append(phi)
+            seeds = np.array([0] + [n // d for d in ds[1:]], dtype=np.int64)
+            weights = np.array(weights, dtype=np.int64)
+            seeds.setflags(write=False)
+            weights.setflags(write=False)
+            self._seed_cache = seeds, weights
+        return self._seed_cache
 
 
 class CayleyTableGroup(FiniteGroup):

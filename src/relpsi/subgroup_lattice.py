@@ -12,7 +12,7 @@ import numpy as np
 from . import group_core
 from .budget import LATTICE_CAP, QUOTIENT_INDEX_CAP
 from .group_core import CayleyTableGroup, FiniteGroup, _close_right, check_element_budget, row_blocks
-from .numtheory import divisors
+from .numtheory import divisors, is_prime
 
 __all__ = [
     "Subgroup",
@@ -228,6 +228,77 @@ def _label_block(table: np.ndarray, seed_cols: np.ndarray, block: list, size: in
         yield members, gens, row
 
 
+def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
+    """The member masks of every subgroup of the abelian group G, as the
+    rows of one subgroups x |G| boolean matrix, found in rounds by prime
+    index: round r holds the subgroups whose order has r prime factors,
+    counted with multiplicity, and round r + 1 is every join K<s> of a K
+    of round r with a seed s of prime relative order over K (see
+    `all_subgroups`).
+
+    A round goes in blocks of at most _BLOCK / (|G| s) of its subgroups, s
+    the number of seeds, so no array of a block has more than _BLOCK
+    entries: one per (K, power, seed), (member of K, seed) or (join,
+    element). The joins of every block are packed eight members a byte, and
+    the round keeps one of each."""
+    n = G.order
+    table, powers, orders = G._table(), G.power_table(), G.element_orders()
+    seed_powers, seed_rows = powers[:, seeds], table[:, seeds]  # x^(k+1) and g*x
+    prime = np.array([is_prime(m) for m in range(len(powers) + 1)])
+
+    def joins(masks: np.ndarray) -> np.ndarray:
+        """The mask of K<s>, one row each, for every K of ``masks`` and the
+        first seed s of each coset K*s whose relative order p over K is
+        prime.
+
+        The relative orders are the first powers of each seed in each K,
+        one gather of the masks at the seed columns of the power table.
+        Each coset K*s is labelled by its least element, a minimum over K's
+        members in one `reduceat`. K<s> is the union of the cosets K*s^j,
+        j < p, so g lies in it when g*s^-j lies in K for some j: p - 1
+        gathers of K's mask along table rows, with s^-j = s^(m - j), m the
+        order of s, read off the power table."""
+        rel = masks[:, seed_powers].argmax(axis=1).ravel() + 1
+        rows, members = np.nonzero(masks)
+        starts = np.searchsorted(rows, np.arange(len(masks)))
+        labels = np.minimum.reduceat(seed_rows[members], starts, axis=0).ravel()
+        live = np.flatnonzero(prime[rel])
+        # live ascends, so the first of each (K, label) has the least seed
+        _, first = np.unique(live // len(seeds) * n + labels[live], return_index=True)
+        ks, at = np.divmod(live[first], len(seeds))
+        xs, ps = seeds[at], rel[live[first]]
+        out = masks[ks]
+        for j in range(1, ps.max(initial=1)):
+            at = np.flatnonzero(ps > j)
+            inverse = powers[orders[xs[at]] - j - 1, xs[at]]  # s^-j = s^(m - j)
+            out[at] |= masks[ks[at, None], table[inverse]]
+        return out
+
+    step = max(1, group_core._BLOCK // (n * len(seeds)))
+    layer = np.zeros((1, n), dtype=bool)
+    layer[0, G.identity] = True
+    layers = [layer]
+    while len(layer):
+        words = np.concatenate([np.packbits(joins(layer[lo:lo + step]), axis=1)
+                                for lo in range(0, len(layer), step)])
+        layer = np.unpackbits(_distinct_rows(words), axis=1, count=n).view(bool)
+        layers.append(layer)
+    return np.concatenate(layers)
+
+
+def _distinct_rows(bits: np.ndarray) -> np.ndarray:
+    """The distinct rows of a uint8 matrix, in some order: one `lexsort` of
+    its rows as 64-bit words, and one row of each run of equal ones."""
+    words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    words = words[order]
+    keep = np.ones(len(words), dtype=bool)
+    keep[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return bits[order[keep]]
+
+
 def _check_lattice_order(n: int) -> None:
     """Raise ValueError for a group order above the enumeration cap."""
     if n > LATTICE_CAP:
@@ -257,7 +328,21 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     |G|, G is cyclic, so is every subgroup, and the seeds are the whole
     lattice: they are returned, and no join runs.
 
-    Otherwise joins one representative K of each conjugacy class of
+    An abelian G that is not cyclic, whose table equals its transpose, is
+    searched by prime index (`_abelian_masks`), in rounds by the number r
+    of prime factors of the subgroup order, counted with multiplicity,
+    from the trivial subgroup. This is exact. Each maximal subgroup K of an
+    abelian J has prime index p, since J/K is abelian with no proper
+    subgroup other than 1. So J = K<s> for any s in J outside K, and for
+    the seed of <s> in particular, which has relative order p over K. By
+    induction on r, every J of round r + 1 is such a join K<s> with K in
+    round r. Conversely, a seed s of prime relative order p over K gives
+    |K<s>| = p|K|, a subgroup of round r + 1: every join found lies in the
+    next round, so a subgroup is found again only within its own round,
+    where the round keeps one of each. Since K<y> = K<s> for every y in the
+    coset K*s, K is joined only with the first seed of each coset.
+
+    Any other G joins one representative K of each conjugacy class of
     subgroups other than G with the seeds, until no join finds a new class
     (after Neubüser, Numer. Math. 2, 1960). This is exact. Every subgroup J
     that is not cyclic is <K', x'> for a smaller subgroup K' and some x',
@@ -269,9 +354,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     representative: one gather of the conjugation table conj[g, h] =
     g*h*g^-1 at its members gives every conjugate as a row, and once each
     row is sorted, one row of each distinct conjugate is listed as known. A
-    normal subgroup, which one mask test finds, is its own class; an
-    abelian G, whose table equals its transpose, builds no conjugation
-    table, and every class is one subgroup.
+    normal subgroup, which one mask test finds, is its own class.
 
     Since <K, y> = <K, x> for every y in the double coset KxK, K is joined
     only with the first seed of each double coset other than K itself: any
@@ -296,6 +379,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         return _sorted_lattice(G, masks)
 
     table = G._table()
+    if np.array_equal(table, table.T):
+        return _sorted_lattice(G, _abelian_masks(G, seeds))
     cols = table.T.tolist()  # cols[g][x] = x*g
     ds = divisors(n)
     # the largest proper subgroup order that k divides, for each divisor k of n
@@ -337,7 +422,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 reps.append(rt)
         return frozenset(inside)
 
-    conj = None if np.array_equal(table, table.T) else table[table, G.inverses()[:, None]]
+    conj = table[table, G.inverses()[:, None]]
     known = {whole}  # every subgroup of a listed class
 
     def listed(members: frozenset) -> bool:
@@ -345,18 +430,17 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         conjugacy class as known when it is."""
         if members in known:
             return False
-        if conj is not None:
-            ks = np.fromiter(members, dtype=np.intp, count=len(members))
-            conjugates = conj[:, ks]  # row g holds g*K*g^-1
-            inside = np.zeros(n, dtype=bool)
-            inside[ks] = True
-            if not inside[conjugates].all():
-                conjugates.sort(axis=1)
-                rows, width = conjugates.tobytes(), conjugates.itemsize * len(ks)
-                # one row of each conjugate, told apart by its sorted members
-                distinct = {rows[i:i + width]: g for g, i in enumerate(range(0, len(rows), width))}
-                known.update(map(frozenset, conjugates[list(distinct.values())].tolist()))
-                return True
+        ks = np.fromiter(members, dtype=np.intp, count=len(members))
+        conjugates = conj[:, ks]  # row g holds g*K*g^-1
+        inside = np.zeros(n, dtype=bool)
+        inside[ks] = True
+        if not inside[conjugates].all():
+            conjugates.sort(axis=1)
+            rows, width = conjugates.tobytes(), conjugates.itemsize * len(ks)
+            # one row of each conjugate, told apart by its sorted members
+            distinct = {rows[i:i + width]: g for g, i in enumerate(range(0, len(rows), width))}
+            known.update(map(frozenset, conjugates[list(distinct.values())].tolist()))
+            return True
         known.add(members)
         return True
 

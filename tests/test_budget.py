@@ -255,6 +255,24 @@ def test_lattice_cap_edge(monkeypatch):
         all_subgroups(past)
 
 
+def test_abelian_lattice_peaks_within_a_few_mask_matrices(monkeypatch):
+    # C2^6 with blocks of one subgroup: the 2825 subgroups as returned hold
+    # about 4.2 times their 180 800-byte mask matrix (the matrix, and one
+    # Subgroup and one row view each), the sort about 3 more; a search
+    # that joined a whole round at once peaked at 28 times the matrix
+    G = gc.abelian_of_type({2: [1] * 6})
+    G.power_table(), G.cyclic_seeds()
+    monkeypatch.setattr(gc, "_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        subs = all_subgroups(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == 2825
+    assert peak < 10 * len(subs) * G.order
+
+
 def test_scan_past_lattice_cap_refused_before_the_catalog(monkeypatch, capsys):
     monkeypatch.setattr(verify, "default_catalog", refuse)
     assert main(["scan", "--max-order", str(LATTICE_CAP + 1)]) == 1

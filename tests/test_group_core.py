@@ -470,6 +470,20 @@ def test_cyclic_power_table_matches_doubling_and_sieve(n):
     assert getattr(G, "_table_cache", None) is None
 
 
+@pytest.mark.parametrize("n", [*range(1, LATTICE_CAP + 1), 4096])
+def test_cyclic_seeds_in_closed_form_match_the_power_table(n):
+    # C_n's seeds n/d and weights phi(d), built with no power table, against
+    # the generic minimum over the power table's generator entries
+    G = gc.cyclic(n)
+    seeds, weights = G.cyclic_seeds()
+    assert getattr(G, "_power_cache", None) is None
+    expected = gc.FiniteGroup.cyclic_seeds(gc.cyclic(n))
+    for got, want in zip((seeds, weights), expected):
+        assert got.dtype == want.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert G.cyclic_seeds()[0] is seeds
+
+
 def test_power_table_stays_within_one_cayley_table():
     # C4096 has an element of order 4096, so its power table is as large as
     # its Cayley table; building it may allocate little more than that

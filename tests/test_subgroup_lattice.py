@@ -14,6 +14,7 @@ from relpsi.numtheory import factorize
 from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, relative_orders
 from relpsi.subgroup_lattice import (
     Subgroup,
+    _abelian_masks,
     _CanonicalGenerators,
     all_subgroups,
     conjugates_intersect_trivially,
@@ -412,6 +413,19 @@ class TestLatticeOracles:
         R = relabelled_copy(G, G.order)
         assert lattice(all_subgroups(R)) == join_by_generate(R)
 
+    @pytest.mark.parametrize("type_map", [
+        {2: [1] * 5},
+        {2: [2, 2, 1]},
+        {2: [1, 1], 3: [1], 5: [1]},
+    ], ids=["C2^5", "C4xC4xC2", "C2xC2xC3xC5"])
+    def test_relabelled_abelian_matches_join_by_generate(self, type_map):
+        # a relabelled abelian table takes the layered search with its seeds,
+        # coset labels and join rows in orders the constructors never give
+        G = relabelled_copy(gc.abelian_of_type(type_map), 34)
+        subs = all_subgroups(G)
+        assert lattice(subs) == join_by_generate(G)
+        assert Counter(H.order for H in subs) == abelian_subgroup_counts(type_map)
+
     @pytest.mark.parametrize("n", range(3, LATTICE_CAP // 2 + 1))
     def test_dihedral_count(self, n):
         # D_n of order 2n has tau(n) + sigma(n) subgroups: a cyclic one for
@@ -471,25 +485,52 @@ class TestCanonicalGenerators:
         assert all(H.generators is first[H] for H in subs)
 
 
+def nested_code(function):
+    """The code objects of the functions nested in ``function``, by name."""
+    return {c.co_name: c for c in function.__code__.co_consts if hasattr(c, "co_name")}
+
+
 def lattice_with_search_counts(G):
     """all_subgroups(G), the calls of its nested `join`, restarts included,
-    and the conjugacy classes its nested `listed` found new, counted by a
-    profile hook."""
-    nested = {c.co_name: c for c in all_subgroups.__code__.co_consts if hasattr(c, "co_name")}
-    join, listed = nested["join"], nested["listed"]
-    calls = classes = 0
+    the conjugacy classes its nested `listed` found new, and the rows of
+    the join masks that the nested `joins` of `_abelian_masks` built, all
+    counted by a profile hook."""
+    join, listed = nested_code(all_subgroups)["join"], nested_code(all_subgroups)["listed"]
+    joins = nested_code(_abelian_masks)["joins"]
+    calls = classes = built = 0
 
     def profile(frame, event, arg):
-        nonlocal calls, classes
+        nonlocal calls, classes, built
         calls += event == "call" and frame.f_code is join
         classes += event == "return" and frame.f_code is listed and arg is True
+        built += len(arg) if event == "return" and frame.f_code is joins else 0
 
     sys.setprofile(profile)
     try:
         subs = all_subgroups(G)
     finally:
         sys.setprofile(None)
-    return subs, calls, classes
+    return subs, calls, classes, built
+
+
+def prime_index_inclusions(subs):
+    """The index p of every inclusion H < J of prime index among ``subs``,
+    the edges of their Hasse diagram when ``subs`` is a whole lattice of
+    an abelian group, read off the member masks alone."""
+    masks = np.array([H.mask() for H in subs], dtype=np.int64)
+    orders = masks.sum(axis=1)
+    inside = masks @ (1 - masks).T == 0  # inside[h, j]: H lies in J
+    index = orders[None, :] // orders[:, None]
+    return [int(p) for p in index[inside] if p > 1 and all(p % d for d in range(2, p))]
+
+
+def assert_joins_bounded_by_the_hasse_diagram(subs, built):
+    """Each join the layered search builds is a prime-index inclusion
+    K < K<s>, and it builds each one from at least one and at most all of
+    the p - 1 cosets K*s other than K in K<s>: exactly once each when every
+    index is 2."""
+    indices = prime_index_inclusions(subs)
+    assert len(indices) <= built <= sum(p - 1 for p in indices)
 
 
 def conjugacy_classes(G, subs):
@@ -508,32 +549,41 @@ def conjugacy_classes(G, subs):
 
 class TestJoinCount:
     """The calls of the nested `join` of `all_subgroups`, restarts included,
-    and the conjugacy classes of subgroups it lists, pinned per group. Which
-    seeds each representative is joined with, where a walk starts, when it
-    restarts and when a join is answered with no walk each move the first
-    count, even where they leave the lattice found the same. The second is
-    the number of conjugacy classes of subgroups other than G, which the
-    lattice itself gives; a cyclic group lists none."""
+    the conjugacy classes of subgroups it lists, and the joins the layered
+    search of an abelian group builds, pinned per group. Which seeds each
+    representative is joined with, where a walk starts, when it restarts
+    and when a join is answered with no walk each move the first count,
+    even where they leave the lattice found the same. The second is the
+    number of conjugacy classes of subgroups other than G, which the
+    lattice itself gives; a cyclic group lists none, and an abelian one
+    walks no join and lists no class. The third lies between the number of
+    prime-index inclusions of the lattice and their sum of p - 1, and
+    equals the first on a 2-group."""
 
-    @pytest.mark.parametrize("make, calls, classes", [
-        (lambda: gc.symmetric(5), 239, 18),
-        (lambda: gc.dihedral(60), 489, 31),
-        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 288, 53),
-        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 116, 11),
-        (lambda: gc.cyclic(120), 0, 0),
-        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 2046, 373),
-    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120", "C2^5"])
-    def test_join_calls_are_pinned(self, make, calls, classes):
+    @pytest.mark.parametrize("make, calls, classes, built", [
+        (lambda: gc.symmetric(5), 239, 18, 0),
+        (lambda: gc.dihedral(60), 489, 31, 0),
+        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 0, 0, 141),
+        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 116, 11, 0),
+        (lambda: gc.cyclic(120), 0, 0, 0),
+        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 0, 0, 2077),
+        (lambda: gc.abelian_of_type({3: [1, 1, 1]}), 0, 0, 129),
+    ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120", "C2^5", "C3^3"])
+    def test_join_calls_are_pinned(self, make, calls, classes, built):
         G = make()
         subs, *counts = lattice_with_search_counts(G)
-        assert counts == [calls, classes]
-        assert classes == (0 if G.is_cyclic() else conjugacy_classes(G, subs) - 1)
+        assert counts == [calls, classes, built]
+        if built:
+            assert_joins_bounded_by_the_hasse_diagram(subs, built)
+        else:
+            assert classes == (0 if G.is_cyclic() else conjugacy_classes(G, subs) - 1)
 
 
 class TestCyclicLattice:
     """A group with an element of order |G| is cyclic, so every subgroup is
     one of the seeds <x> and the lattice needs no join, however the group
-    is built; a group of the same order with no such element still joins."""
+    is built; an abelian group of the same order with no such element
+    still builds joins, by prime index."""
 
     @pytest.mark.parametrize("make", [
         lambda: gc.direct_product([gc.cyclic(3), gc.cyclic(4), gc.cyclic(5)]),
@@ -542,8 +592,8 @@ class TestCyclicLattice:
     ], ids=["C3xC4xC5", "C8xC3xC5", "C60-relabelled"])
     def test_no_join_and_the_reference_lattice(self, make):
         G = make()
-        subs, calls, classes = lattice_with_search_counts(G)
-        assert calls == classes == 0
+        subs, calls, classes, built = lattice_with_search_counts(G)
+        assert calls == classes == built == 0
         assert lattice(subs) == join_by_generate(G)
 
     @pytest.mark.parametrize("make", [
@@ -552,17 +602,20 @@ class TestCyclicLattice:
     ], ids=["C2xC2xC3xC5", "C4xC2xC3xC5"])
     def test_non_cyclic_of_the_same_order_joins(self, make):
         G = make()
-        subs, calls, classes = lattice_with_search_counts(G)
-        assert calls > 0 and classes == len(subs) - 1
+        subs, calls, classes, built = lattice_with_search_counts(G)
+        assert calls == classes == 0 and built > 0
+        assert_joins_bounded_by_the_hasse_diagram(subs, built)
         assert lattice(subs) == join_by_generate(G)
 
 
 class TestSmallBlocks:
     """With group_core._BLOCK cut to a few dozen entries each frontier round
-    is labelled one subgroup a block, and each power-table doubling reads
-    one row a block; at 2^14 a label block holds up to 2^11 / |G| members,
-    several small subgroups, and a round spans many blocks. Every result
-    stays as with the default blocks."""
+    is labelled one subgroup a block, each round of an abelian group joins
+    one subgroup a block, and each power-table doubling reads one row a
+    block; at 2^14 a label block holds up to 2^11 / |G| members, several
+    small subgroups, a round of C2^5 joins 16 subgroups a block, and a
+    round spans many blocks, whose joins the round must make distinct
+    across them. Every result stays as with the default blocks."""
 
     @pytest.mark.parametrize("block", [48, 1 << 14])
     @pytest.mark.parametrize("make", [
@@ -595,14 +648,17 @@ class TestAbelianSubgroupCounts:
 
     @pytest.mark.parametrize("type_map, total", [
         ({2: [1] * 5}, 374),
+        ({2: [1] * 6}, 2825),
         ({2: [2, 2, 1, 1]}, 249),
         ({3: [1] * 4}, 212),
+        ({5: [1] * 3}, 64),
         ({2: [3, 1, 1]}, 38),
         ({2: [2, 1], 3: [1, 1]}, 48),
         ({3: [2, 1]}, 10),
         ({2: [2, 1]}, 8),
         ({5: [1, 1]}, 8),
-    ], ids=["C2^5", "C4^2xC2^2", "C3^4", "C8xC2^2", "C4xC2xC3^2", "C9xC3", "C4xC2", "C5^2"])
+    ], ids=["C2^5", "C2^6", "C4^2xC2^2", "C3^4", "C5^3", "C8xC2^2", "C4xC2xC3^2", "C9xC3", "C4xC2",
+            "C5^2"])
     def test_named_groups(self, type_map, total):
         counts = abelian_subgroup_counts(type_map)
         assert sum(counts.values()) == total
