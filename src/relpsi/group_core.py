@@ -447,6 +447,8 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise CayleyTableError(f"table is not square: shape {table.shape}")
     n = table.shape[0]
+    if n == 0:
+        raise CayleyTableError("table is empty: a group has an identity")
     if table.min() < 0 or table.max() >= n:
         raise CayleyTableError("table entries must lie in [0, n)")
     table = table.astype(np.min_scalar_type(n - 1), copy=False)

@@ -63,10 +63,10 @@ class Subgroup:
     @property
     def generators(self) -> tuple[int, ...]:
         if self._generators is None:
-            memo = getattr(self.parent, "_generators_cache", None)
-            if memo is None:
-                memo = self.parent._generators_cache = _CanonicalGenerators(self.parent)
-            self._generators = memo(self._mask, self.order)
+            walk = getattr(self.parent, "_generators_cache", None)
+            if walk is None:
+                walk = self.parent._generators_cache = _CosetWalk(self.parent)
+            self._generators = walk.generators(self._mask, self.order)
         return self._generators
 
     @property
@@ -121,27 +121,75 @@ def _closed(parent: FiniteGroup, mask: np.ndarray, order: int, generators: tuple
     return sub
 
 
-class _CanonicalGenerators:
-    """The canonical generators of the subgroups of one tabulated group,
-    each from its member mask and order: the elements ranked by descending
-    order, least encoding first within one order, are read in that rank, and
-    each one outside the closure of those taken before is taken next.
+class _CosetWalk:
+    """The coset walk `join` in one tabulated group G and what it reads:
+    the table's columns, the element orders and powers, the Lagrange bound
+    ``largest`` and the cyclic subgroups met so far. `all_subgroups` joins
+    with one of its own; the canonical generators are read with one kept on G.
 
-    The closure of every generator prefix taken is kept by its tuple. A
-    prefix of a subgroup's tuple is the tuple of its own closure, since its
-    closure holds each element the rank met before, so every kept closure
-    is a different subgroup, and a lattice's tuples take at most one walk
-    per subgroup.
+    Those generators are read from a subgroup's mask and order: the
+    elements ranked by descending order, least encoding first within one
+    order, are read in that rank, and each one outside the closure of those
+    taken before is taken next. The closure of every generator prefix taken
+    is kept as a mask by its tuple. A prefix of a subgroup's tuple is the
+    tuple of its own closure, since its closure holds each element the rank
+    met before, so every kept closure is a different subgroup, and a
+    lattice's tuples take at most one join per subgroup.
     """
 
     def __init__(self, G: FiniteGroup):
-        trivial = np.zeros(G.order, dtype=bool)
+        n = G.order
+        self.cols = G._table().T.tolist()  # cols[g][x] = x*g
+        self.powers, self.orders = G.power_table(), G.element_orders().tolist()
+        ds = divisors(n)
+        # the largest proper subgroup order that k divides, for each divisor k of n
+        self.largest = {k: max((d for d in ds[:-1] if d % k == 0), default=0) for k in ds}
+        self.whole = frozenset(G.elements())
+        self.cyclics: dict[int, frozenset] = {}
+        self.ranked = np.argsort(-G.element_orders(), kind="stable")
+        trivial = np.zeros(n, dtype=bool)
         trivial[G.identity] = True
-        self.table, self.powers, self.orders = G._table(), G.power_table(), G.element_orders()
-        self.ranked = np.argsort(-self.orders, kind="stable")
         self.closures = {(): (trivial, 1)}
 
-    def __call__(self, mask: np.ndarray, order: int) -> tuple[int, ...]:
+    def cyclic(self, x: int) -> frozenset:
+        if x not in self.cyclics:
+            self.cyclics[x] = frozenset(self.powers[:self.orders[x], x].tolist())
+        return self.cyclics[x]
+
+    def join(self, base, gens: tuple, k: int) -> frozenset:
+        """The subgroup J generated by ``gens`` and its subgroup ``base``,
+        where k divides |J|.
+
+        J is a union of right cosets B*r of B = ``base``: from r = identity,
+        each product r*t with a generator t that is not yet a member adds its
+        whole coset B*(r*t). Since r*t lies in J, a walk that meets an r*t of
+        order above |B| restarts over the larger B = <r*t>, which has fewer
+        cosets. By Lagrange |J| is a multiple of lcm(k, orders of the r*t)
+        and at least the members found, so once no proper subgroup order
+        fits both, J is G.
+        """
+        cols, orders, largest = self.cols, self.orders, self.largest
+        inside = set(base)
+        coset = operator.itemgetter(*base)  # base is never trivial: this gives tuples
+        reps = [0]
+        for r in reps:
+            for t in gens:
+                rt = cols[t][r]
+                if rt in inside:
+                    continue
+                if orders[rt] > len(base):
+                    return self.join(self.cyclic(rt), gens, math.lcm(k, orders[rt]))
+                inside.update(coset(cols[rt]))
+                k = math.lcm(k, orders[rt])
+                if len(inside) > largest[k]:
+                    return self.whole
+                reps.append(rt)
+        return frozenset(inside)
+
+    def generators(self, mask: np.ndarray, order: int) -> tuple[int, ...]:
+        """The canonical generators of the subgroup with this member mask
+        and order; each new prefix is closed by `join` from the larger of
+        the closure before it and the new element's cyclic subgroup."""
         gens, (closed, size) = (), self.closures[()]
         for x in self.ranked[mask[self.ranked]].tolist():
             if size == order:
@@ -149,30 +197,14 @@ class _CanonicalGenerators:
             if not closed[x]:
                 gens += (x,)
                 if gens not in self.closures:
-                    self.closures[gens] = self._extend(closed, size, gens)
+                    m = self.orders[x]
+                    base = self.cyclic(x) if m > size else np.flatnonzero(closed).tolist()
+                    members = self.join(base, gens, math.lcm(size, m))
+                    inside = np.zeros(len(closed), dtype=bool)
+                    inside[list(members)] = True
+                    self.closures[gens] = inside, len(members)
                 closed, size = self.closures[gens]
         return gens or (0,)
-
-    def _extend(self, closed: np.ndarray, size: int, gens: tuple) -> tuple[np.ndarray, int]:
-        """The mask and order of <gens>, from those of <gens[:-1]>: a union
-        of right cosets of the larger B of that subgroup and <gens[-1]>,
-        each new product r*t of a coset representative r and a generator t
-        adding its coset B*(r*t) in one table gather."""
-        x = gens[-1]
-        base = self.powers[:self.orders[x], x]
-        if len(base) > size:
-            inside = np.zeros(len(closed), dtype=bool)
-            inside[base] = True
-        else:
-            inside, base = closed.copy(), np.flatnonzero(closed)
-        reps = [0]
-        for r in reps:
-            for t in gens:
-                rt = self.table[r, t]
-                if not inside[rt]:
-                    inside[self.table[base, rt]] = True
-                    reps.append(rt)
-        return inside, len(base) * len(reps)
 
 
 def generate(G: FiniteGroup, gens) -> Subgroup:
@@ -381,49 +413,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     table = G._table()
     if np.array_equal(table, table.T):
         return _sorted_lattice(G, _abelian_masks(G, seeds))
-    cols = table.T.tolist()  # cols[g][x] = x*g
-    ds = divisors(n)
-    # the largest proper subgroup order that k divides, for each divisor k of n
-    largest = {k: max((d for d in ds[:-1] if d % k == 0), default=0) for k in ds}
-    whole = frozenset(G.elements())
-    cyclics: dict[int, frozenset] = {}
-
-    def cyclic(x: int) -> frozenset:
-        if x not in cyclics:
-            cyclics[x] = frozenset(powers[:orders[x], x].tolist())
-        return cyclics[x]
-
-    def join(base: frozenset, gens: tuple, k: int) -> frozenset:
-        """The subgroup J generated by ``gens`` and its subgroup ``base``,
-        where k divides |J|.
-
-        J is a union of right cosets B*r of B = ``base``: from r = identity,
-        each product r*t with a generator t that is not yet a member adds its
-        whole coset B*(r*t). Since r*t lies in J, a walk that meets an r*t of
-        order above |B| restarts over the larger B = <r*t>, which has fewer
-        cosets. By Lagrange |J| is a multiple of lcm(k, orders of the r*t)
-        and at least the members found, so once no proper subgroup order
-        fits both, J is G.
-        """
-        inside = set(base)
-        coset = operator.itemgetter(*base)  # base is never trivial: this gives tuples
-        reps = [G.identity]
-        for r in reps:
-            for t in gens:
-                rt = cols[t][r]
-                if rt in inside:
-                    continue
-                if orders[rt] > len(base):
-                    return join(cyclic(rt), gens, math.lcm(k, orders[rt]))
-                inside.update(coset(cols[rt]))
-                k = math.lcm(k, orders[rt])
-                if len(inside) > largest[k]:
-                    return whole
-                reps.append(rt)
-        return frozenset(inside)
-
+    walk = _CosetWalk(G)
+    largest, cyclic, join = walk.largest, walk.cyclic, walk.join
     conj = table[table, G.inverses()[:, None]]
-    known = {whole}  # every subgroup of a listed class
+    known = {walk.whole}  # every subgroup of a listed class
 
     def listed(members: frozenset) -> bool:
         """Whether the subgroup with these members is new, listing its whole

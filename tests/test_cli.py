@@ -714,13 +714,13 @@ class TestOrderSumCrossCheck:
     @pytest.fixture
     def wrong_seed_weight(self, monkeypatch):
         # the recorded mutant of `lattice_order_sums`: the last seed weighs
-        # one element more than generate its cyclic subgroup
-        seeds = gc.FiniteGroup.cyclic_seeds
-
-        def mutant(G):
-            s, w = seeds(G)
-            return s, w + (np.arange(len(w)) == len(w) - 1)
-        monkeypatch.setattr(gc.FiniteGroup, "cyclic_seeds", mutant)
+        # one element more than generate its cyclic subgroup, for C_n's
+        # closed-form seeds as for every other group's
+        for cls in (gc.FiniteGroup, gc.CyclicGroup):
+            def mutant(G, seeds=cls.cyclic_seeds):
+                s, w = seeds(G)
+                return s, w + (np.arange(len(w)) == len(w) - 1)
+            monkeypatch.setattr(cls, "cyclic_seeds", mutant)
 
     def test_agreement_keeps_the_verdicts(self, rechecked, capsys, tmp_path):
         assert main(["scan", "--max-order", "100", "--include-frobenius"]) == 3
@@ -739,7 +739,8 @@ class TestOrderSumCrossCheck:
                    r"lattice pass and \d+ from relative_orders")
         assert err and all(re.fullmatch(pattern, line) for line in err)
         doc = json.loads(path.read_text())["results"][0]
-        assert "Frob(2,3)" in [e["group"] for e in doc["errors"]]
+        failed = [e["group"] for e in doc["errors"]]
+        assert "Frob(2,3)" in failed and "C12" in failed
         assert doc["total_violations"] == 0
 
     def test_ratios_with_a_wrong_seed_weight_exits_2(self, wrong_seed_weight, capsys, tmp_path):

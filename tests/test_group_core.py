@@ -341,6 +341,12 @@ class TestCayleyIngestion:
                 seen[want[1].split()[0], int(want[1].split()[1]) >= 3] += 1
         assert seen["row", True] and seen["column", True], seen
 
+    @pytest.mark.parametrize("make", [gc.from_cayley_table, gc.CayleyTableGroup])
+    def test_empty_table_rejected(self, make):
+        # refused before the range check, whose min() has no value on it
+        with pytest.raises(CayleyTableError, match="^table is empty: a group has an identity$"):
+            make(np.zeros((0, 0), dtype=np.int64))
+
     def test_out_of_range_entries(self):
         with pytest.raises(CayleyTableError, match="entries"):
             gc.from_cayley_table([[0, 1], [1, 5]])

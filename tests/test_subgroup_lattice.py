@@ -15,7 +15,7 @@ from relpsi.order_sums import lattice_order_sums, psi, psi_ratio, psi_relative, 
 from relpsi.subgroup_lattice import (
     Subgroup,
     _abelian_masks,
-    _CanonicalGenerators,
+    _CosetWalk,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -467,20 +467,22 @@ class TestCanonicalGenerators:
         G = make()
         self.assert_canonical(G, all_subgroups(G))
 
-    def test_read_on_first_use_with_one_walk_per_subgroup(self, monkeypatch):
-        walks = 0
-
-        def counted(self, *args, _extend=_CanonicalGenerators._extend):
-            nonlocal walks
-            walks += 1
-            return _extend(self, *args)
-
-        monkeypatch.setattr(_CanonicalGenerators, "_extend", counted)
+    def test_read_on_first_use_with_one_walk_per_subgroup(self):
         G = gc.symmetric(5)
         subs = all_subgroups(G)
         assert all(H._generators is None for H in subs)
-        first = {H: H.generators for H in reversed(subs)}
-        # each walk closes a different prefix, itself a subgroup other than {e}
+        walks = 0
+
+        def profile(frame, event, arg):
+            nonlocal walks
+            walks += event == "call" and frame.f_code is _CosetWalk.join.__code__
+
+        sys.setprofile(profile)
+        try:
+            first = {H: H.generators for H in reversed(subs)}
+        finally:
+            sys.setprofile(None)
+        # each prefix is closed once, and is a different subgroup other than {e}
         assert 0 < walks < len(subs)
         assert all(H.generators is first[H] for H in subs)
 
@@ -491,11 +493,11 @@ def nested_code(function):
 
 
 def lattice_with_search_counts(G):
-    """all_subgroups(G), the calls of its nested `join`, restarts included,
-    the conjugacy classes its nested `listed` found new, and the rows of
-    the join masks that the nested `joins` of `_abelian_masks` built, all
-    counted by a profile hook."""
-    join, listed = nested_code(all_subgroups)["join"], nested_code(all_subgroups)["listed"]
+    """all_subgroups(G), the calls of its coset walk `_CosetWalk.join`,
+    restarts included, the conjugacy classes its nested `listed` found new,
+    and the rows of the join masks that the nested `joins` of
+    `_abelian_masks` built, all counted by a profile hook."""
+    join, listed = _CosetWalk.join.__code__, nested_code(all_subgroups)["listed"]
     joins = nested_code(_abelian_masks)["joins"]
     calls = classes = built = 0
 
@@ -548,7 +550,7 @@ def conjugacy_classes(G, subs):
 
 
 class TestJoinCount:
-    """The calls of the nested `join` of `all_subgroups`, restarts included,
+    """The calls of `_CosetWalk.join` in `all_subgroups`, restarts included,
     the conjugacy classes of subgroups it lists, and the joins the layered
     search of an abelian group builds, pinned per group. Which seeds each
     representative is joined with, where a walk starts, when it restarts
