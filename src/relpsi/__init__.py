@@ -59,7 +59,7 @@ _LAZY_MODULES = {
         "ratio_bounds_for_index",
         "relative_orders",
     ),
-    "classify": ("is_nilpotent", "is_solvable"),
+    "classify": ("is_nilpotent",),
     "verify": (
         "BijectionResult",
         "CatalogReport",

@@ -22,7 +22,7 @@ ENCODING_CAP = 1 << 62
 # on a 2-vCPU VM
 ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
-# bytes: 32 MiB; is_solvable, which reads that table, is refused above it
+# bytes: 32 MiB
 TABLE_CAP = 4096
 # order of a group whose whole subgroup lattice is enumerated: no search
 # when the group is cyclic, since its lattice is its seeds <x>, numpy

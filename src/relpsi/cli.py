@@ -2,12 +2,12 @@
 
 Exit codes: 0 success / no violated claim, 1 bad input or parse error,
 2 brute-force cross-check mismatch, a bijection certificate that fails
-its check, a violating or failing subgroup whose psi_H (or largest
-relative order) `relative_orders` does not confirm, or a ``scan`` catalog
-group that raised, 3 a scanned claim was
-violated (for ``scan`` this is the expected outcome once the catalog
-contains the affine Frobenius groups; for ``bijection`` it means no
-bijection exists).
+its check, a lattice that breaks Frobenius' count of its p-subgroups, a
+violating or failing subgroup whose psi_H (or largest relative order)
+`relative_orders` does not confirm, or a ``scan`` catalog group that
+raised, 3 a scanned claim was violated (for ``scan`` this is the
+expected outcome once the catalog contains the affine Frobenius groups;
+for ``bijection`` it means no bijection exists).
 
 Cayley-table file format: optional ``#`` comment lines; first data line is
 the order n; then n lines of n whitespace-separated encodings in [0, n) with
@@ -289,7 +289,8 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
             failures.append((H, value, largest))
         rows.append({"subgroup_order": m, "index": q, "psi_h": str(value),
                      "bound": str(bound), "checks": checks})
-    problem = verify.order_sum_mismatch(G, failures)
+    problem = (verify.subgroup_count_mismatch(G.order, [H.order for H in subgroups])
+               or verify.order_sum_mismatch(G, failures))
     if problem is not None:
         return _mismatch(label, problem)
     for row in rows:
@@ -308,8 +309,7 @@ def cmd_ratios(args) -> tuple[int, str, list]:
     G = load_cayley_file(args.group_file, _check_lattice_order)
     label = f"ratios {args.group_file}"
     records = verify.subgroup_ratio_scan(G)
-    problem = verify.order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
-                                            for rec in records if rec.is_violation))
+    problem = verify.scan_mismatch(G, records)
     if problem is not None:
         return _mismatch(label, problem)
     # each line prints from its record's report entry, which holds the one

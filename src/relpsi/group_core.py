@@ -13,8 +13,8 @@ product and split, and the Cayley table, inverses, element orders and power
 table all come from it, except C_n's power table: its rows are k*x mod n,
 which is arithmetic and needs no Cayley table. A group of order at most
 TABLE_CAP builds one compact Cayley table, from the array product, when
-the power table of a class other than C_n, the subgroup lattice or the
-derived series first needs it, and caches it; `multiply_array` reads that
+the power table of a class other than C_n or the subgroup lattice first
+needs it, and caches it; `multiply_array` reads that
 table once it exists and otherwise computes products arithmetically, so a
 closure or inverse pass alone, or any pass above the cap, builds no table;
 a direct product multiplies its factors' coordinates, so a factor never

@@ -12,8 +12,6 @@ from collections import deque
 
 __all__ = ["MaxFlow"]
 
-_INF = float("inf")
-
 
 class MaxFlow:
     def __init__(self, num_nodes: int):
@@ -55,10 +53,12 @@ class MaxFlow:
 
     def max_flow(self, source: int, sink: int) -> int:
         total = 0
+        # no path carries more than the source sends out, so that int bounds each push
+        out = sum(edge[1] for edge in self.graph[source])
         while self._bfs(source, sink):
             self.it = [0] * self.n
             while True:
-                flow = self._dfs(source, sink, _INF)
+                flow = self._dfs(source, sink, out)
                 if flow == 0:
                     break
                 total += flow

@@ -124,8 +124,8 @@ def _closed(parent: FiniteGroup, mask: np.ndarray, order: int, generators: tuple
 class _CosetWalk:
     """The coset walk `join` in one tabulated group G and what it reads:
     the table's columns, the element orders and powers, the Lagrange bound
-    ``largest`` and the cyclic subgroups met so far. `all_subgroups` joins
-    with one of its own; the canonical generators are read with one kept on G.
+    ``largest`` and the cyclic subgroups met so far. One is kept on G, by
+    `all_subgroups`, which joins with it, or by the first generator read.
 
     Those generators are read from a subgroup's mask and order: the
     elements ranked by descending order, least encoding first within one
@@ -413,7 +413,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     table = G._table()
     if np.array_equal(table, table.T):
         return _sorted_lattice(G, _abelian_masks(G, seeds))
-    walk = _CosetWalk(G)
+    # the canonical generators are read with this walker too
+    walk = G._generators_cache = _CosetWalk(G)
     largest, cyclic, join = walk.largest, walk.cyclic, walk.join
     conj = table[table, G.inverses()[:, None]]
     known = {walk.whole}  # every subgroup of a listed class

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import group_core
 from .budget import BIJECTION_CAP, RATIO_TABLE_CAP
-from .classify import is_nilpotent, is_solvable
 from .group_core import CyclicGroup, FiniteGroup
 from .numtheory import (
     CounterexampleSpec,
@@ -42,7 +41,9 @@ __all__ = [
     "GroupScanResult",
     "CatalogReport",
     "subgroup_ratio_scan",
+    "subgroup_count_mismatch",
     "order_sum_mismatch",
+    "scan_mismatch",
     "build_counterexample",
     "bijection_exists",
     "check_bijection",
@@ -95,16 +96,35 @@ class ViolationRecord(NamedTuple):
 
 def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     """One record per subgroup of G, with the exact ratio against the cyclic
-    reference and a violation flag where the ratio exceeds 1."""
-    nilpotent = is_nilpotent(G)
-    # nilpotent groups are solvable, so their derived series is not needed
-    solvable = nilpotent or is_solvable(G)
+    reference and a violation flag where the ratio exceeds 1. For each p^a
+    exactly dividing n = |G|, G is nilpotent iff its Sylow p-subgroup, of
+    order p^a, is unique, and solvable iff it has a Hall p-complement, of
+    order n / p^a (P. Hall, 1928 and 1937): both flags count the lattice."""
     subgroups = all_subgroups(G)
     sums, _ = lattice_order_sums(G, subgroups)
     n, name = G.order, G.name
-    references = {m: cyclic_reference(n, m) for m in {H.order for H in subgroups}}
+    counts = Counter([H.order for H in subgroups])
+    parts = [p ** a for p, a in factorize(n)]
+    nilpotent = all(counts[q] == 1 for q in parts)
+    solvable = all(counts[n // q] for q in parts)
+    references = {m: cyclic_reference(n, m) for m in counts}
     return [ViolationRecord(name, n, H, value, references[H.order], nilpotent, solvable)
             for H, value in zip(subgroups, sums)]
+
+
+def subgroup_count_mismatch(n: int, orders) -> str | None:
+    """The first order p^k dividing n of which the subgroup orders
+    ``orders``, of a lattice of a group of order n, count other than 1 mod p
+    subgroups, as a message; or None. Every group has 1 mod p subgroups of
+    each such order (Frobenius, 1895), so a lattice that misses a Sylow
+    conjugate, or any one subgroup of prime-power order, fails this."""
+    counts = Counter(orders)
+    for p, a in factorize(n):
+        for q in (p ** k for k in range(1, a + 1)):
+            if counts[q] % p != 1:
+                return (f"the lattice has {counts[q]} subgroups of order {q}, "
+                        f"not 1 mod {p} as Frobenius' theorem requires")
+    return None
 
 
 def order_sum_mismatch(G: FiniteGroup, verdicts) -> str | None:
@@ -121,6 +141,15 @@ def order_sum_mismatch(G: FiniteGroup, verdicts) -> str | None:
             return (f"the largest relative order over the subgroup of order {H.order} is "
                     f"{largest} from the lattice pass and {int(rel.max())} from relative_orders")
     return None
+
+
+def scan_mismatch(G: FiniteGroup, records: list[ViolationRecord]) -> str | None:
+    """What `subgroup_count_mismatch` finds in the lattice of the records
+    of `subgroup_ratio_scan`, else what `order_sum_mismatch` finds in their
+    violations; or None."""
+    return (subgroup_count_mismatch(G.order, [rec.subgroup.order for rec in records])
+            or order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
+                                      for rec in records if rec.is_violation)))
 
 
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:
@@ -297,14 +326,13 @@ class CatalogReport:
 def scan_catalog(groups) -> CatalogReport:
     """Scan every group: classification flags, the plain order-sum comparison
     against C_n, and the per-subgroup ratio records. Per-group failures are
-    collected and the scan continues; so is a violation whose psi_H
-    `order_sum_mismatch` does not confirm, in place of the group's result."""
+    collected and the scan continues; so is what `scan_mismatch` finds, in
+    place of the group's result."""
     report = CatalogReport()
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
             records = subgroup_ratio_scan(G)
-            problem = order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
-                                             for rec in records if rec.is_violation))
+            problem = scan_mismatch(G, records)
             if problem is not None:
                 report.errors.append((G.name, f"MISMATCH: {problem}"))
                 continue

@@ -7,6 +7,10 @@ computes these quantities with its vectorised engine only, so the tests
 compare that engine against this independent one. One inverse, a^(|G| - 1),
 serves every group class. A reader of the table file format, on string
 methods alone, stands beside the program's loader in the same way.
+
+The derived series is the one vectorised oracle here: the program reads
+solvability off the subgroup lattice's orders (Hall), and the series, on
+`multiply_array` and `generate`, shares no code with that count.
 """
 
 import weakref
@@ -15,7 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from relpsi.group_core import CayleyTableError, _validate_table
+from relpsi.group_core import CayleyTableError, _greedy_generators, _validate_table, row_blocks
+from relpsi.subgroup_lattice import generate
 
 
 def power(G, a, e):
@@ -196,3 +201,36 @@ def is_nilpotent(G):
         if any(G.multiply(x, y) not in members for x in sylow for y in sylow):
             return False
     return True
+
+
+def derived_of_members(G, members, gens):
+    """The derived subgroup [K, K] of the subgroup K with these members and
+    generating set ``gens``: the closure of the commutators
+    [a, s] = a s a^-1 s^-1 with a in K and s in ``gens``. It holds every
+    [a, b]: [a, bt] = [a, b] * b[a, t]b^-1 and b[a, t]b^-1 = [ba, t][b, t]^-1."""
+    inv = G.inverses()
+    gens = np.asarray(gens, dtype=np.int64)
+    commutators = np.zeros(G.order, dtype=bool)
+    for rows in row_blocks(members, len(gens)):
+        ab = G.multiply_array(rows, gens)
+        commutators[G.multiply_array(ab, G.multiply_array(inv[rows], inv[gens]))] = True
+    return generate(G, np.flatnonzero(commutators).tolist())
+
+
+def is_solvable(G):
+    """The derived series reaches the trivial subgroup. Each step takes the
+    commutators of the members with a generating set: a greedy one for G,
+    the commutators that generated the step before below it. A group above
+    TABLE_CAP is refused by `_table`, before any product."""
+    G._table()  # every step's products are then table reads
+    members = np.arange(G.order)
+    gens = list(_greedy_generators(G.multiply_array, G.order))
+    # the series strictly decreases, so log2(n) steps suffice
+    for _ in range(G.order.bit_length() + 1):
+        if len(members) == 1:
+            return True
+        nxt = derived_of_members(G, members, gens)
+        if nxt.order == len(members):
+            return False
+        members, gens = np.flatnonzero(nxt.mask()), nxt.generators
+    raise AssertionError("derived series failed to stabilize")

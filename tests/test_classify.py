@@ -7,14 +7,21 @@ import pytest
 
 import relpsi.group_core as gc
 import reference
-from relpsi.classify import _derived_of_members, is_nilpotent, is_solvable
+from relpsi.budget import LATTICE_CAP
+from relpsi.classify import is_nilpotent
 from relpsi.group_core import _greedy_generators
-from relpsi.verify import default_catalog
+from relpsi.verify import default_catalog, subgroup_ratio_scan
 
 
 def derived_subgroup(G):
     gens = list(_greedy_generators(G.multiply_array, G.order))
-    return _derived_of_members(G, np.arange(G.order), gens)
+    return reference.derived_of_members(G, np.arange(G.order), gens)
+
+
+def lattice_flags(G):
+    """(nilpotent, solvable) as the scan reads them off the lattice of G."""
+    trivial = subgroup_ratio_scan(G)[0]
+    return trivial.nilpotent, trivial.solvable
 
 
 def all_pairs_derived(G, members):
@@ -49,7 +56,7 @@ class TestDerivedSubgroup:
         # commutators that `generate` closed
         D = derived_subgroup(G)
         assert D.members == all_pairs_derived(G, G.elements())
-        DD = _derived_of_members(G, np.array(D.elements()), D.generators)
+        DD = reference.derived_of_members(G, np.array(D.elements()), D.generators)
         assert DD.members == all_pairs_derived(G, D.elements())
 
 
@@ -61,30 +68,30 @@ class TestSolvable:
         ids=lambda g: g.name,
     )
     def test_small_groups_solvable(self, G):
-        assert is_solvable(G)
+        assert reference.is_solvable(G)
 
     def test_frobenius_times_c3(self):
         G = gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)])
-        assert is_solvable(G)
+        assert reference.is_solvable(G)
 
     def test_a5_not_solvable(self):
-        assert not is_solvable(gc.alternating(5))
+        assert not reference.is_solvable(gc.alternating(5))
 
     def test_everything_below_60(self, catalog100):
         for G in catalog100:
             if G.order < 60:
-                assert is_solvable(G), G.name
+                assert reference.is_solvable(G), G.name
 
     def test_derived_series_of_frobenius_2_6(self):
-        # 4032 elements: all pairs of members took 0.86 s; as in a scan,
-        # is_nilpotent has built the Cayley table first
+        # 4032 elements, above LATTICE_CAP: all pairs of members took
+        # 0.86 s; is_nilpotent has built the Cayley table first
         G = gc.frobenius_field(2, 6)
         assert not is_nilpotent(G)
         entries = []
         product = G.multiply_array
         G.multiply_array = lambda x, y: entries.append(np.broadcast(x, y).size) or product(x, y)
         start = time.perf_counter()
-        assert is_solvable(G)
+        assert reference.is_solvable(G)
         assert time.perf_counter() - start < 0.1
         # all pairs took 3 * 4032 products per element; the inverses alone take 24
         assert sum(entries) < 64 * G.order
@@ -94,8 +101,37 @@ class TestSolvable:
         assert G.order > gc.TABLE_CAP
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"^refusing to materialize 5040x5040 table \(cap 4096\)$"):
-            is_solvable(G)
+            reference.is_solvable(G)
         assert time.perf_counter() - start < 0.1
+
+
+class TestLatticeFlags:
+    """The scan reads nilpotency off the count of subgroups of order p^a
+    and solvability off the Hall p-complements of order n / p^a; each flag
+    is checked against the derived series, `classify.is_nilpotent` and the
+    scalar Sylow closure of `reference.is_nilpotent`."""
+
+    def test_catalog(self, catalog100):
+        for G in catalog100:
+            nilpotent = is_nilpotent(G)
+            assert nilpotent == reference.is_nilpotent(G), G.name
+            assert lattice_flags(G) == (nilpotent, reference.is_solvable(G)), G.name
+
+    @pytest.mark.parametrize("make, nilpotent, solvable", [
+        (lambda: gc.symmetric(5), False, False),
+        (lambda: gc.alternating(5), False, False),
+        (lambda: gc.direct_product([gc.alternating(5), gc.cyclic(2)]), False, False),
+        (lambda: gc.dihedral(60), False, True),
+        (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), False, True),
+        (lambda: gc.frobenius_field(3, 2), False, True),
+        (lambda: gc.direct_product([gc.symmetric(4), gc.cyclic(2)]), False, True),
+        (lambda: gc.direct_product([gc.quaternion8(), gc.cyclic(9)]), True, True),
+    ], ids=["S5", "A5", "A5xC2", "D60", "Frob(2,3)xC3", "Frob(3,2)", "S4xC2", "Q8xC9"])
+    def test_further_groups(self, make, nilpotent, solvable):
+        G = make()
+        assert is_nilpotent(G) is reference.is_nilpotent(G) is nilpotent
+        assert reference.is_solvable(G) is solvable
+        assert lattice_flags(G) == (nilpotent, solvable)
 
 
 class TestNilpotent:
@@ -116,7 +152,7 @@ class TestNilpotent:
     def test_nilpotent_implies_solvable(self, catalog100):
         for G in catalog100:
             if G.order <= 128 and is_nilpotent(G):
-                assert is_solvable(G), G.name
+                assert reference.is_solvable(G), G.name
 
     def test_multiplicative_over_coprime_products(self):
         cases = [
@@ -168,15 +204,18 @@ def _sympy_cases():
 class TestAgainstSympy:
     """Differential checks against sympy.combinatorics, which shares no code
     with relpsi: derived-subgroup order (this closes the commutators with
-    generate), solvability, nilpotency and the multiset of element orders."""
+    generate), solvability, nilpotency, both flags as the scan reads them
+    off the lattice, and the multiset of element orders."""
 
     @pytest.mark.parametrize("make, make_sympy", _sympy_cases())
     def test_matches_sympy(self, make, make_sympy):
         G, S = make(), make_sympy()
         assert G.order == S.order()
         assert derived_subgroup(G).order == S.derived_subgroup().order()
-        assert is_solvable(G) == S.is_solvable
+        assert reference.is_solvable(G) == S.is_solvable
         assert is_nilpotent(G) == S.is_nilpotent
+        if G.order <= LATTICE_CAP:
+            assert lattice_flags(G) == (S.is_nilpotent, S.is_solvable)
         assert Counter(G.element_orders().tolist()) == Counter(int(p.order()) for p in S.elements)
 
 
@@ -184,7 +223,8 @@ class TestSeededPermutationCatalog:
     """Subgroups of S7, S8 and the Sylow 2-subgroup of S8 and 3-subgroup of
     S9, of order at most LATTICE_CAP, each generated by one to three seeded
     words in the ambient group's generators, against sympy.combinatorics:
-    nilpotency, solvability and element orders agree; psi(G) <= psi(C_n),
+    nilpotency, solvability, the scan's flags read off the lattice and
+    element orders agree; psi(G) <= psi(C_n),
     with equality exactly when sympy calls G cyclic; and no subgroup of a
     nilpotent G has a ratio above 1 against the cyclic reference. The
     nilpotent draws reach orders 81 and 128, whose lattices have hundreds of
@@ -193,10 +233,8 @@ class TestSeededPermutationCatalog:
     def test_matches_sympy_and_the_nilpotent_bound(self):
         from sympy.combinatorics import Permutation, PermutationGroup
 
-        from relpsi.budget import LATTICE_CAP
         from relpsi.numtheory import psi_cyclic
         from relpsi.order_sums import psi
-        from relpsi.verify import subgroup_ratio_scan
 
         def perm(degree, *cycles):
             return Permutation([list(c) for c in cycles], size=degree)
@@ -229,12 +267,13 @@ class TestSeededPermutationCatalog:
                 nilpotent = S.is_nilpotent
                 assert G.order == S.order()
                 assert is_nilpotent(G) == nilpotent
-                assert is_solvable(G) == S.is_solvable
+                assert reference.is_solvable(G) == S.is_solvable
                 assert Counter(G.element_orders().tolist()) == Counter(int(p.order()) for p in S.elements)
                 assert psi(G) <= psi_cyclic(G.order)
                 assert (psi(G) == psi_cyclic(G.order)) == S.is_cyclic
+                records = subgroup_ratio_scan(G)
+                assert (records[0].nilpotent, records[0].solvable) == (nilpotent, S.is_solvable)
                 if nilpotent:
-                    records = subgroup_ratio_scan(G)
                     assert not any(rec.is_violation for rec in records), G.order
                     kinds["nilpotent", G.order, len(records)] += 1
                 else:

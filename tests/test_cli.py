@@ -16,7 +16,7 @@ import pytest
 import sympy
 
 import relpsi.group_core as gc
-from relpsi import cli, numtheory, order_sums, verify
+from relpsi import classify, cli, numtheory, order_sums, subgroup_lattice, verify
 from relpsi.budget import BIJECTION_CAP, ELEMENT_CAP, LATTICE_CAP
 from relpsi.cli import load_cayley_file, main
 
@@ -356,6 +356,19 @@ class TestScan:
         assert doc["errors"] == [{"group": "Q8", "error": "RuntimeError: injected"}]
         assert doc["flagged_groups"] == ["Frob(2,3)"]
         assert "Q8" not in [r["group"] for r in doc["results"]]
+
+    def test_scan_never_calls_classify(self, monkeypatch, capsys, tmp_path):
+        # the flags are read off each group's lattice
+        def refuse(G):
+            raise AssertionError("classify called")
+        for name in classify.__all__:
+            monkeypatch.setattr(classify, name, refuse)
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "100", "--include-frobenius", "--json", str(path)]) == 3
+        doc = json.loads(path.read_text())["results"][0]
+        assert doc["errors"] == [] and doc["groups_scanned"] == 142
+        flags = {(r["nilpotent"], r["solvable"]) for r in doc["results"]}
+        assert flags == {(True, True), (False, True), (False, False)}
 
     def test_scan_including_frobenius_flags(self, capsys, tmp_path):
         json_path = tmp_path / "scan.json"
@@ -765,6 +778,47 @@ class TestOrderSumCrossCheck:
         assert capsys.readouterr().out == (
             "MISMATCH: the largest relative order over the subgroup of order 1 is 13 "
             "from the lattice pass and 12 from relative_orders\n")
+
+
+class TestSubgroupCountCheck:
+    """Every lattice that `scan`, `ratios` and `check-bounds` build is
+    checked against Frobenius' theorem: for each p^k dividing |G| it holds
+    1 mod p subgroups of order p^k. A lattice that misses one subgroup of
+    prime-power order fails it and exits 2 in place of the verdict."""
+
+    MESSAGE = "the lattice has {} subgroups of order {}, not 1 mod {} as Frobenius' theorem requires"
+
+    @pytest.fixture(autouse=True)
+    def dropped(self, monkeypatch):
+        # subgroups[1], one of the least order above 1, has prime order
+        lattice = subgroup_lattice.all_subgroups
+
+        def mutant(G):
+            subgroups = lattice(G)
+            return subgroups[:1] + subgroups[2:]
+        monkeypatch.setattr(subgroup_lattice, "all_subgroups", mutant)
+        monkeypatch.setattr(verify, "all_subgroups", mutant)
+
+    def test_scan_lists_every_group_under_errors(self, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "12", "--include-frobenius", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        doc = json.loads(path.read_text())["results"][0]
+        # of the 24 groups, only C1, with no subgroup to drop, is scanned
+        assert [r["group"] for r in doc["results"]] == ["C1"]
+        assert len(doc["errors"]) == len(err.splitlines()) == 23
+        assert {"group": "S3", "error": "MISMATCH: " + self.MESSAGE.format(2, 2, 2)} in doc["errors"]
+        assert {"group": "C7", "error": "MISMATCH: " + self.MESSAGE.format(0, 7, 7)} in doc["errors"]
+        assert "S3: error: MISMATCH: " + self.MESSAGE.format(2, 2, 2) in err.splitlines()
+
+    @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
+    def test_table_commands_exit_2(self, command, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "s4.txt", gc.symmetric(4))
+        json_path = tmp_path / "out.json"
+        assert main([command, path, "--json", str(json_path)]) == 2
+        problem = self.MESSAGE.format(8, 2, 2)
+        assert capsys.readouterr().out == f"MISMATCH: {problem}\n"
+        assert json.loads(json_path.read_text())["results"] == [{"mismatch": problem}]
 
 
 class TestBijectionCommand:

@@ -486,6 +486,22 @@ class TestCanonicalGenerators:
         assert 0 < walks < len(subs)
         assert all(H.generators is first[H] for H in subs)
 
+    @pytest.mark.parametrize("make, searched", [
+        (lambda: gc.symmetric(5), True),
+        (lambda: gc.frobenius_field(2, 3), True),
+        (lambda: gc.abelian_of_type({2: [1] * 5}), False),
+    ], ids=["S5", "Frob(2,3)", "C2^5"])
+    def test_one_walker_per_group(self, make, searched, monkeypatch):
+        # the class search keeps its walker on G for the reads; an abelian
+        # lattice walks nothing, and its first read builds the walker
+        G = make()
+        subs = all_subgroups(G)
+        assert isinstance(getattr(G, "_generators_cache", None), _CosetWalk) is searched
+        built, init = [], _CosetWalk.__init__
+        monkeypatch.setattr(_CosetWalk, "__init__", lambda walk, G: built.append(G) or init(walk, G))
+        self.assert_canonical(G, subs)
+        assert built == ([] if searched else [G])
+
 
 def nested_code(function):
     """The code objects of the functions nested in ``function``, by name."""

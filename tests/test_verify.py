@@ -21,6 +21,7 @@ from relpsi.verify import (
     default_catalog,
     frobenius_ratio_table,
     scan_catalog,
+    subgroup_count_mismatch,
     subgroup_ratio_scan,
 )
 from reference import inverse, relative_order
@@ -56,6 +57,26 @@ class TestSubgroupRatioScan:
         assert all(rec.subgroup_order == 7 for rec in violations)
         assert all(rec.ratio == Fraction(45, 43) for rec in violations)
         assert all(not rec.nilpotent and rec.solvable for rec in violations)
+
+
+class TestSubgroupCountMismatch:
+    """Frobenius (1895): for each p^k dividing |G|, G has 1 mod p subgroups
+    of order p^k; the first count of a lattice that breaks this is named."""
+
+    def test_every_catalog_lattice_passes(self, catalog_subgroups):
+        for G, subgroups in catalog_subgroups:
+            assert subgroup_count_mismatch(G.order, (H.order for H in subgroups)) is None, G.name
+
+    def test_counts(self):
+        message = "the lattice has {} subgroups of order {}, not 1 mod {} as Frobenius' theorem requires"
+        assert subgroup_count_mismatch(1, [1]) is None
+        # S3: three subgroups of order 2 and one of order 3
+        assert subgroup_count_mismatch(6, [1, 2, 2, 2, 3, 6]) is None
+        assert subgroup_count_mismatch(6, [1, 2, 2, 3, 6]) == message.format(2, 2, 2)
+        assert subgroup_count_mismatch(6, [1, 2, 2, 2, 6]) == message.format(0, 3, 3)
+        # C8 lacks no order but 4; the whole group counts at p^a
+        assert subgroup_count_mismatch(8, [1, 2, 8]) == message.format(0, 4, 2)
+        assert subgroup_count_mismatch(8, [1, 2, 4]) == message.format(0, 8, 2)
 
 
 class TestViolationRecord:
