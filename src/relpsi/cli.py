@@ -2,10 +2,11 @@
 
 Exit codes: 0 success / no violated claim, 1 bad input or parse error,
 2 brute-force cross-check mismatch, a bijection certificate that fails
-its check, a lattice that breaks Frobenius' count of its p-subgroups, a
-violating or failing subgroup whose psi_H (or largest relative order)
-`relative_orders` does not confirm, or a ``scan`` catalog group that
-raised, 3 a scanned claim was violated (for ``scan`` this is the
+its check, a lattice with a subgroup order that does not divide |G| or
+that breaks Frobenius' count of its p-subgroups, seed weights that do not
+sum to |G|, a violating or failing subgroup whose psi_H (or largest
+relative order) `relative_orders` does not confirm, or a ``scan`` catalog
+group that raised, 3 a scanned claim was violated (for ``scan`` this is the
 expected outcome once the catalog contains the affine Frobenius groups;
 for ``bijection`` it means no bijection exists).
 
@@ -269,9 +270,12 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
 
     G = load_cayley_file(args.group_file, _check_lattice_order)
     label = f"check-bounds {args.group_file}"
+    subgroups = all_subgroups(G)
+    problem = verify.lattice_mismatch(G, subgroups)
+    if problem is not None:
+        return _mismatch(label, problem)
     failures = []
     rows = []
-    subgroups = all_subgroups(G)
     # one bound and one cyclic reference per distinct index
     index_bounds = {q: (ratio_bounds_for_index(q), cyclic_reference(G.order, G.order // q))
                     for q in {H.index for H in subgroups} if q >= 2}
@@ -289,8 +293,7 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
             failures.append((H, value, largest))
         rows.append({"subgroup_order": m, "index": q, "psi_h": str(value),
                      "bound": str(bound), "checks": checks})
-    problem = (verify.subgroup_count_mismatch(G.order, [H.order for H in subgroups])
-               or verify.order_sum_mismatch(G, failures))
+    problem = verify.order_sum_mismatch(G, failures)
     if problem is not None:
         return _mismatch(label, problem)
     for row in rows:
@@ -308,10 +311,10 @@ def cmd_ratios(args) -> tuple[int, str, list]:
 
     G = load_cayley_file(args.group_file, _check_lattice_order)
     label = f"ratios {args.group_file}"
-    records = verify.subgroup_ratio_scan(G)
-    problem = verify.scan_mismatch(G, records)
-    if problem is not None:
-        return _mismatch(label, problem)
+    try:
+        records = verify.subgroup_ratio_scan(G)
+    except verify.Mismatch as exc:
+        return _mismatch(label, str(exc))
     # each line prints from its record's report entry, which holds the one
     # Fraction built for the ratio
     docs = [rec.to_json_dict() for rec in records]

@@ -10,11 +10,12 @@ itself. Each class defines exactly one product, `_product`, on those
 coordinates: exponents k + l are reduced by one compare-and-subtract, with
 no division. The array product on encodings, `_product_array`, is join,
 product and split, and the Cayley table, inverses, element orders and power
-table all come from it, except C_n's power table: its rows are k*x mod n,
-which is arithmetic and needs no Cayley table. A group of order at most
-TABLE_CAP builds one compact Cayley table, from the array product, when
-the power table of a class other than C_n or the subgroup lattice first
-needs it, and caches it; `multiply_array` reads that
+table all come from it, except in C_n: its power table, and its seed
+columns `seed_powers`, which it builds alone, are k*x mod n, and its
+element orders come from a divisor sieve, all with no Cayley table. A
+group of order at most TABLE_CAP builds one compact Cayley table, from the
+array product, when the power table of a class other than C_n or the
+subgroup lattice first needs it, and caches it; `multiply_array` reads that
 table once it exists and otherwise computes products arithmetically, so a
 closure or inverse pass alone, or any pass above the cap, builds no table;
 a direct product multiplies its factors' coordinates, so a factor never
@@ -126,10 +127,11 @@ class FiniteGroup:
 
     @property
     def tabulated(self) -> bool:
-        """True when the element orders come from the power table, which C_n
-        reads off k*x mod n with no Cayley table and every other class
-        builds from its table: the group is at most TABLE_CAP or has its
-        table."""
+        """True when the power table can be built, which C_n reads off k*x
+        mod n with no Cayley table and every other class builds from its
+        table: the group is at most TABLE_CAP or has its table. Every class
+        but C_n, whose orders come from a divisor sieve, then reads its
+        element orders off that table."""
         return self.order <= TABLE_CAP or getattr(self, "_table_cache", None) is not None
 
     def multiply_array(self, x, y) -> np.ndarray:
@@ -188,8 +190,9 @@ class FiniteGroup:
     def element_orders(self) -> np.ndarray:
         """Order of every element, as a read-only int64 array; cached. A
         tabulated group reads it off the power table (the first row holding
-        the identity), any other group takes one vectorised power pass. A
-        group above ELEMENT_CAP is refused before any array is built."""
+        the identity), any other group takes one vectorised power pass, and
+        C_n overrides both with a divisor sieve. A group above ELEMENT_CAP
+        is refused before any array is built."""
         if getattr(self, "_order_cache", None) is None:
             if self.tabulated:
                 self._build_powers()
@@ -205,10 +208,22 @@ class FiniteGroup:
     def power_table(self) -> np.ndarray:
         """Read-only array P with P[k, x] = x^(k+1) for k below the largest
         element order, so column x lists the powers of x up to the identity.
-        Cached; tabulated groups only."""
+        Cached; tabulated groups only. The lattice and its order sums read
+        only its seed columns, through `seed_powers`, which C_n builds
+        without it."""
         if getattr(self, "_power_cache", None) is None:
             self._build_powers()
         return self._power_cache
+
+    def seed_powers(self) -> np.ndarray:
+        """Read-only columns P[:, seeds] of the power table P at the seeds
+        of `cyclic_seeds`, in their order: column i lists the powers of the
+        i-th seed. Cached; tabulated groups only."""
+        if getattr(self, "_seed_powers_cache", None) is None:
+            powers = self.power_table()[:, self.cyclic_seeds()[0]]
+            powers.setflags(write=False)
+            self._seed_powers_cache = powers
+        return self._seed_powers_cache
 
     def cyclic_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """The smallest generator x of each distinct cyclic subgroup <x>,
@@ -358,20 +373,46 @@ class CyclicGroup(FiniteGroup):
         return (_reduce(xs[0] + ys[0], self.order),)
 
     def _power_rows(self):
-        """All n rows x^k = k*x mod n, k = 1..n, in the table's dtype: the
-        power table of C_n is arithmetic and needs no Cayley table. Rows go
-        in blocks of at most _BLOCK >> 3 int64 entries, so building it holds
-        little more than the rows themselves."""
+        """All n rows x^k = k*x mod n, k = 1..n, of every column."""
+        return self._multiples(np.arange(self.order, dtype=np.int64))
+
+    def _multiples(self, xs: np.ndarray) -> np.ndarray:
+        """The rows x^k = k*x mod n, k = 1..n, at the int64 columns ``xs``,
+        in the table's dtype: the powers of C_n are arithmetic and need no
+        Cayley table. Rows go in blocks of at most _BLOCK >> 3 int64
+        entries, so building them holds little more than the rows
+        themselves. Refused above TABLE_CAP, as the power table is."""
         n = self.order
         _check_table_cap(n)
-        powers = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-        x = np.arange(n, dtype=np.int64)
-        step = max(1, (_BLOCK >> 3) // n)
+        powers = np.empty((n, len(xs)), dtype=np.min_scalar_type(n - 1))
+        step = max(1, (_BLOCK >> 3) // max(len(xs), 1))
         for lo in range(0, n, step):
-            block = np.arange(lo + 1, min(lo + step, n) + 1, dtype=np.int64)[:, None] * x
+            block = np.arange(lo + 1, min(lo + step, n) + 1, dtype=np.int64)[:, None] * xs
             block %= n
             powers[lo:lo + len(block)] = block
         return powers
+
+    def seed_powers(self) -> np.ndarray:
+        """`FiniteGroup.seed_powers` with no power table: the rows k*x mod
+        n, k = 1..n, at the seeds alone, one column per cyclic subgroup."""
+        if getattr(self, "_seed_powers_cache", None) is None:
+            powers = self._multiples(self.cyclic_seeds()[0])
+            powers.setflags(write=False)
+            self._seed_powers_cache = powers
+        return self._seed_powers_cache
+
+    def element_orders(self) -> np.ndarray:
+        """`FiniteGroup.element_orders` with no power table: k has order
+        n / gcd(n, k), which the divisor sieve of `order_sums.cyclic_orders`
+        writes as int64. A group above ELEMENT_CAP is refused first."""
+        if getattr(self, "_order_cache", None) is None:
+            from .order_sums import cyclic_orders  # order_sums imports this module
+
+            check_element_budget(self.order)
+            orders = cyclic_orders(self.order, np.int64)
+            orders.setflags(write=False)
+            self._order_cache = orders
+        return self._order_cache
 
     def cyclic_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """`FiniteGroup.cyclic_seeds` in closed form, with no power table:

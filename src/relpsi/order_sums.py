@@ -51,7 +51,8 @@ def relative_orders(G: FiniteGroup, H: Subgroup) -> np.ndarray:
 
 def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]:
     """psi_relative(G, H) and the largest relative order over H, for every H
-    in ``subgroups``, from one pass over the power table of a tabulated G.
+    in ``subgroups``, from one pass over the seed columns of the power table
+    of a tabulated G, `seed_powers`.
 
     Every generator y of a cyclic subgroup <x> has the relative order of x,
     since y^m and x^m generate the same subgroup for every m. So the pass
@@ -66,8 +67,7 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     check that each is a subgroup.
     """
     _check_parent(G, *subgroups)
-    seeds, weights = G.cyclic_seeds()
-    powers = G.power_table()[:, seeds]
+    weights, powers = G.cyclic_seeds()[1], G.seed_powers()
     step = max(1, _BLOCK // powers.size)
     sums, largest = [], []
     for lo in range(0, len(subgroups), step):
@@ -97,8 +97,9 @@ def cyclic_reference(n: int, m: int) -> int:
     return m * psi_cyclic(n // m)
 
 
-def cyclic_orders(n: int) -> np.ndarray:
-    """Element orders of C_n as an int32 array: k has order n / gcd(n, k).
+def cyclic_orders(n: int, dtype=np.int32) -> np.ndarray:
+    """Element orders of C_n as an array of ``dtype``, int32 unless given:
+    k has order n / gcd(n, k).
     gcd(n, k) is the largest divisor d of n that divides k, so writing n // d
     at every multiple of d, divisors ascending, leaves each k its own order
     with no division per element. The divisors come from trial division, not
@@ -106,7 +107,7 @@ def cyclic_orders(n: int) -> np.ndarray:
     if not 1 <= n <= ELEMENT_CAP:
         raise ValueError(f"need 1 <= n <= {power_text(ELEMENT_CAP)}, got {n}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    orders = np.empty(n, dtype=np.int32)
+    orders = np.empty(n, dtype=dtype)
     for d in small + [n // d for d in reversed(small) if d * d != n]:
         orders[::d] = n // d
     return orders

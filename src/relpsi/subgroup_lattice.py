@@ -274,9 +274,9 @@ def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
     element). The joins of every block are packed eight members a byte, and
     the round keeps one of each."""
     n = G.order
-    table, powers, orders = G._table(), G.power_table(), G.element_orders()
-    seed_powers, seed_rows = powers[:, seeds], table[:, seeds]  # x^(k+1) and g*x
-    prime = np.array([is_prime(m) for m in range(len(powers) + 1)])
+    table, orders = G._table(), G.element_orders()
+    seed_powers, seed_rows = G.seed_powers(), table[:, seeds]  # x^(k+1) and g*x
+    prime = np.array([is_prime(m) for m in range(len(seed_powers) + 1)])
 
     def joins(masks: np.ndarray) -> np.ndarray:
         """The mask of K<s>, one row each, for every K of ``masks`` and the
@@ -289,7 +289,7 @@ def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
         members in one `reduceat`. K<s> is the union of the cosets K*s^j,
         j < p, so g lies in it when g*s^-j lies in K for some j: p - 1
         gathers of K's mask along table rows, with s^-j = s^(m - j), m the
-        order of s, read off the power table."""
+        order of s, read off the seed columns of the power table."""
         rel = masks[:, seed_powers].argmax(axis=1).ravel() + 1
         rows, members = np.nonzero(masks)
         starts = np.searchsorted(rows, np.arange(len(masks)))
@@ -298,12 +298,12 @@ def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
         # live ascends, so the first of each (K, label) has the least seed
         _, first = np.unique(live // len(seeds) * n + labels[live], return_index=True)
         ks, at = np.divmod(live[first], len(seeds))
-        xs, ps = seeds[at], rel[live[first]]
+        ms, ps = orders[seeds[at]], rel[live[first]]
         out = masks[ks]
         for j in range(1, ps.max(initial=1)):
-            at = np.flatnonzero(ps > j)
-            inverse = powers[orders[xs[at]] - j - 1, xs[at]]  # s^-j = s^(m - j)
-            out[at] |= masks[ks[at, None], table[inverse]]
+            i = np.flatnonzero(ps > j)
+            inverse = seed_powers[ms[i] - j - 1, at[i]]  # s^-j = s^(m - j)
+            out[i] |= masks[ks[i, None], table[inverse]]
         return out
 
     step = max(1, group_core._BLOCK // (n * len(seeds)))
@@ -358,7 +358,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     Seeds with the distinct cyclic subgroups <x>, each under its smallest
     generator x, read from the power table. When some element has order
     |G|, G is cyclic, so is every subgroup, and the seeds are the whole
-    lattice: they are returned, and no join runs.
+    lattice: they are returned, and no join runs. Each is marked from its
+    column of `seed_powers`, and a cyclic group has exactly one subgroup of
+    each order dividing |G|, so one argsort of the seeds' orders sorts them
+    by (order, element tuple), as every other lattice is sorted.
 
     An abelian G that is not cyclic, whose table equals its transpose, is
     searched by prime index (`_abelian_masks`), in rounds by the number r
@@ -402,14 +405,18 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """
     _check_lattice_order(G.order)
     n = G.order
-    powers, orders = G.power_table(), G.element_orders().tolist()
     seeds = G.cyclic_seeds()[0]
-    if max(orders) == n:
+    if G.is_cyclic():
         # row i marks <x> for the i-th seed x: every power of x lies in it
         masks = np.zeros((len(seeds), n), dtype=bool)
-        masks[np.arange(len(seeds))[:, None], powers[:, seeds].T] = True
-        return _sorted_lattice(G, masks)
+        masks[np.arange(len(seeds))[:, None], G.seed_powers().T] = True
+        sizes = G.element_orders()[seeds]  # |<x>| is the order of x
+        order = np.argsort(sizes)
+        masks = masks[order]
+        masks.setflags(write=False)
+        return [_closed(G, mask, m) for mask, m in zip(masks, sizes[order].tolist())]
 
+    orders = G.element_orders().tolist()
     table = G._table()
     if np.array_equal(table, table.T):
         return _sorted_lattice(G, _abelian_masks(G, seeds))

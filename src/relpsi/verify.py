@@ -35,6 +35,7 @@ from .matching import MaxFlow
 from .subgroup_lattice import Subgroup, all_subgroups, generate
 
 __all__ = [
+    "Mismatch",
     "ViolationRecord",
     "CounterexampleSpec",
     "BijectionResult",
@@ -42,8 +43,9 @@ __all__ = [
     "CatalogReport",
     "subgroup_ratio_scan",
     "subgroup_count_mismatch",
+    "seed_weight_mismatch",
+    "lattice_mismatch",
     "order_sum_mismatch",
-    "scan_mismatch",
     "build_counterexample",
     "bijection_exists",
     "check_bijection",
@@ -51,6 +53,11 @@ __all__ = [
     "frobenius_ratio_table",
     "default_catalog",
 ]
+
+
+class Mismatch(Exception):
+    """A computed result that an independent check contradicts, with what
+    the check found; the commands report it and exit 2."""
 
 
 class ViolationRecord(NamedTuple):
@@ -99,8 +106,14 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     reference and a violation flag where the ratio exceeds 1. For each p^a
     exactly dividing n = |G|, G is nilpotent iff its Sylow p-subgroup, of
     order p^a, is unique, and solvable iff it has a Hall p-complement, of
-    order n / p^a (P. Hall, 1928 and 1937): both flags count the lattice."""
+    order n / p^a (P. Hall, 1928 and 1937): both flags count the lattice.
+
+    Raises Mismatch with what `lattice_mismatch` finds in the lattice,
+    before any cyclic reference is computed, or else with what
+    `order_sum_mismatch` finds in the records' violations."""
     subgroups = all_subgroups(G)
+    if problem := lattice_mismatch(G, subgroups):
+        raise Mismatch(problem)
     sums, _ = lattice_order_sums(G, subgroups)
     n, name = G.order, G.name
     counts = Counter([H.order for H in subgroups])
@@ -108,17 +121,26 @@ def subgroup_ratio_scan(G: FiniteGroup) -> list[ViolationRecord]:
     nilpotent = all(counts[q] == 1 for q in parts)
     solvable = all(counts[n // q] for q in parts)
     references = {m: cyclic_reference(n, m) for m in counts}
-    return [ViolationRecord(name, n, H, value, references[H.order], nilpotent, solvable)
-            for H, value in zip(subgroups, sums)]
+    records = [ViolationRecord(name, n, H, value, references[H.order], nilpotent, solvable)
+               for H, value in zip(subgroups, sums)]
+    if problem := order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
+                                         for rec in records if rec.is_violation)):
+        raise Mismatch(problem)
+    return records
 
 
 def subgroup_count_mismatch(n: int, orders) -> str | None:
-    """The first order p^k dividing n of which the subgroup orders
-    ``orders``, of a lattice of a group of order n, count other than 1 mod p
-    subgroups, as a message; or None. Every group has 1 mod p subgroups of
-    each such order (Frobenius, 1895), so a lattice that misses a Sylow
-    conjugate, or any one subgroup of prime-power order, fails this."""
+    """The first of the subgroup orders ``orders``, of a lattice of a group
+    of order n, that does not divide n (Lagrange), else the first order p^k
+    dividing n of which they count other than 1 mod p subgroups, as a
+    message; or None. Every group has 1 mod p subgroups of each such order
+    (Frobenius, 1895), so a lattice that misses a Sylow conjugate, or any
+    one subgroup of prime-power order, fails this."""
     counts = Counter(orders)
+    for m in counts:
+        if n % m:
+            return (f"the lattice has a subgroup of order {m}, which does not divide {n} "
+                    "as Lagrange's theorem requires")
     for p, a in factorize(n):
         for q in (p ** k for k in range(1, a + 1)):
             if counts[q] % p != 1:
@@ -127,13 +149,38 @@ def subgroup_count_mismatch(n: int, orders) -> str | None:
     return None
 
 
+def seed_weight_mismatch(n: int, weights) -> str | None:
+    """The sum of the int64 array ``weights``, the numbers phi(|C|) of
+    generators of the cyclic subgroups C of a group of order n that weigh
+    its seeds, as a message when it is not n; or None. Each element
+    generates exactly one cyclic subgroup, so the generators of all of them
+    are the group."""
+    total = int(weights.sum())
+    if total != n:
+        return (f"the seed weights sum to {total}, not to the group order {n} "
+                "that the generators of the cyclic subgroups make up")
+    return None
+
+
+def lattice_mismatch(G: FiniteGroup, subgroups) -> str | None:
+    """What `subgroup_count_mismatch` finds in the orders of the lattice
+    ``subgroups`` of G, else what `seed_weight_mismatch` finds in the
+    weights of its seeds; or None."""
+    return (subgroup_count_mismatch(G.order, [H.order for H in subgroups])
+            or seed_weight_mismatch(G.order, G.cyclic_seeds()[1]))
+
+
 def order_sum_mismatch(G: FiniteGroup, verdicts) -> str | None:
     """Recompute psi_H, and the largest relative order where one is given,
     for each (H, psi_H, largest or None) of ``verdicts`` through
     `relative_orders`, a path apart from the seed gather of
-    `lattice_order_sums`; return the first disagreement, or None."""
+    `lattice_order_sums`; return the first disagreement, or None. A member
+    set that `relative_orders` refuses as no subgroup is one."""
     for H, psi_h, largest in verdicts:
-        rel = relative_orders(G, H)
+        try:
+            rel = relative_orders(G, H)
+        except ValueError as exc:
+            return f"the subgroup of order {H.order} from the lattice fails relative_orders: {exc}"
         if int(rel.sum()) != psi_h:
             return (f"psi_H of the subgroup of order {H.order} is {psi_h} from the lattice "
                     f"pass and {int(rel.sum())} from relative_orders")
@@ -141,15 +188,6 @@ def order_sum_mismatch(G: FiniteGroup, verdicts) -> str | None:
             return (f"the largest relative order over the subgroup of order {H.order} is "
                     f"{largest} from the lattice pass and {int(rel.max())} from relative_orders")
     return None
-
-
-def scan_mismatch(G: FiniteGroup, records: list[ViolationRecord]) -> str | None:
-    """What `subgroup_count_mismatch` finds in the lattice of the records
-    of `subgroup_ratio_scan`, else what `order_sum_mismatch` finds in their
-    violations; or None."""
-    return (subgroup_count_mismatch(G.order, [rec.subgroup.order for rec in records])
-            or order_sum_mismatch(G, ((rec.subgroup, rec.psi_h, None)
-                                      for rec in records if rec.is_violation)))
 
 
 def build_counterexample(spec: CounterexampleSpec) -> tuple[FiniteGroup, Subgroup]:
@@ -326,16 +364,12 @@ class CatalogReport:
 def scan_catalog(groups) -> CatalogReport:
     """Scan every group: classification flags, the plain order-sum comparison
     against C_n, and the per-subgroup ratio records. Per-group failures are
-    collected and the scan continues; so is what `scan_mismatch` finds, in
-    place of the group's result."""
+    collected and the scan continues; so is a Mismatch that
+    `subgroup_ratio_scan` raises, in place of the group's result."""
     report = CatalogReport()
     for G in sorted(groups, key=lambda g: (g.order, g.name)):
         try:
             records = subgroup_ratio_scan(G)
-            problem = scan_mismatch(G, records)
-            if problem is not None:
-                report.errors.append((G.name, f"MISMATCH: {problem}"))
-                continue
             # records[0] is the trivial subgroup's: it carries the flags, and
             # psi of G and of C_n are its psi_H and cyclic reference
             trivial = records[0]
@@ -350,6 +384,8 @@ def scan_catalog(groups) -> CatalogReport:
                 records=records,
             )
             report.results.append(result)
+        except Mismatch as exc:
+            report.errors.append((G.name, f"MISMATCH: {exc}"))
         except Exception as exc:  # noqa: BLE001 - collected per contract
             report.errors.append((G.name, f"{type(exc).__name__}: {exc}"))
     return report

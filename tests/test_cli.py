@@ -708,6 +708,18 @@ class TestRelabelledPermutationGroups:
                 assert projections[0][0] == 0, command
 
 
+def patch_seed_weights(monkeypatch, change):
+    """Give every group's seed weights, C_n's closed-form ones as every
+    other group's, the in-place ``change``."""
+    for cls in (gc.FiniteGroup, gc.CyclicGroup):
+        def mutant(G, seeds=cls.cyclic_seeds):
+            s, w = seeds(G)
+            w = w.copy()
+            change(w)
+            return s, w
+        monkeypatch.setattr(cls, "cyclic_seeds", mutant)
+
+
 class TestOrderSumCrossCheck:
     """Each violating or failing subgroup's psi_H, and for check-bounds its
     largest relative order, is computed again through `relative_orders`;
@@ -726,14 +738,12 @@ class TestOrderSumCrossCheck:
 
     @pytest.fixture
     def wrong_seed_weight(self, monkeypatch):
-        # the recorded mutant of `lattice_order_sums`: the last seed weighs
-        # one element more than generate its cyclic subgroup, for C_n's
-        # closed-form seeds as for every other group's
-        for cls in (gc.FiniteGroup, gc.CyclicGroup):
-            def mutant(G, seeds=cls.cyclic_seeds):
-                s, w = seeds(G)
-                return s, w + (np.arange(len(w)) == len(w) - 1)
-            monkeypatch.setattr(cls, "cyclic_seeds", mutant)
+        # the recorded mutant of `lattice_order_sums`: the identity's weight
+        # moves onto the last seed, so the weights still sum to |G|
+        def move(w):
+            w[0] -= 1
+            w[-1] += 1
+        patch_seed_weights(monkeypatch, move)
 
     def test_agreement_keeps_the_verdicts(self, rechecked, capsys, tmp_path):
         assert main(["scan", "--max-order", "100", "--include-frobenius"]) == 3
@@ -819,6 +829,87 @@ class TestSubgroupCountCheck:
         problem = self.MESSAGE.format(8, 2, 2)
         assert capsys.readouterr().out == f"MISMATCH: {problem}\n"
         assert json.loads(json_path.read_text())["results"] == [{"mismatch": problem}]
+
+
+class TestSeedWeightCheck:
+    """The seed weights, the generator counts phi(|C|) of the cyclic
+    subgroups C, must sum to |G|, since each element generates exactly one
+    of them; weights that do not exit 2 before any order sum is read."""
+
+    MESSAGE = ("the seed weights sum to {}, not to the group order {} that the "
+               "generators of the cyclic subgroups make up")
+
+    @pytest.fixture(autouse=True)
+    def one_too_many(self, monkeypatch):
+        def bump(w):
+            w[-1] += 1
+        patch_seed_weights(monkeypatch, bump)
+
+    def test_scan_lists_every_group_under_errors(self, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "12", "--include-frobenius", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        doc = json.loads(path.read_text())["results"][0]
+        assert doc["results"] == [] and doc["total_violations"] == 0
+        assert len(doc["errors"]) == len(err.splitlines()) == 24
+        assert {"group": "C1", "error": "MISMATCH: " + self.MESSAGE.format(2, 1)} in doc["errors"]
+        assert "S3: error: MISMATCH: " + self.MESSAGE.format(7, 6) in err.splitlines()
+
+    @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
+    def test_table_commands_exit_2(self, command, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "s4.txt", gc.symmetric(4))
+        json_path = tmp_path / "out.json"
+        assert main([command, path, "--json", str(json_path)]) == 2
+        problem = self.MESSAGE.format(25, 24)
+        assert capsys.readouterr().out == f"MISMATCH: {problem}\n"
+        assert json.loads(json_path.read_text())["results"] == [{"mismatch": problem}]
+
+
+class TestFlippedMaskBit:
+    """One extra bit in the mask row of the first subgroup of order 6 of a
+    group of order 24 makes a lattice entry of order 7. Lagrange's theorem
+    refuses that lattice before any cyclic reference is computed, so every
+    command exits 2, where the reference or the relative orders of the
+    false entry would have raised and exited 1."""
+
+    MESSAGE = ("MISMATCH: the lattice has a subgroup of order 7, which does not divide 24 "
+               "as Lagrange's theorem requires")
+
+    @pytest.fixture(autouse=True)
+    def flipped(self, monkeypatch):
+        lattice = subgroup_lattice.all_subgroups
+
+        def mutant(G):
+            subgroups = lattice(G)
+            if G.order == 24:
+                i = next(i for i, H in enumerate(subgroups) if H.order == 6)
+                mask = subgroups[i].mask().copy()
+                mask[mask.argmin()] = True
+                mask.setflags(write=False)
+                subgroups[i] = subgroup_lattice._closed(G, mask, 7)
+            return subgroups
+        monkeypatch.setattr(subgroup_lattice, "all_subgroups", mutant)
+        monkeypatch.setattr(verify, "all_subgroups", mutant)
+
+    def test_scan_lists_each_group_of_order_24_under_errors(self, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "24", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        doc = json.loads(path.read_text())["results"][0]
+        errors = {e["group"]: e["error"] for e in doc["errors"]}
+        assert sorted(errors) == sorted(["C24", "C4xC2xC3", "C2xC2xC2xC3", "D12", "S4", "Q8xC3"])
+        assert set(errors.values()) == {self.MESSAGE}
+        assert f"S4: error: {self.MESSAGE}" in err.splitlines()
+        assert all(r["group_order"] != 24 for r in doc["results"])
+
+    @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
+    def test_table_commands_exit_2(self, command, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "s4.txt", gc.symmetric(4))
+        json_path = tmp_path / "out.json"
+        assert main([command, path, "--json", str(json_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == (self.MESSAGE + "\n", "")
+        assert json.loads(json_path.read_text())["results"] == [{"mismatch": self.MESSAGE[10:]}]
 
 
 class TestBijectionCommand:

@@ -490,6 +490,38 @@ def test_cyclic_seeds_in_closed_form_match_the_power_table(n):
     assert G.cyclic_seeds()[0] is seeds
 
 
+@pytest.mark.parametrize("n", [*range(1, LATTICE_CAP + 1), 4096])
+def test_cyclic_seed_powers_build_no_power_table(n):
+    # C_n's rows k*x mod n at its seeds alone, against the generic columns
+    # of the power table that doubling through C_n's own table builds
+    G = gc.cyclic(n)
+    P = G.seed_powers()
+    assert getattr(G, "_power_cache", None) is None
+    assert getattr(G, "_table_cache", None) is None
+    assert not P.flags.writeable and G.seed_powers() is P
+    doubled = gc.CayleyTableGroup(gc.cyclic(n).cayley_table())
+    expected = doubled.power_table()[:, G.cyclic_seeds()[0]]
+    assert P.dtype == expected.dtype and np.array_equal(P, expected)
+    assert np.array_equal(gc.FiniteGroup.seed_powers(doubled), expected)
+
+
+@pytest.mark.parametrize("n", [*range(1, LATTICE_CAP + 1), 4096, 5040])
+def test_cyclic_element_orders_by_the_sieve(n):
+    # the divisor sieve against the doubling through C_n's own table, and
+    # above TABLE_CAP against the generic power pass
+    G = gc.cyclic(n)
+    orders = G.element_orders()
+    assert getattr(G, "_power_cache", None) is None
+    assert getattr(G, "_table_cache", None) is None
+    assert orders.dtype == np.int64 and not orders.flags.writeable
+    assert G.element_orders() is orders
+    if n <= gc.TABLE_CAP:
+        expected = gc.CayleyTableGroup(gc.cyclic(n).cayley_table()).element_orders()
+    else:
+        expected = gc.FiniteGroup.element_orders(gc.cyclic(n))
+    assert np.array_equal(orders, expected)
+
+
 def test_power_table_stays_within_one_cayley_table():
     # C4096 has an element of order 4096, so its power table is as large as
     # its Cayley table; building it may allocate little more than that

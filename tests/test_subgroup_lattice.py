@@ -16,6 +16,7 @@ from relpsi.subgroup_lattice import (
     Subgroup,
     _abelian_masks,
     _CosetWalk,
+    _sorted_lattice,
     all_subgroups,
     conjugates_intersect_trivially,
     generate,
@@ -613,6 +614,20 @@ class TestCyclicLattice:
         subs, calls, classes, built = lattice_with_search_counts(G)
         assert calls == classes == built == 0
         assert lattice(subs) == join_by_generate(G)
+
+    def test_sorted_by_order_alone_as_by_order_and_elements(self):
+        # one subgroup of each order: the argsort of the orders gives the
+        # (order, element tuple) sort that every other lattice takes
+        groups = [gc.cyclic(n) for n in range(1, LATTICE_CAP + 1)]
+        groups += [relabelled_copy(gc.cyclic(60), 60),
+                   gc.direct_product([gc.cyclic(3), gc.cyclic(4), gc.cyclic(5)])]
+        for G in groups:
+            subs = all_subgroups(G)
+            TestAllSubgroups.assert_sorted_once(subs)
+            masks = np.array([H.mask() for H in subs])[::-1].copy()
+            by_elements = _sorted_lattice(G, masks)
+            assert [(H.order, H.elements()) for H in subs] == [
+                (H.order, H.elements()) for H in by_elements], G.name
 
     @pytest.mark.parametrize("make", [
         lambda: gc.abelian_of_type({2: [1, 1], 3: [1], 5: [1]}),

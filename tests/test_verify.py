@@ -11,7 +11,7 @@ import relpsi.group_core as gc
 from relpsi.classify import is_nilpotent
 from relpsi.numtheory import frobenius_ratio_closed_form, psi_cyclic
 from relpsi.order_sums import psi, psi_ratio, psi_relative, relative_orders
-from relpsi.subgroup_lattice import generate
+from relpsi.subgroup_lattice import _closed, generate
 from relpsi.verify import (
     CounterexampleSpec,
     ViolationRecord,
@@ -20,7 +20,9 @@ from relpsi.verify import (
     check_bijection,
     default_catalog,
     frobenius_ratio_table,
+    order_sum_mismatch,
     scan_catalog,
+    seed_weight_mismatch,
     subgroup_count_mismatch,
     subgroup_ratio_scan,
 )
@@ -77,6 +79,42 @@ class TestSubgroupCountMismatch:
         # C8 lacks no order but 4; the whole group counts at p^a
         assert subgroup_count_mismatch(8, [1, 2, 8]) == message.format(0, 4, 2)
         assert subgroup_count_mismatch(8, [1, 2, 4]) == message.format(0, 8, 2)
+
+    def test_lagrange_comes_first(self):
+        # an order that does not divide |G| is named before any count, even
+        # where the counts fail as well
+        message = "the lattice has a subgroup of order {}, which does not divide {} as Lagrange's theorem requires"
+        assert subgroup_count_mismatch(24, [1, 2, 2, 2, 3, 7, 24]) == message.format(7, 24)
+        assert subgroup_count_mismatch(6, [1, 4, 6]) == message.format(4, 6)
+
+
+class TestSeedWeightMismatch:
+    """Each element generates exactly one cyclic subgroup, so the seed
+    weights, their generator counts, sum to |G|."""
+
+    def test_every_catalog_group_passes(self, catalog100):
+        for G in catalog100 + [gc.symmetric(5), gc.cyclic(4096)]:
+            assert seed_weight_mismatch(G.order, G.cyclic_seeds()[1]) is None, G.name
+
+    def test_a_wrong_sum_is_named(self):
+        weights = gc.cyclic(12).cyclic_seeds()[1] + np.eye(6, dtype=np.int64)[5]
+        assert seed_weight_mismatch(12, weights) == (
+            "the seed weights sum to 13, not to the group order 12 that the generators "
+            "of the cyclic subgroups make up")
+
+
+class TestOrderSumMismatch:
+    def test_a_member_set_that_is_no_subgroup_is_a_mismatch(self):
+        # {0, 1} in C6: no power 5^d with d = 2 or 3 lies in it, which
+        # relative_orders raises as a ValueError and the check reports
+        G = gc.cyclic(6)
+        mask = np.isin(np.arange(6), [0, 1])
+        mask.setflags(write=False)
+        H = _closed(G, mask, 2)
+        assert order_sum_mismatch(G, [(H, 9, None)]) == (
+            "the subgroup of order 2 from the lattice fails relative_orders: no power x^d with "
+            "d dividing 6 and 1 <= d <= 3 of element 5 lies in the subgroup; its members do "
+            "not form a subgroup")
 
 
 class TestViolationRecord:
@@ -330,6 +368,21 @@ class TestScanCatalog:
         cyclic = [G for G in catalog if isinstance(G, gc.CyclicGroup)]
         assert len(cyclic) == 100
         assert [getattr(G, "_table_cache", None) for G in cyclic] == [None] * 100
+
+    def test_cyclic_groups_build_no_power_table(self):
+        # C_n builds the rows k*x mod n at its seeds alone, and its element
+        # orders by the divisor sieve; a factor of a direct product builds
+        # nothing for its parent
+        catalog = default_catalog(100, include_frobenius=True)
+        assert not scan_catalog(catalog).errors
+        cyclic = [G for G in catalog if isinstance(G, gc.CyclicGroup)]
+        assert all(G._seed_powers_cache.shape[0] == G.order for G in cyclic)
+        cyclic += [F for G in catalog if isinstance(G, gc.DirectProductGroup)
+                   for F in G.factors if isinstance(F, gc.CyclicGroup)]
+        assert len(cyclic) > 100
+        for G in cyclic:
+            assert getattr(G, "_power_cache", None) is None, G.name
+            assert getattr(G, "_table_cache", None) is None, G.name
 
     def test_catalog_with_frobenius_flags_exactly_one_group(self):
         report = scan_catalog(default_catalog(56, include_frobenius=True))
