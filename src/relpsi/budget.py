@@ -30,10 +30,11 @@ TABLE_CAP = 4096
 # conjugacy class of subgroups otherwise; the largest lattice under it is
 # C2^7's 29 212 subgroups, on whose table file `ratios --json` (a 10.9 MB
 # report, streamed to its file, with every subgroup's canonical
-# generators) takes 1.8 s and `check-bounds --json` 1.4 s in fresh
-# processes on a 2-vCPU VM, at 80 or 85 MiB and 61 or 67 MiB peak RSS:
-# glibc's dynamic mmap threshold picks the level by the path, the argv and
-# the source text, and with MALLOC_MMAP_THRESHOLD_=131072 it is 80 and 56 MiB
+# generators) takes 1.3-1.8 s and `check-bounds --json` (7.7 MB) 1.0-1.5 s
+# in fresh processes with Python 3.11 on a busy 2-vCPU VM, at 85 MiB and
+# 67 MiB peak RSS: glibc's dynamic mmap threshold picks the level by the
+# path, the argv and the source text, and with MALLOC_MMAP_THRESHOLD_=131072
+# it is 83 and 59 MiB. Writing the reports takes 190 ms and 113 ms of that
 LATTICE_CAP = 200
 # index of a quotient group, whose Cayley table has index^2 entries
 QUOTIENT_INDEX_CAP = 512

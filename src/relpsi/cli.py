@@ -26,11 +26,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .budget import ELEMENT_CAP, LATTICE_CAP, power_text
 from .numtheory import CounterexampleSpec, frobenius_ratio_closed_form, psi_cyclic, rational_json
@@ -44,6 +44,9 @@ EXIT_VIOLATION = 3
 
 # one token of the order line and of each row; compiled on first use, not at import
 _INTEGER = r"[+-]?[0-9]+"
+
+# pieces of a report held before they are written
+_FLUSH = 1 << 12
 
 
 def __getattr__(name: str):
@@ -62,12 +65,82 @@ def _emit_json(path: str, command: str, results, started: float) -> None:
         "results": results,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
-    # a block of chunks per write: no copy of the whole text, as fast as json.dumps
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
     with open(path, "w") as fh:
-        while block := list(itertools.islice(chunks, 1 << 12)):
-            fh.write("".join(block))
-        fh.write("\n")
+        _write_json(fh, doc)
+
+
+def _write_json(fh, doc) -> None:
+    """Write ``doc`` to the text file ``fh`` as ``json.JSONEncoder(indent=2)``
+    encodes it, byte for byte, and a newline.
+
+    A report holds dicts with str keys, lists, tuples, str, int, bool and
+    None only, of exactly those types; any other value, a float or a
+    subclass of one of those among them, raises TypeError. The
+    pieces go onto one list, which is joined and written each time it
+    passes _FLUSH pieces, checked once per container item: the whole text
+    is never held at once. Strings are escaped by json's own C escaper.
+    """
+    out = []
+    append = out.append
+    heads = {}  # '"key": ' by key
+
+    def item(value, pad: str) -> None:
+        # pad is the newline and indent of the line that closes ``value``
+        kind = type(value)
+        if kind is str:
+            append(_quote(value))
+        elif kind is int:
+            append(str(value))
+        elif kind is bool:
+            append("true" if value else "false")
+        elif value is None:
+            append("null")
+        elif kind is dict:
+            write_dict(value, pad)
+        elif kind is list or kind is tuple:
+            write_list(value, pad)
+        else:
+            raise TypeError(f"a report holds no {kind.__name__} value: {value!r}")
+
+    def write_dict(members: dict, pad: str) -> None:
+        if not members:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep, rest = "{" + inner, "," + inner
+        for key, value in members.items():
+            head = heads.get(key)
+            if head is None:
+                if type(key) is not str:
+                    raise TypeError(f"a report key must be a str, not {type(key).__name__}: {key!r}")
+                head = heads[key] = _quote(key) + ": "
+            append(sep)
+            append(head)
+            item(value, inner)
+            sep = rest
+            if len(out) > _FLUSH:
+                fh.write("".join(out))
+                out.clear()
+        append(pad + "}")
+
+    def write_list(members, pad: str) -> None:
+        if not members:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep, rest = "[" + inner, "," + inner
+        for value in members:
+            append(sep)
+            item(value, inner)
+            sep = rest
+            if len(out) > _FLUSH:
+                fh.write("".join(out))
+                out.clear()
+        append(pad + "]")
+
+    item(doc, "\n")
+    append("\n")
+    fh.write("".join(out))
 
 
 def _approx(fr: Fraction) -> str:
@@ -276,18 +349,20 @@ def cmd_check_bounds(args) -> tuple[int, str, list]:
         return _mismatch(label, problem)
     failures = []
     rows = []
-    # one bound and one cyclic reference per distinct index
-    index_bounds = {q: (ratio_bounds_for_index(q), cyclic_reference(G.order, G.order // q))
-                    for q in {H.index for H in subgroups} if q >= 2}
+    # per distinct index, the (den, num * reference) of each ratio bound num / den:
+    # value / reference < num / den iff value * den < num * reference
+    index_limits = {}
+    for q in {H.index for H in subgroups} - {1}:
+        bounds, reference = ratio_bounds_for_index(q), cyclic_reference(G.order, G.order // q)
+        index_limits[q] = [(b.denominator, b.numerator * reference) for b in (bounds.product, bounds.spread)]
     for H, value, largest in zip(subgroups, *lattice_order_sums(G, subgroups)):
         m, q = H.order, H.index
         bound = psi_relative_upper_bound(m, q)
         checks = {"quadratic_bound": value <= bound}
         if q >= 2:
-            bounds, reference = index_bounds[q]
-            ratio = Fraction(value, reference)
-            checks["product_bound"] = ratio < bounds.product
-            checks["spread_bound"] = ratio < bounds.spread
+            (product_den, product_top), (spread_den, spread_top) = index_limits[q]
+            checks["product_bound"] = value * product_den < product_top
+            checks["spread_bound"] = value * spread_den < spread_top
         checks["relative_order_le_index"] = largest <= q
         if not all(checks.values()):
             failures.append((H, value, largest))

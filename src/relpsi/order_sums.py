@@ -58,23 +58,30 @@ def lattice_order_sums(G: FiniteGroup, subgroups) -> tuple[list[int], list[int]]
     since y^m and x^m generate the same subgroup for every m. So the pass
     reads only the seed columns of the power table P, one per cyclic
     subgroup, and weights each seed's relative order by its number of
-    generators. Row i of the membership matrix M is the i-th subgroup's
-    mask, so M[i, P] marks which powers x^(k+1) of each seed x lie in it,
-    and the first true entry down column x gives the relative order of x.
-    The masks are stacked, and gathered, in blocks of subgroups of at most
-    _BLOCK entries. The subgroups must be closed, as ``all_subgroups`` and
-    ``generate`` build them: unlike `relative_orders` this pass does not
-    check that each is a subgroup.
+    generators. The relative order of x over H divides the order of x, and
+    each divisor d of that order is the order of a power of x, so the pass
+    reads only the rows x^d of P at the element orders d of G: the least d
+    with x^d in H is the relative order of x. Row y of the transposed
+    membership matrix marks the subgroups that hold y, so gathering its rows
+    at the powers x^d marks, for each subgroup and seed, the d to take the
+    least of. The masks are stacked, and gathered, in blocks of subgroups
+    of at most _BLOCK entries. The subgroups must be closed, as
+    ``all_subgroups`` and ``generate`` build them: unlike `relative_orders`
+    this pass does not check that each is a subgroup.
     """
     _check_parent(G, *subgroups)
-    weights, powers = G.cyclic_seeds()[1], G.seed_powers()
-    step = max(1, _BLOCK // powers.size)
+    seeds, weights = G.cyclic_seeds()
+    # every element order is at most |G| <= TABLE_CAP, so int16 holds the gathered orders
+    ds = np.flatnonzero(np.bincount(G.element_orders()[seeds])).astype(np.int16)
+    powers = G.seed_powers().take(ds - 1, axis=0)
+    step = max(1, _BLOCK // max(powers.size, G.order))
     sums, largest = [], []
     for lo in range(0, len(subgroups), step):
         masks = np.array([H.mask() for H in subgroups[lo:lo + step]])
-        rel = masks[:, powers].argmax(axis=1) + 1
-        sums += (rel @ weights).tolist()
-        largest += rel.max(axis=1).tolist()
+        holders = masks.T.copy()  # row y marks the subgroups that hold y
+        rel = np.where(holders.take(powers, axis=0), ds[:, None, None], G.order).min(axis=0)
+        sums += (weights @ rel).tolist()
+        largest += rel.max(axis=0).tolist()
     return sums, largest
 
 

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import random
 import re
@@ -8,12 +9,14 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import relpsi.group_core as gc
 from relpsi import classify, cli, numtheory, order_sums, subgroup_lattice, verify
@@ -484,6 +487,64 @@ class TestCayleyIngestion:
         path.write_text("2\n0 1\n1 1\n")
         assert main(["check-bounds", str(path)]) == 1
         assert "Latin" in capsys.readouterr().err
+
+
+class TestIntegerBoundChecks:
+    """check-bounds decides psi_H / reference < num / den as psi_H * den <
+    num * reference. On every subgroup of the catalog to order 64 and of the
+    benchmark's four analysed tables, that gives the verdicts of the two
+    Fraction comparisons: against the proved bounds, which hold, and
+    against bounds set at the subgroups' own ratios, which some of them meet
+    or pass."""
+
+    GROUPS = [
+        lambda: gc.symmetric(5),
+        lambda: gc.dihedral(60),
+        lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]),
+        lambda: gc.frobenius_field(3, 2),
+    ]
+
+    @staticmethod
+    def own_ratio_bounds(G):
+        """Per index q of a subgroup of G, the median and the largest of the
+        ratios of its subgroups of index q, as a product and a spread bound."""
+        subgroups = subgroup_lattice.all_subgroups(G)
+        ratios = {}
+        for H, value in zip(subgroups, order_sums.lattice_order_sums(G, subgroups)[0]):
+            ratios.setdefault(H.index, []).append(
+                Fraction(value, order_sums.cyclic_reference(G.order, H.order)))
+        return {q: order_sums.IndexRatioBounds(product=sorted(r)[len(r) // 2], spread=max(r))
+                for q, r in ratios.items()}
+
+    @pytest.mark.parametrize("own", [False, True], ids=["proved bounds", "own ratios"])
+    def test_verdicts_match_the_fraction_comparisons(self, own, catalog100, monkeypatch, tmp_path,
+                                                     capsys):
+        groups = [G for G in catalog100 if G.order <= 64] + [make() for make in self.GROUPS]
+        path = tmp_path / "out.json"
+        verdicts = Counter()
+        for G in groups:
+            bounds_for = self.own_ratio_bounds(G).get if own else order_sums.ratio_bounds_for_index
+            monkeypatch.setattr(order_sums, "ratio_bounds_for_index", bounds_for)
+            monkeypatch.setattr(cli, "load_cayley_file", lambda name, check_order, G=G: G)
+            assert main(["check-bounds", G.name, "--json", str(path)]) in (0, 3), G.name
+            rows = json.loads(path.read_text())["results"]
+            assert len(rows) == len(subgroup_lattice.all_subgroups(G))
+            for row in rows:
+                q = row["index"]
+                if q == 1:
+                    assert set(row["checks"]) == {"quadratic_bound", "relative_order_le_index"}
+                    continue
+                bounds = bounds_for(q)
+                ratio = Fraction(int(row["psi_h"]), order_sums.cyclic_reference(G.order, G.order // q))
+                assert row["checks"]["product_bound"] == (ratio < bounds.product), (G.name, row)
+                assert row["checks"]["spread_bound"] == (ratio < bounds.spread), (G.name, row)
+                verdicts[row["checks"]["product_bound"], row["checks"]["spread_bound"]] += 1
+        capsys.readouterr()
+        assert sum(verdicts.values()) > 1500
+        if own:
+            assert verdicts[True, True] and verdicts[False, True] and verdicts[False, False]
+        else:
+            assert set(verdicts) == {(True, True)}
 
 
 class TestCayleyLoader:
@@ -996,6 +1057,20 @@ class TestJsonOutput:
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
         assert peak < len(text) / 4
 
+    def test_long_list_is_streamed_to_its_file(self, tmp_path):
+        # a list of scalars, like a bijection witness, is written in pieces too
+        path = tmp_path / "out.json"
+        results = [{"exists": True, "witness": list(range(200_000))}]
+        tracemalloc.start()
+        try:
+            cli._emit_json(str(path), "bijection big.txt --subgroup 0", results, time.monotonic())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        assert peak < len(text) / 4
+
     def test_schema_and_rational_encoding(self, tmp_path):
         json_path = tmp_path / "out.json"
         main(["frobenius", "--r", "3", "--json", str(json_path)])
@@ -1025,6 +1100,97 @@ class TestJsonOutput:
         assert captured.out == "43\n"
         assert captured.err.startswith("error: [Errno 2] ")
         assert not path.parent.exists()
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+REPORT_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é😀')),
+                      max_size=12)
+REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(1 << 64, 1 << 80),
+    st.integers(-(1 << 80), -(1 << 64)), REPORT_TEXT)
+REPORT_DOCS = st.recursive(
+    REPORT_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.tuples(children, children),
+                               st.dictionaries(REPORT_TEXT, children, max_size=4)),
+    max_leaves=40)
+
+
+def written(doc):
+    """The text that `cli._write_json` writes for ``doc``."""
+    out = io.StringIO()
+    cli._write_json(out, doc)
+    return out.getvalue()
+
+
+class TestReportWriter:
+    """`cli._write_json` writes what ``json.dumps(doc, indent=2)`` does, and
+    a newline, for every document of report values, and refuses any other
+    value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(REPORT_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_deep_and_empty_containers(self):
+        doc = {"": [], "e": {}, "t": ()}
+        for depth in range(60):
+            doc = [doc, {}] if depth % 2 else {"k%d" % depth: doc, "x": [[]]}
+        assert written(doc) == json.dumps(doc, indent=2) + "\n"
+        for doc in ([], {}, (), "", 0, None, True):
+            assert written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"ratio": 0.5},
+        [1, [2, 1.0]],
+        {"n": np.int64(3)},
+        {1: "a"},
+        {"members": {1, 2}},
+    ], ids=["float", "nested float", "numpy int64", "int key", "set"])
+    def test_refuses_other_values(self, doc):
+        with pytest.raises(TypeError):
+            written(doc)
+
+
+class TestReportBytes:
+    """Every command's --json report, on each of its branches, is the text
+    that ``json.JSONEncoder(indent=2)`` encodes for the document it holds,
+    and a newline."""
+
+    @pytest.fixture
+    def tables(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cayley_file(tmp_path / "c6.txt", gc.cyclic(6))
+        write_cayley_file(tmp_path / "frob.txt", gc.frobenius_field(2, 3))
+        return str(gc.frobenius_field(2, 3).encode(0, 1))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["psi-cyclic", "360"], 0),
+        (["psi-cyclic", "360", "--brute-force"], 0),
+        (["frobenius", "--r", "3"], 0),
+        (["frobenius", "--r", "3", "--brute-force"], 0),
+        (["scan", "--max-order", "56", "--include-frobenius"], 3),
+        (["ratios", "frob.txt"], 3),
+        (["check-bounds", "frob.txt"], 0),
+        (["bijection", "c6.txt", "--subgroup", "3"], 0),
+        (["bijection", "frob.txt", "--subgroup", "{complement}"], 3),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_each_command(self, argv, code, tables, capsys):
+        argv = [arg.format(complement=tables) for arg in argv]
+        assert main(argv + ["--json", "out.json"]) == code
+        text = Path("out.json").read_text()
+        assert text == json.JSONEncoder(indent=2).encode(json.loads(text)) + "\n"
+
+    def test_mismatch_report(self, tables, monkeypatch, capsys):
+        # the wrong_seed_weight mutant of TestOrderSumCrossCheck
+        def move(w):
+            w[0] -= 1
+            w[-1] += 1
+        patch_seed_weights(monkeypatch, move)
+        assert main(["ratios", "frob.txt", "--json", "out.json"]) == 2
+        text = Path("out.json").read_text()
+        assert "mismatch" in json.loads(text)["results"][0]
+        assert text == json.JSONEncoder(indent=2).encode(json.loads(text)) + "\n"
 
 
 def test_unknown_command_exits_one():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -198,6 +199,17 @@ def per_subgroup_sums(G, subgroups):
     return [int(rel.sum()) for rel in rels], [int(rel.max()) for rel in rels]
 
 
+def relabelled(G, seed):
+    """G's Cayley table with every element but the identity renamed by a
+    seeded shuffle, as a table group."""
+    rest = list(range(1, G.order))
+    random.Random(seed).shuffle(rest)
+    perm = np.array([0] + rest)
+    inverse = np.argsort(perm)
+    table = G.cayley_table()
+    return gc.CayleyTableGroup(perm[table[np.ix_(inverse, inverse)]], name=f"relabelled {G.name}")
+
+
 def frobenius_subgroups(G):
     """The complement, the kernel and the cyclic subgroups of a spread of
     elements of an affine Frobenius group, all from `generate`."""
@@ -224,10 +236,20 @@ class TestLatticeOrderSums:
         subs = subgroups(G)
         assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gc.direct_product([gc.cyclic(2)] * 7),
+        lambda: relabelled(gc.dihedral(60), seed=5),
+    ], ids=["C2^7", "relabelled D60"])
+    def test_matches_relative_orders_on_large_lattices(self, make):
+        # C2^7 has 29212 subgroups, each with a first-powers pass of its own
+        G = make()
+        subs = all_subgroups(G)
+        assert lattice_order_sums(G, subs) == per_subgroup_sums(G, subs)
+
     @pytest.mark.parametrize("block", [1 << 14, 1])
     def test_blocks_of_the_gather(self, monkeypatch, block):
-        # D60's 180 subgroups against 72 seed columns of 60 powers: 60
-        # blocks of 3 subgroups, then one subgroup per block
+        # D60's 180 subgroups against 12 element orders at 72 seeds: 10
+        # blocks of 18 subgroups, then one subgroup per block
         G = gc.dihedral(60)
         subs = all_subgroups(G)
         monkeypatch.setattr(order_sums, "_BLOCK", block)
