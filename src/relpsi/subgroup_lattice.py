@@ -12,7 +12,7 @@ import numpy as np
 from . import group_core
 from .budget import LATTICE_CAP, QUOTIENT_INDEX_CAP
 from .group_core import CayleyTableGroup, FiniteGroup, _close_right, check_element_budget, row_blocks
-from .numtheory import divisors, is_prime
+from .numtheory import divisors, factorize, is_prime
 
 __all__ = [
     "Subgroup",
@@ -261,12 +261,17 @@ def _label_block(table: np.ndarray, seed_cols: np.ndarray, block: list, size: in
 
 
 def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
-    """The member masks of every subgroup of the abelian group G, as the
-    rows of one subgroups x |G| boolean matrix, found in rounds by prime
-    index: round r holds the subgroups whose order has r prime factors,
-    counted with multiplicity, and round r + 1 is every join K<s> of a K
-    of round r with a seed s of prime relative order over K (see
-    `all_subgroups`).
+    """The member masks of every subgroup of the non-cyclic abelian group
+    G, as the rows of one subgroups x |G| boolean matrix, found in layers by
+    prime index: layer r holds the subgroups whose order has r prime
+    factors, counted with multiplicity, and layer r + 1 is every join K<s>
+    of a K of layer r with a seed s of prime relative order over K (see
+    `all_subgroups`). Of the Omega(|G|) + 1 layers only the middle ones are
+    joined. Layer 0 is the trivial subgroup. Layer 1 is one row per seed of
+    prime order, marked from its `seed_powers` column: a subgroup of prime
+    order is cyclic, so it is <s> for exactly one seed s. Layer Omega(|G|)
+    is G alone, and no join is made from it. A non-cyclic G has Omega(|G|)
+    at least 2, and one of 2 joins nothing.
 
     A round goes in blocks of at most _BLOCK / (|G| s) of its subgroups, s
     the number of seeds, so no array of a block has more than _BLOCK
@@ -307,14 +312,19 @@ def _abelian_masks(G: FiniteGroup, seeds: np.ndarray) -> np.ndarray:
         return out
 
     step = max(1, group_core._BLOCK // (n * len(seeds)))
-    layer = np.zeros((1, n), dtype=bool)
-    layer[0, G.identity] = True
-    layers = [layer]
-    while len(layer):
+    trivial = np.zeros((1, n), dtype=bool)
+    trivial[0, G.identity] = True
+    # row i marks <s> for the i-th seed s of prime order
+    at = np.flatnonzero(prime[orders[seeds]])
+    layer = np.zeros((len(at), n), dtype=bool)
+    layer[np.arange(len(at))[:, None], seed_powers[:, at].T] = True
+    layers = [trivial, layer]
+    for _ in range(sum(a for _, a in factorize(n)) - 2):
         words = np.concatenate([np.packbits(joins(layer[lo:lo + step]), axis=1)
                                 for lo in range(0, len(layer), step)])
         layer = np.unpackbits(_distinct_rows(words), axis=1, count=n).view(bool)
         layers.append(layer)
+    layers.append(np.ones((1, n), dtype=bool))
     return np.concatenate(layers)
 
 
@@ -364,17 +374,22 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     by (order, element tuple), as every other lattice is sorted.
 
     An abelian G that is not cyclic, whose table equals its transpose, is
-    searched by prime index (`_abelian_masks`), in rounds by the number r
-    of prime factors of the subgroup order, counted with multiplicity,
-    from the trivial subgroup. This is exact. Each maximal subgroup K of an
+    searched by prime index (`_abelian_masks`), in layers by the number r
+    of prime factors of the subgroup order, counted with multiplicity. The
+    layers r = 0, 1 and Omega(|G|) are written with no join, and each
+    layer between is joined from the one before. This is exact. The trivial
+    subgroup is the only one of order 1 and G the only one of order |G|;
+    a subgroup of prime order p is cyclic, generated by each of its p - 1
+    elements other than the identity, so it is <s> for exactly one seed s,
+    and every seed of prime order gives one. Each maximal subgroup K of an
     abelian J has prime index p, since J/K is abelian with no proper
     subgroup other than 1. So J = K<s> for any s in J outside K, and for
     the seed of <s> in particular, which has relative order p over K. By
-    induction on r, every J of round r + 1 is such a join K<s> with K in
-    round r. Conversely, a seed s of prime relative order p over K gives
-    |K<s>| = p|K|, a subgroup of round r + 1: every join found lies in the
-    next round, so a subgroup is found again only within its own round,
-    where the round keeps one of each. Since K<y> = K<s> for every y in the
+    induction on r, every J of layer r + 1 is such a join K<s> with K in
+    layer r. Conversely, a seed s of prime relative order p over K gives
+    |K<s>| = p|K|, a subgroup of layer r + 1: every join found lies in the
+    next layer, so a subgroup is found again only within its own layer,
+    whose round keeps one of each. Since K<y> = K<s> for every y in the
     coset K*s, K is joined only with the first seed of each coset.
 
     Any other G joins one representative K of each conjugacy class of

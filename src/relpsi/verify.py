@@ -133,9 +133,11 @@ def subgroup_count_mismatch(n: int, orders) -> str | None:
     """The first of the subgroup orders ``orders``, of a lattice of a group
     of order n, that does not divide n (Lagrange), else the first order p^k
     dividing n of which they count other than 1 mod p subgroups, as a
-    message; or None. Every group has 1 mod p subgroups of each such order
-    (Frobenius, 1895), so a lattice that misses a Sylow conjugate, or any
-    one subgroup of prime-power order, fails this."""
+    message; else the first of the orders 1 and n of which they count other
+    than exactly one subgroup; or None. Every group has 1 mod p subgroups of
+    each such order (Frobenius, 1895), so a lattice that misses a Sylow
+    conjugate, or any one subgroup of prime-power order, fails this, and
+    one that misses the trivial subgroup or G itself fails the last test."""
     counts = Counter(orders)
     for m in counts:
         if n % m:
@@ -146,6 +148,10 @@ def subgroup_count_mismatch(n: int, orders) -> str | None:
             if counts[q] % p != 1:
                 return (f"the lattice has {counts[q]} subgroups of order {q}, "
                         f"not 1 mod {p} as Frobenius' theorem requires")
+    for m, name in ((1, "the trivial subgroup"), (n, "the group itself")):
+        if counts[m] != 1:
+            return (f"the lattice has {counts[m]} subgroups of order {m}, "
+                    f"where every group has exactly one, {name}")
     return None
 
 

@@ -892,6 +892,54 @@ class TestSubgroupCountCheck:
         assert json.loads(json_path.read_text())["results"] == [{"mismatch": problem}]
 
 
+class TestTrivialAndWholeGroupCheck:
+    """Every lattice must also hold exactly one subgroup of order 1 and one
+    of order |G|. Frobenius' counts miss either where |G| is not a prime
+    power: with {e} dropped C6 would report psi 14 in place of 21, and with
+    G dropped a subgroup count one too low, both as results. Either lattice
+    exits 2 in place of the verdict."""
+
+    MESSAGE = "the lattice has 0 subgroups of order {}, where every group has exactly one, {}"
+    FROBENIUS = "the lattice has 0 subgroups of order {}, not 1 mod {} as Frobenius' theorem requires"
+
+    @pytest.fixture(params=["trivial", "whole"])
+    def dropped(self, request, monkeypatch):
+        """The lattice without its first subgroup, {e}, or its last, G."""
+        lattice, cut = subgroup_lattice.all_subgroups, {"trivial": slice(1, None), "whole": slice(-1)}
+        monkeypatch.setattr(subgroup_lattice, "all_subgroups", lambda G: lattice(G)[cut[request.param]])
+        monkeypatch.setattr(verify, "all_subgroups", subgroup_lattice.all_subgroups)
+        return request.param
+
+    def expected(self, dropped, n):
+        return self.MESSAGE.format(1, "the trivial subgroup") if dropped == "trivial" else (
+            self.MESSAGE.format(n, "the group itself"))
+
+    def test_scan_lists_every_group_under_errors(self, dropped, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        assert main(["scan", "--max-order", "12", "--include-frobenius", "--json", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        doc = json.loads(path.read_text())["results"][0]
+        assert doc["results"] == [] and doc["total_violations"] == 0
+        errors = {e["group"]: e["error"][len("MISMATCH: "):] for e in doc["errors"]}
+        assert len(errors) == len(err) == 24
+        for group in ("C6", "C12", "C2xC2xC3", "D6"):
+            assert errors[group] == self.expected(dropped, 6 if group == "C6" else 12), group
+            assert f"{group}: error: MISMATCH: {errors[group]}" in err
+        # C1's one subgroup is both; of prime-power order, Frobenius' count names G first
+        assert errors["C1"] == self.MESSAGE.format(1, "the trivial subgroup")
+        if dropped == "whole":
+            assert errors["C4"] == self.FROBENIUS.format(4, 2)
+
+    @pytest.mark.parametrize("command", ["ratios", "check-bounds"])
+    def test_table_commands_exit_2(self, dropped, command, capsys, tmp_path):
+        path = write_cayley_file(tmp_path / "d6.txt", gc.dihedral(6))
+        json_path = tmp_path / "out.json"
+        assert main([command, path, "--json", str(json_path)]) == 2
+        problem = self.expected(dropped, 12)
+        assert capsys.readouterr() == (f"MISMATCH: {problem}\n", "")
+        assert json.loads(json_path.read_text())["results"] == [{"mismatch": problem}]
+
+
 class TestSeedWeightCheck:
     """The seed weights, the generator counts phi(|C|) of the cyclic
     subgroups C, must sum to |G|, since each element generates exactly one

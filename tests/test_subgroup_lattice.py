@@ -16,6 +16,7 @@ from relpsi.subgroup_lattice import (
     Subgroup,
     _abelian_masks,
     _CosetWalk,
+    _distinct_rows,
     _sorted_lattice,
     all_subgroups,
     conjugates_intersect_trivially,
@@ -533,21 +534,24 @@ def lattice_with_search_counts(G):
 
 
 def prime_index_inclusions(subs):
-    """The index p of every inclusion H < J of prime index among ``subs``,
-    the edges of their Hasse diagram when ``subs`` is a whole lattice of
-    an abelian group, read off the member masks alone."""
+    """The index p of every inclusion H < J of prime index among ``subs``
+    with H not trivial and J not the whole group, the middle edges of their
+    Hasse diagram when ``subs`` is a whole lattice of an abelian group, read
+    off the member masks alone."""
     masks = np.array([H.mask() for H in subs], dtype=np.int64)
     orders = masks.sum(axis=1)
     inside = masks @ (1 - masks).T == 0  # inside[h, j]: H lies in J
+    inside &= (orders[:, None] > 1) & (orders[None, :] < masks.shape[1])
     index = orders[None, :] // orders[:, None]
     return [int(p) for p in index[inside] if p > 1 and all(p % d for d in range(2, p))]
 
 
 def assert_joins_bounded_by_the_hasse_diagram(subs, built):
     """Each join the layered search builds is a prime-index inclusion
-    K < K<s>, and it builds each one from at least one and at most all of
-    the p - 1 cosets K*s other than K in K<s>: exactly once each when every
-    index is 2."""
+    K < K<s> with K not trivial and K<s> not G, since those layers are
+    written with no join, and it builds each one from at least one and at
+    most all of the p - 1 cosets K*s other than K in K<s>: exactly once
+    each when every index is 2."""
     indices = prime_index_inclusions(subs)
     assert len(indices) <= built <= sum(p - 1 for p in indices)
 
@@ -576,17 +580,17 @@ class TestJoinCount:
     number of conjugacy classes of subgroups other than G, which the
     lattice itself gives; a cyclic group lists none, and an abelian one
     walks no join and lists no class. The third lies between the number of
-    prime-index inclusions of the lattice and their sum of p - 1, and
-    equals the first on a 2-group."""
+    prime-index inclusions of the lattice from a nontrivial subgroup to a
+    proper one and their sum of p - 1, and equals the first on a 2-group."""
 
     @pytest.mark.parametrize("make, calls, classes, built", [
         (lambda: gc.symmetric(5), 239, 18, 0),
         (lambda: gc.dihedral(60), 489, 31, 0),
-        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 0, 0, 141),
+        (lambda: gc.abelian_of_type({2: [2, 2, 1]}), 0, 0, 127),
         (lambda: gc.direct_product([gc.frobenius_field(2, 3), gc.cyclic(3)]), 116, 11, 0),
         (lambda: gc.cyclic(120), 0, 0, 0),
-        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 0, 0, 2077),
-        (lambda: gc.abelian_of_type({3: [1, 1, 1]}), 0, 0, 129),
+        (lambda: gc.abelian_of_type({2: [1, 1, 1, 1, 1]}), 0, 0, 2015),
+        (lambda: gc.abelian_of_type({3: [1, 1, 1]}), 0, 0, 91),
     ], ids=["S5", "D60", "C4xC4xC2", "Frob(2,3)xC3", "C120", "C2^5", "C3^3"])
     def test_join_calls_are_pinned(self, make, calls, classes, built):
         G = make()
@@ -629,16 +633,65 @@ class TestCyclicLattice:
             assert [(H.order, H.elements()) for H in subs] == [
                 (H.order, H.elements()) for H in by_elements], G.name
 
-    @pytest.mark.parametrize("make", [
-        lambda: gc.abelian_of_type({2: [1, 1], 3: [1], 5: [1]}),
-        lambda: gc.abelian_of_type({2: [2, 1], 3: [1], 5: [1]}),
+    @pytest.mark.parametrize("make, joins", [
+        (lambda: gc.abelian_of_type({2: [1, 1], 3: [1], 5: [1]}), 34),
+        (lambda: gc.abelian_of_type({2: [2, 1], 3: [1], 5: [1]}), 66),
     ], ids=["C2xC2xC3xC5", "C4xC2xC3xC5"])
-    def test_non_cyclic_of_the_same_order_joins(self, make):
+    def test_non_cyclic_of_the_same_order_joins(self, make, joins):
         G = make()
         subs, calls, classes, built = lattice_with_search_counts(G)
-        assert calls == classes == 0 and built > 0
+        assert (calls, classes, built) == (0, 0, joins)
         assert_joins_bounded_by_the_hasse_diagram(subs, built)
         assert lattice(subs) == join_by_generate(G)
+
+
+def abelian_rounds(G):
+    """all_subgroups(G) and the join rounds of `_abelian_masks`, one
+    `_distinct_rows` call each, counted by a profile hook."""
+    distinct, rounds = _distinct_rows.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal rounds
+        rounds += event == "call" and frame.f_code is distinct
+
+    sys.setprofile(profile)
+    try:
+        subs = all_subgroups(G)
+    finally:
+        sys.setprofile(None)
+    return subs, rounds
+
+
+class TestAbelianLayers:
+    """A non-cyclic abelian lattice writes its layers of order 1, of prime
+    order and of order |G| with no join, and joins only the Omega(|G|) - 2
+    layers between, Omega counting the prime factors of |G| with
+    multiplicity."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gc.abelian_of_type({2: [1, 1]}),
+        lambda: gc.abelian_of_type({3: [1, 1]}),
+        lambda: gc.abelian_of_type({5: [1, 1]}),
+        lambda: relabelled_copy(gc.abelian_of_type({7: [1, 1]}), 49),
+    ], ids=["C2xC2", "C3xC3", "C5xC5", "C7xC7-relabelled"])
+    def test_two_prime_factors_join_nothing(self, make):
+        G = make()
+        subs, calls, classes, built = lattice_with_search_counts(G)
+        assert (calls, classes, built) == (0, 0, 0)
+        assert lattice(subs) == join_by_generate(G)
+
+    @pytest.mark.parametrize("type_map, rounds", [
+        ({2: [1] * 5}, 3),
+        ({2: [1, 1], 3: [1]}, 1),
+        ({2: [2, 2, 1]}, 3),
+    ], ids=["C2^5", "C2xC2xC3", "C4xC4xC2"])
+    def test_rounds_are_the_middle_layers(self, type_map, rounds):
+        G = gc.abelian_of_type(type_map)
+        assert sum(a for _, a in factorize(G.order)) - 2 == rounds
+        subs, counted = abelian_rounds(G)
+        assert counted == rounds
+        TestAllSubgroups.assert_sorted_once(subs)
+        assert Counter(H.order for H in subs) == abelian_subgroup_counts(type_map)
 
 
 class TestSmallBlocks:
@@ -655,7 +708,9 @@ class TestSmallBlocks:
         lambda: gc.symmetric(5),
         lambda: gc.dihedral(60),
         lambda: gc.abelian_of_type({2: [1] * 5}),
-    ], ids=["S5", "D60", "C2^5"])
+        lambda: gc.abelian_of_type({3: [1, 1, 1]}),
+        lambda: gc.abelian_of_type({2: [1, 1], 3: [1]}),
+    ], ids=["S5", "D60", "C2^5", "C3^3", "C2xC2xC3"])
     def test_lattice_and_join_calls_unchanged(self, make, block, monkeypatch):
         def run():
             subs, *counts = lattice_with_search_counts(make())

@@ -87,6 +87,21 @@ class TestSubgroupCountMismatch:
         assert subgroup_count_mismatch(24, [1, 2, 2, 2, 3, 7, 24]) == message.format(7, 24)
         assert subgroup_count_mismatch(6, [1, 4, 6]) == message.format(4, 6)
 
+    def test_one_trivial_subgroup_and_one_whole_group(self):
+        # neither count is one of Frobenius' when |G| is not a prime power,
+        # so a C6 lattice missing {e} or C6 passes both earlier tests
+        message = "the lattice has {} subgroups of order {}, where every group has exactly one, {}"
+        trivial, whole = "the trivial subgroup", "the group itself"
+        assert subgroup_count_mismatch(6, [2, 3, 6]) == message.format(0, 1, trivial)
+        assert subgroup_count_mismatch(6, [1, 1, 2, 3, 6]) == message.format(2, 1, trivial)
+        assert subgroup_count_mismatch(6, [1, 2, 3]) == message.format(0, 6, whole)
+        assert subgroup_count_mismatch(6, [1, 2, 3, 6, 6]) == message.format(2, 6, whole)
+        assert subgroup_count_mismatch(1, []) == message.format(0, 1, trivial)
+        assert subgroup_count_mismatch(1, [1, 1]) == message.format(2, 1, trivial)
+        # Frobenius' message still comes first where it applies: C4 without C4
+        assert subgroup_count_mismatch(4, [1, 2]) == (
+            "the lattice has 0 subgroups of order 4, not 1 mod 2 as Frobenius' theorem requires")
+
 
 class TestSeedWeightMismatch:
     """Each element generates exactly one cyclic subgroup, so the seed
