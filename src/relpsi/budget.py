@@ -18,8 +18,8 @@ ENCODING_CAP = 1 << 62
 # each, 128 MiB. The worst admitted brute forces, `frobenius --r 7 --q 1031
 # --brute-force` (order 16 759 936) and `--r 3 --q 299569` (order
 # 16 775 864, whose subgroup of 2 096 983 members is kept as a mask only),
-# take 2.0 s at 164 MiB and 1.2 s at 198 MiB peak RSS in a fresh process
-# on a 2-vCPU VM
+# take 2.5-3.1 s at 164 MiB and 2.0-2.5 s at 198 MiB peak RSS in fresh
+# processes (six runs each) on a busy 2-vCPU VM
 ELEMENT_CAP = 1 << 24
 # order of a group that caches its Cayley table, n^2 entries of at most two
 # bytes: 32 MiB

@@ -47,6 +47,9 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     leads, shifts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     divisors = _digit_vectors(leads * p ** shifts, p, m + 1)
     for f in range(p ** r, 2 * p ** r):
+        # for r > 1, a zero constant term is the factor x
+        if r > 1 and f % p == 0:
+            continue
         rem = _digit_vectors(f * p ** shifts, p, r + m)
         for k in range(r + m - 1, m - 1, -1):
             rem[:, k - m:k + 1] = (rem[:, k - m:k + 1] - rem[:, k:k + 1] * divisors) % p

@@ -7,7 +7,7 @@ coordinate arrays and `_join` turns them back. C_n has one coordinate k, a
 Frobenius group two, (a, k), and a direct product its factors' coordinates
 in turn, so products nest; a table or permutation group keeps the encoding
 itself. Each class defines exactly one product, `_product`, on those
-coordinates: exponents k + l are reduced by one compare-and-subtract, with
+coordinates: exponents k + l are reduced by one min against k + l - n, with
 no division. The array product on encodings, `_product_array`, is join,
 product and split, and the Cayley table, inverses, element orders and power
 table all come from it, except in C_n: its power table, and its seed
@@ -82,12 +82,14 @@ def _check_table_cap(n: int) -> None:
 
 
 def _reduce(s: np.ndarray, n: int) -> np.ndarray:
-    """s mod n, in place, for an int64 array s with entries in [0, 2n): n is
-    subtracted, and s >> 63, all ones exactly where that left s negative,
-    masks the n that is added back."""
-    s -= n
-    s += (s >> 63) & n
-    return s
+    """s mod n, for int64 entries s in [0, 2n), as min(s, s - n) on a
+    uint64 view: where s < n, s - n wraps past 2^63 > s, so the min keeps s,
+    and elsewhere it is s - n < n <= s. Two passes, exact for every n up to
+    ENCODING_CAP. An array s is overwritten; a numpy scalar, the sum of two
+    0-d inputs, is read through a new 0-d array, and the ufuncs, unlike
+    scalar arithmetic, wrap without a warning."""
+    u = np.asarray(s).view(np.uint64)
+    return np.minimum(u, np.subtract(u, n), out=u).view(np.int64)
 
 
 def row_blocks(rows: np.ndarray, width: int):
@@ -306,9 +308,12 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     d of |G| with 1 < d <= |G| / |H|, in ascending order: x^d is the
     previous divisor's power times x^(d - d_prev), a product of the stored
     squares x^(2^j), so it never takes more products than a walk through
-    every m. Encodings go in blocks of _BLOCK / 64, and each block's
-    elements outside the set are read off the mask, so the int64 result is
-    the pass's one array over G; the blocks bound the stored squares and
+    every m. A square x^(2^j) is formed by squaring x^(2^(j-1)), unless
+    the previous divisor was 2^j: its power, as it stood before this step
+    multiplied it, is that square and is kept as it, so Frob(2,7) over its
+    complement takes 12 coordinate products. Encodings go in blocks of
+    _BLOCK / 64, and each block's elements outside the set are read off the
+    mask, so the int64 result is the pass's one array over G; the blocks bound the stored squares and
     keep a block's arrays in cache, where the array products run faster per
     element than on 2^20 elements. In a fresh process on a 2-vCPU VM,
     blocks twice that size took twice the page faults and 2.36 s against
@@ -333,10 +338,10 @@ def first_powers_in(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
         squares = [split(todo)]
         power, prev = squares[0], 1
         for d in ds:
-            gap = d - prev
+            gap, start = d - prev, power
             for j in range(gap.bit_length()):
                 if len(squares) == j:
-                    squares.append(product(squares[-1], squares[-1]))
+                    squares.append(start if prev == 1 << j else product(squares[-1], squares[-1]))
                 if gap >> j & 1:
                     power = product(power, squares[j])
             prev = d

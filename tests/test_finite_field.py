@@ -22,6 +22,16 @@ class TestFindIrreducible:
         # x^2 + 1 has no roots in F_3
         assert find_irreducible(3, 2) == (1, 0, 1)
 
+    @pytest.mark.parametrize("p,r", [(p, r) for p in sympy.primerange(2, 14)
+                                     for r in range(1, 13) if p ** r <= 2 ** 12])
+    def test_least_irreducible_by_sympy(self, p, r):
+        # the least encoding in [p^r, 2 p^r) that sympy finds irreducible,
+        # every candidate read, x itself for r = 1
+        x = sympy.Symbol("x")
+        least = next(f for f in range(p ** r, 2 * p ** r) if sympy.Poly(
+            [f // p ** i % p for i in range(r, -1, -1)], x, modulus=p).is_irreducible)
+        assert find_irreducible(p, r) == tuple(least // p ** i % p for i in range(r + 1))
+
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             find_irreducible(4, 2)

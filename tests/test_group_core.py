@@ -1,6 +1,7 @@
 import ast
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -579,6 +580,23 @@ def test_first_powers_in_has_one_product_path():
     read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     read |= {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert not read & {"tabulated", "_table", "_table_cache"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, (1 << 31) - 1, 1 << 62])
+def test_reduce_is_s_mod_n(n):
+    # every s in [0, 2n): the ends of both halves and random points, on an
+    # int64 array and one 0-d input at a time; a wrap that warned would fail
+    rng = random.Random(n)
+    points = [0, n - 1, n, 2 * n - 1] + [rng.randrange(2 * n) for _ in range(60)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = gc._reduce(np.array(points, dtype=np.int64), n)
+        assert reduced.dtype == np.int64
+        assert reduced.tolist() == [s % n for s in points]
+        for s in points:
+            one = gc._reduce(np.int64(s), n)
+            assert one.dtype == np.int64 and int(one) == s % n
+            assert int(gc._reduce(np.array(s, dtype=np.int64), n)) == s % n
 
 
 def test_first_powers_in_holds_one_array_over_the_group(monkeypatch):

@@ -154,6 +154,15 @@ def above_cap_cases():
     ]
 
 
+def products_of_one_pass(monkeypatch, G, H):
+    """The coordinate products that G's `first_powers_in` pass over H makes."""
+    calls = []
+    product = G._product
+    monkeypatch.setattr(G, "_product", lambda xs, ys: calls.append(1) or product(xs, ys))
+    first_powers_in(G, H.mask())
+    return len(calls)
+
+
 class TestDivisorSteps:
     """`first_powers_in`, which is `relative_orders` and, above the table
     cap, `element_orders`, steps only through divisors of |G| up to the
@@ -175,15 +184,37 @@ class TestDivisorSteps:
             assert G.element_orders().tolist() == orders, label
 
     def test_steps_for_the_frobenius_complement(self, monkeypatch):
-        # a step per m up to the index took 126 products for Frob(2,7); the
-        # pass multiplies split coordinates, so it counts coordinate products
+        # a step per m up to the index took 126 products for Frob(2,7), and
+        # squaring every x^(2^j) 17; the pass multiplies split coordinates,
+        # so it counts coordinate products
         G = gc.frobenius_field(2, 7)
         H = frobenius_complement(G)
-        calls = []
-        product = G._product
-        monkeypatch.setattr(G, "_product", lambda xs, ys: calls.append(1) or product(xs, ys))
+        assert products_of_one_pass(monkeypatch, G, H) == 12
         assert psi_relative(G, H) == psi_relative_frobenius_formula(2, 7)
-        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("q, products", [(7, 14), (11, 12)])
+    def test_steps_for_the_paper_subgroup(self, monkeypatch, q, products):
+        # 15 and 14 when every square was formed by squaring
+        G, H = build_counterexample(CounterexampleSpec(5, q))
+        assert products_of_one_pass(monkeypatch, G, H) == products
+
+    @pytest.mark.parametrize("block", [None, 1 << 8, 1 << 6], ids=["one block", "4", "1"])
+    def test_kept_square_after_a_gap_with_low_bits(self, monkeypatch, catalog_subgroups, block):
+        # the walk keeps x^(2^j) when it leaves the divisor 2^j: after lower
+        # squares have multiplied the power in 2 -> 5 (order 10) and 4 -> 11
+        # (order 44), before any in 2 -> 4 (orders 20 and 40); orders 12 and
+        # 24 square every square. Every element and every subgroup, in one
+        # block and in blocks of 4 and 1 elements
+        if block is not None:
+            monkeypatch.setattr(gc, "_BLOCK", block)
+        cases = [(G, subs) for G, subs in catalog_subgroups if G.order in (10, 12, 20, 24, 40, 44)]
+        D10 = relabelled(gc.dihedral(10), seed=3)
+        cases.append((D10, all_subgroups(D10)))
+        assert len(cases) == 18
+        for G, subs in cases:
+            for H in subs:
+                expected = [relative_order(G, H, x) for x in G.elements()]
+                assert first_powers_in(G, H.mask()).tolist() == expected, (G.name, H.order)
 
     @pytest.mark.parametrize("p, r", [(3, 4), (5, 3)])
     def test_odd_characteristic_complement_matches_closed_form(self, p, r):
